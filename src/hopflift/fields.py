@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import InvalidResolution, NotUnit, WidthTooSmall
 
@@ -333,6 +332,32 @@ def _gaussian_kernel(eps, h):
     return ker
 
 
+@lru_cache(maxsize=8)
+def _kernel_spectrum(eps, h, n):
+    """Real FFT of the mollifier kernel, zero-padded to the shape that
+    ``scipy.signal.fftconvolve`` picks for an n^3 grid, so
+    ``_convolve_same`` reproduces it bit for bit.  Returns (spectrum,
+    padded shape, start of the ``"same"`` slice)."""
+    from scipy import fft as sp_fft
+    ker = _gaussian_kernel(eps, h)
+    k = ker.shape[0]
+    fshape = (sp_fft.next_fast_len(n + k - 1, True),) * 3
+    spec = sp_fft.rfftn(ker, fshape, axes=(0, 1, 2))
+    spec.setflags(write=False)
+    return spec, fshape, (k - 1) // 2
+
+
+def _convolve_same(values, eps, h):
+    """``fftconvolve(values, _gaussian_kernel(eps, h), mode="same")`` for
+    an (n,n,n) array, on the cached kernel spectrum."""
+    from scipy import fft as sp_fft
+    n = values.shape[0]
+    spec, fshape, lo = _kernel_spectrum(eps, h, n)
+    padded = sp_fft.rfftn(values, fshape, axes=(0, 1, 2))
+    conv = sp_fft.irfftn(padded * spec, fshape, axes=(0, 1, 2))
+    return conv[lo:lo + n, lo:lo + n, lo:lo + n]
+
+
 def mollify_region_mask(grid, eps):
     """Nodes far enough from the cube boundary for the kernel to fit:
     max_i |x_i| <= 1 - 3*eps.  May be empty for large eps."""
@@ -350,12 +375,11 @@ def mollify_components(grid, values, eps):
     """
     if eps < grid.h:
         raise WidthTooSmall(f"eps={eps} below grid spacing h={grid.h}")
-    ker = _gaussian_kernel(float(eps), grid.h)
     region = mollify_region_mask(grid, eps)
     vals = values if values.ndim == 4 else values[..., None]
     out = vals.copy()
     for c in range(vals.shape[-1]):
-        conv = fftconvolve(vals[..., c], ker, mode="same")
+        conv = _convolve_same(vals[..., c], float(eps), grid.h)
         out[..., c] = np.where(region, conv, vals[..., c])
     return out if values.ndim == 4 else out[..., 0]
 

@@ -6,6 +6,8 @@ by little-endian f64 payload in linear order
 i, then j, then k.
 """
 
+import os
+
 import numpy as np
 
 from .errors import IoError
@@ -13,6 +15,9 @@ from .fields import (DEFAULT_BALL_MARGIN, Grid3, LiftField, ScalarField,
                      SphereMapField, VecField)
 
 _TAG_NCOMP = {"SCAL": 1, "VEC1": 3, "VEC2": 3, "S2": 3, "S3": 4}
+
+#: Longest header line read_h3f accepts, newline included.
+_MAX_HEADER = 64
 
 
 def field_tag(field):
@@ -52,23 +57,36 @@ def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):
     """Read a field written by write_h3f.
 
     The header does not carry the ball margin, so the caller supplies it
-    when the inscribed-ball mask matters.
+    when the inscribed-ball mask matters.  The file size must match the
+    header exactly; it is checked before the payload is read, so a
+    corrupt header cannot ask for an oversized buffer.
     """
     if not path:
         raise IoError("empty input path")
     try:
         with open(path, "rb") as fh:
-            header = fh.readline().decode("ascii", errors="replace").split()
-            if len(header) != 4 or header[0] != "H3F1":
+            line = fh.readline(_MAX_HEADER)
+            header = line.decode("ascii", errors="replace").split()
+            if (not line.endswith(b"\n") or len(header) != 4
+                    or header[0] != "H3F1"
+                    or not (header[1].isdigit() and header[2].isdigit())):
                 raise IoError(f"{path}: not an H3F1 file")
             n, ncomp, tag = int(header[1]), int(header[2]), header[3]
+            if n < 3:
+                raise IoError(f"{path}: need n >= 3 nodes per axis, got {n}")
             if tag not in _TAG_NCOMP:
                 raise IoError(f"{path}: unknown tag {tag!r}")
             if _TAG_NCOMP[tag] != ncomp:
                 raise IoError(f"{path}: tag {tag} expects {_TAG_NCOMP[tag]} "
                               f"components, header says {ncomp}")
-            raw = fh.read(8 * n ** 3 * ncomp)
-            if len(raw) != 8 * n ** 3 * ncomp:
+            nbytes = 8 * n ** 3 * ncomp
+            extra = os.fstat(fh.fileno()).st_size - len(line) - nbytes
+            if extra < 0:
+                raise IoError(f"{path}: truncated payload")
+            if extra > 0:
+                raise IoError(f"{path}: {extra} trailing bytes after payload")
+            raw = fh.read(nbytes)
+            if len(raw) != nbytes:
                 raise IoError(f"{path}: truncated payload")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc

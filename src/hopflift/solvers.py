@@ -5,19 +5,20 @@ The 1-d differentiation matrix reproduces the grad/curl/div stencils
 bit-for-bit, so quantities assembled here agree with the field operators
 to rounding.  Because the three partials are Kronecker products over
 disjoint slots they commute exactly, which makes curl@grad and div@curl
-vanish identically as sparse matrices.
+vanish identically as sparse matrices.  ``scipy.sparse`` is imported by
+the builders on first use, so importing this module costs numpy only.
 """
 
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SolverDiverged
 
 
 @lru_cache(maxsize=8)
 def _d1(n, h):
+    import scipy.sparse as sp
     rows, cols, data = [], [], []
     inv2h = 0.5 / h
     for i in range(1, n - 1):
@@ -36,6 +37,7 @@ def _d1(n, h):
 @lru_cache(maxsize=8)
 def partial_matrices(n):
     """(P1, P2, P3): flat-index partial-derivative operators on scalars."""
+    import scipy.sparse as sp
     h = 2.0 / (n - 1)
     d = _d1(n, h)
     eye = sp.identity(n, format="csr")
@@ -47,12 +49,14 @@ def partial_matrices(n):
 
 @lru_cache(maxsize=8)
 def grad_matrix(n):
+    import scipy.sparse as sp
     p1, p2, p3 = partial_matrices(n)
     return sp.vstack([p1, p2, p3], format="csr")
 
 
 @lru_cache(maxsize=8)
 def curl_matrix(n):
+    import scipy.sparse as sp
     p1, p2, p3 = partial_matrices(n)
     return sp.bmat([[None, -p3, p2], [p3, None, -p1], [-p2, p1, None]],
                    format="csr")
@@ -60,6 +64,7 @@ def curl_matrix(n):
 
 @lru_cache(maxsize=8)
 def div_matrix(n):
+    import scipy.sparse as sp
     p1, p2, p3 = partial_matrices(n)
     return sp.hstack([p1, p2, p3], format="csr")
 
@@ -81,6 +86,7 @@ def boundary_normal_operator(n):
     """(N, wb): rows of N pick the face-normal vector component at every
     node of each cube face; wb holds the matching 2-d trapezoid area
     weights.  Edge and corner nodes contribute once per adjacent face."""
+    import scipy.sparse as sp
     h = 2.0 / (n - 1)
     n3 = n ** 3
     idx = np.arange(n3).reshape(n, n, n)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hopflift
 from hopflift.cli import run
 from hopflift.fileio import read_h3f
 from hopflift.fields import LiftField, SphereMapField, VecField
@@ -182,3 +186,16 @@ def test_gauge_budget_exhaustion_exits_three(tmp_path):
     payload = json.loads(open(rep).read())
     assert payload["converged"] is False
     assert payload["iterations"] == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # commands that neither solve nor smooth start at numpy's import cost
+    src = os.path.dirname(os.path.dirname(hopflift.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, hopflift.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -3,8 +3,10 @@ import pytest
 
 from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
 from hopflift.fields import (Grid3, ScalarField, SphereMapField, VecField,
-                             curl, div, grad, l1_norm, l2_inner, l2_norm,
-                             lp_norm, make_grid, mollify, mollify_components)
+                             _convolve_same, _gaussian_kernel, curl, div,
+                             grad, l1_norm, l2_inner, l2_norm, lp_norm,
+                             make_grid, mollify, mollify_components,
+                             mollify_region_mask)
 
 
 def scalar(grid, arr):
@@ -243,6 +245,45 @@ class TestMollify:
         f = ScalarField(self.grid, vals.copy())
         direct = mollify_components(self.grid, vals, 3.0 * self.grid.h)
         assert np.array_equal(mollify(f, 3.0 * self.grid.h).values, direct)
+
+
+def fftconvolve_mollify(grid, values, eps):
+    """Reference mollifier: one scipy.signal.fftconvolve per component."""
+    from scipy.signal import fftconvolve
+    ker = _gaussian_kernel(float(eps), grid.h)
+    region = mollify_region_mask(grid, eps)
+    vals = values if values.ndim == 4 else values[..., None]
+    out = vals.copy()
+    for c in range(vals.shape[-1]):
+        conv = fftconvolve(vals[..., c], ker, mode="same")
+        out[..., c] = np.where(region, conv, vals[..., c])
+    return out if values.ndim == 4 else out[..., 0]
+
+
+class TestMollifyMatchesFftconvolve:
+    @pytest.mark.parametrize("ncomp", [None, 4])
+    @pytest.mark.parametrize("width", [8, 4, 2, 1])
+    def test_bit_identical(self, width, ncomp):
+        grid = make_grid(33)
+        shape = (33,) * 3 if ncomp is None else (33,) * 3 + (ncomp,)
+        vals = np.random.default_rng(width).normal(size=shape)
+        eps = width * grid.h
+        assert np.array_equal(mollify_components(grid, vals, eps),
+                              fftconvolve_mollify(grid, vals, eps))
+
+    def test_kernel_wider_than_grid(self):
+        from scipy.signal import fftconvolve
+        grid = make_grid(9)
+        eps = 0.9
+        ker = _gaussian_kernel(eps, grid.h)
+        assert ker.shape[0] > grid.n
+        vals = np.random.default_rng(3).normal(size=(9, 9, 9, 4))
+        # the smoothing region is empty here, so compare the "same" slice
+        # of the convolution itself as well
+        assert np.array_equal(_convolve_same(vals[..., 0], eps, grid.h),
+                              fftconvolve(vals[..., 0], ker, mode="same"))
+        assert np.array_equal(mollify_components(grid, vals, eps),
+                              fftconvolve_mollify(grid, vals, eps))
 
 
 class TestContainers:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hopflift.cli import run
 from hopflift.errors import IoError
 from hopflift.fields import (LiftField, ScalarField, SphereMapField, VecField,
                              make_grid)
@@ -85,6 +86,73 @@ def test_tag_component_mismatch(tmp_path):
     path.write_bytes(b"H3F1 3 4 SCAL\n" + b"\0" * (8 * 27 * 4))
     with pytest.raises(IoError):
         read_h3f(path)
+
+
+def _s2_file(tmp_path):
+    path = tmp_path / "u.h3f"
+    write_h3f(path, testmaps.gen_constant(make_grid(3), (0.0, 0.6, 0.8)))
+    return path
+
+
+def _oversized_header(tmp_path):
+    # the header asks for 2.4e22 bytes; the file holds a few hundred
+    path = tmp_path / "big.h3f"
+    path.write_bytes(b"H3F1 10000000 3 S2\n" + b"\0" * (8 * 27 * 3))
+    return path
+
+
+def _trailing_bytes(tmp_path):
+    path = _s2_file(tmp_path)
+    with open(path, "ab") as fh:
+        fh.write(b"\0")
+    return path
+
+
+def _short_payload(tmp_path):
+    path = _s2_file(tmp_path)
+    path.write_bytes(path.read_bytes()[:-1])
+    return path
+
+
+def _too_few_nodes(tmp_path):
+    path = tmp_path / "n2.h3f"
+    path.write_bytes(b"H3F1 2 3 S2\n" + b"\0" * (8 * 8 * 3))
+    return path
+
+
+def _non_integer_n(tmp_path):
+    path = tmp_path / "nan.h3f"
+    path.write_bytes(b"H3F1 3.0 3 S2\n" + b"\0" * (8 * 27 * 3))
+    return path
+
+
+def _negative_n(tmp_path):
+    path = tmp_path / "neg.h3f"
+    path.write_bytes(b"H3F1 -3 3 S2\n" + b"\0" * (8 * 27 * 3))
+    return path
+
+
+BAD_FILES = [_oversized_header, _trailing_bytes, _short_payload,
+             _too_few_nodes, _non_integer_n, _negative_n]
+
+
+def test_well_formed_base_file_reads(tmp_path):
+    assert isinstance(read_h3f(_s2_file(tmp_path)), SphereMapField)
+
+
+@pytest.mark.parametrize("make", BAD_FILES, ids=lambda f: f.__name__[1:])
+def test_bad_file_raises_io_error(tmp_path, make):
+    with pytest.raises(IoError):
+        read_h3f(make(tmp_path))
+
+
+@pytest.mark.parametrize("make", BAD_FILES, ids=lambda f: f.__name__[1:])
+def test_bad_file_cli_exits_two(tmp_path, capsys, make):
+    code = run(["pullback", "--in", str(make(tmp_path)),
+                "--out", str(tmp_path / "D.h3f")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("hopflift pullback: ") and err.count("\n") == 1
 
 
 def test_vtk_structure(tmp_path):
