@@ -9,7 +9,6 @@ mollified modulus and are rejected rather than renormalized through zero.
 """
 
 import csv
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .fields import (LiftField, SphereMapField, VecField, component_partials,
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
 from .pullback import pullback_area_form
+from .solvers import max_workers
 
 #: mollified lift moduli below this cannot be renormalized meaningfully
 MODULUS_FLOOR = 0.5
@@ -111,17 +111,6 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
         lift=lift_report,
     )
     return u_eps, eta_eps, report
-
-
-def max_workers():
-    """Worker cap for the sweep: HOPFLIFT_THREADS, default all cores."""
-    env = os.environ.get("HOPFLIFT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def convergence_sweep(u: SphereMapField, eta: VecField, eps_list,

@@ -53,10 +53,40 @@ def _parse_vec(text):
     return tuple(parts)
 
 
-def _expect(field, kind, flag):
+def _parse_widths(text):
+    try:
+        widths = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(widths)):
+        raise argparse.ArgumentTypeError("widths must be finite")
+    if any(b >= a for a, b in zip(widths, widths[1:])):
+        raise argparse.ArgumentTypeError("widths must be strictly decreasing")
+    return widths
+
+
+def _rel_tol(text):
+    tol = float(text)
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return tol
+
+
+def _positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _expect(field, kind, flag, degree=None):
     if not isinstance(field, kind):
         raise IoError(f"{flag}: expected a {kind.__name__}, "
                       f"got {type(field).__name__}")
+    if degree is not None and field.degree != degree:
+        raise IoError(f"{flag}: expected a degree-{degree} field, "
+                      f"got degree {field.degree}")
     return field
 
 
@@ -99,8 +129,8 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--iters", type=int)
+    p.add_argument("--tol", type=_rel_tol, default=1e-8)
+    p.add_argument("--iters", type=_positive_int)
 
     p = sub.add_parser("lift", help="construct the circle-bundle lift")
     p.add_argument("--u", required=True)
@@ -135,7 +165,7 @@ def build_parser():
     p = sub.add_parser("sweep", help="smoothing sweep over widths, CSV out")
     p.add_argument("--u", required=True)
     p.add_argument("--eta", required=True)
-    p.add_argument("--eps", required=True,
+    p.add_argument("--eps", type=_parse_widths, required=True,
                    help="comma-separated decreasing widths")
     p.add_argument("--csv", required=True)
 
@@ -201,7 +231,8 @@ def _cmd_check(args):
 
 
 def _cmd_gauge(args):
-    g = _expect(read_h3f(args.infile, args.ball_margin), VecField, "--in")
+    g = _expect(read_h3f(args.infile, args.ball_margin), VecField, "--in",
+                degree=2)
     tol = args.tol * 0.5 if args.strict else args.tol
     cfg = hodge.GaugeSolveConfig(max_iters=args.iters, rel_tol=tol)
     try:
@@ -229,7 +260,8 @@ def _lift_config(args):
 
 def _cmd_lift(args):
     u = _expect(read_h3f(args.u, args.ball_margin), SphereMapField, "--u")
-    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta")
+    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta",
+                  degree=1)
     try:
         uhat, report = build_lift(u, eta, _lift_config(args))
     except NotConverged as exc:
@@ -247,7 +279,8 @@ def _cmd_lift(args):
 
 def _cmd_verify(args):
     u = _expect(read_h3f(args.u, args.ball_margin), SphereMapField, "--u")
-    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta")
+    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta",
+                  degree=1)
     uhat = _expect(read_h3f(args.uhat, args.ball_margin), LiftField, "--uhat")
     report = verify_lift(u, eta, uhat)
     payload = report.to_dict()
@@ -276,7 +309,8 @@ def _cmd_gauge_of_lift(args):
 
 def _cmd_approx(args):
     u = _expect(read_h3f(args.u, args.ball_margin), SphereMapField, "--u")
-    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta")
+    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta",
+                  degree=1)
     u_eps, eta_eps, report = approx.approximate(u, eta, args.eps)
     write_h3f(args.out_prefix + "u.h3f", u_eps)
     write_h3f(args.out_prefix + "eta.h3f", eta_eps)
@@ -288,9 +322,9 @@ def _cmd_approx(args):
 
 def _cmd_sweep(args):
     u = _expect(read_h3f(args.u, args.ball_margin), SphereMapField, "--u")
-    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta")
-    eps_list = [float(e) for e in args.eps.split(",")]
-    reports = approx.convergence_sweep(u, eta, eps_list)
+    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta",
+                  degree=1)
+    reports = approx.convergence_sweep(u, eta, args.eps)
     approx.write_sweep_csv(reports, args.csv)
     print(f"sweep: wrote {args.csv} ({len(reports)} rows)")
     return 0

@@ -199,3 +199,62 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["sweep", "--u", "{u}", "--eta", "{eta}", "--csv", "{out}",
+      "--eps", "0.1,abc"], 64, "argument --eps: expected comma-separated"),
+    (["sweep", "--u", "{u}", "--eta", "{eta}", "--csv", "{out}",
+      "--eps", ","], 64, "argument --eps: expected comma-separated"),
+    (["sweep", "--u", "{u}", "--eta", "{eta}", "--csv", "{out}",
+      "--eps", "0.1,0.2"], 64, "argument --eps: widths must be strictly"),
+    (["sweep", "--u", "{u}", "--eta", "{eta}", "--csv", "{out}",
+      "--eps", "nan"], 64, "argument --eps: widths must be finite"),
+    (["gauge", "--in", "{D}", "--out", "{out}", "--tol", "0"], 64,
+     "argument --tol: must lie in (0, 1)"),
+    (["gauge", "--in", "{D}", "--out", "{out}", "--tol", "2"], 64,
+     "argument --tol: must lie in (0, 1)"),
+    (["gauge", "--in", "{D}", "--out", "{out}", "--iters", "0"], 64,
+     "argument --iters: must be positive"),
+    (["gauge", "--in", "{eta}", "--out", "{out}"], 2,
+     "--in: expected a degree-2 field, got degree 1"),
+    (["lift", "--u", "{u}", "--eta", "{D}", "--out", "{out}"], 2,
+     "--eta: expected a degree-1 field, got degree 2"),
+], ids=["eps-not-a-number", "eps-empty", "eps-increasing", "eps-nan",
+        "tol-zero", "tol-two", "iters-zero", "gauge-degree-1",
+        "lift-eta-degree-2"])
+def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
+    prefix = gen_family(tmp_path, n=9)
+    files = {"u": prefix + "u.h3f", "eta": prefix + "eta.h3f",
+             "D": str(tmp_path / "D.h3f"), "out": str(tmp_path / "out")}
+    assert run(["pullback", "--in", files["u"], "--out", files["D"]]) == 0
+    capsys.readouterr()
+    try:
+        got = run([a.format(**files) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert message in err.strip().splitlines()[-1]
+    assert "Traceback" not in err
+
+
+def test_selftest_independent_of_thread_counts(tmp_path):
+    # CG's reductions run over fixed chunks outside BLAS, so neither the
+    # solver's helper threads nor BLAS threads move a bit of the report
+    src = os.path.dirname(os.path.dirname(hopflift.__file__))
+    outputs = set()
+    for blas in ("1", "2"):
+        for threads in ("1", "2"):
+            path = tmp_path / f"selftest_{blas}_{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       HOPFLIFT_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-m", "hopflift", "selftest", "--n", "33",
+                 "--report", str(path)],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(path.read_bytes())
+    assert len(outputs) == 1

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hopflift import solvers
 from hopflift.errors import SolverDiverged
 from hopflift.fields import ScalarField, VecField, curl, div, grad, make_grid
 from hopflift.solvers import (boundary_normal_operator, conjugate_gradient,
@@ -75,3 +79,83 @@ class TestConjugateGradient:
         b = np.ones(20)
         with pytest.raises(SolverDiverged):
             conjugate_gradient(mat, b, 1e-12, 100)
+
+
+@pytest.fixture(scope="module")
+def gauge_system():
+    # the n=33 gauge normal matrix: 107811 rows, 4 chunks of CHUNK rows
+    from hopflift.hodge import _normal_matrix
+    n = 33
+    mat = _normal_matrix(n, 1.0, 10.0 * (n - 1) / 2.0)[0]
+    b = mat @ np.random.default_rng(3).normal(size=mat.shape[0])
+    return mat, b
+
+
+def _solve_with_workers(monkeypatch, workers, *args):
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 4)
+    monkeypatch.setenv("HOPFLIFT_THREADS", str(workers))
+    assert solvers.cg_workers(args[1].size) == workers
+    return conjugate_gradient(*args)
+
+
+class TestConjugateGradientKernel:
+    def test_block_matvec_matches_matmul(self):
+        # guards the private scipy routine behind block_matvec
+        rng = np.random.default_rng(4)
+        mat = sp.random(500, 300, density=0.05, format="csr", random_state=rng)
+        wide = mat.copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        p = rng.normal(size=300)
+        for m in (mat, wide):
+            for edges in ([0, 500], [0, 137, 500], [0, 1, 250, 499, 500]):
+                out = np.full(500, np.nan)
+                for a, e in zip(edges[:-1], edges[1:]):
+                    solvers.block_matvec(m, p, out, a, e)
+                assert np.array_equal(out, mat @ p)
+
+    def test_same_bits_for_any_worker_count(self, gauge_system, monkeypatch):
+        mat, b = gauge_system
+        assert -(-b.size // solvers.CHUNK) >= 3
+        # up to three workers with frequent thread switches: a lost or
+        # crossed block update would change the bits
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = [_solve_with_workers(monkeypatch, w, mat, b, 1e-8, 660)
+                       for w in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        x0, *rest0 = results[0]
+        assert rest0[2]
+        for x, *rest in results[1:]:
+            assert np.array_equal(x, x0) and rest == rest0
+
+        # off the main thread the solve takes one worker and the same bits
+        out = {}
+
+        def solve():
+            out["workers"] = solvers.cg_workers(b.size)
+            out["result"] = conjugate_gradient(mat, b, 1e-8, 660)
+
+        thread = threading.Thread(target=solve)
+        thread.start()
+        thread.join(timeout=300)
+        assert not thread.is_alive()
+        x, *rest = out["result"]
+        assert out["workers"] == 1
+        assert np.array_equal(x, x0) and rest == rest0
+
+    def test_budget_exhaustion_on_split_system(self, gauge_system,
+                                               monkeypatch):
+        mat, b = gauge_system
+        x, iters, rel, converged = _solve_with_workers(
+            monkeypatch, 3, mat, b, 1e-14, 5)
+        assert not converged and iters == 5
+
+    def test_indefinite_split_system_diverges(self, monkeypatch):
+        rows = 3 * solvers.CHUNK
+        mat = sp.diags(np.full(rows, -1.0)).tocsr()
+        with pytest.raises(SolverDiverged):
+            _solve_with_workers(monkeypatch, 3, mat, np.ones(rows), 1e-12,
+                                100)
