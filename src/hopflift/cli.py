@@ -50,6 +50,8 @@ def _parse_vec(text):
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated numbers")
+    if not np.all(np.isfinite(parts)):
+        raise argparse.ArgumentTypeError("components must be finite")
     return tuple(parts)
 
 
@@ -137,8 +139,8 @@ def build_parser():
     p.add_argument("--eta", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--iters", type=int)
+    p.add_argument("--tol", type=_rel_tol, default=1e-8)
+    p.add_argument("--iters", type=_positive_int)
     p.add_argument("--closed-tol", type=float)
 
     p = sub.add_parser("verify", help="recompute lift diagnostics")
@@ -170,7 +172,7 @@ def build_parser():
     p.add_argument("--csv", required=True)
 
     p = sub.add_parser("frame-check", help="pointwise frame identities")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--report")
 
@@ -241,7 +243,7 @@ def _cmd_gauge(args):
         a, report = exc.result
         write_h3f(args.out, a)
         _write_report(args.report, {**report.to_dict(), "converged": False})
-        print(f"gauge: NOT converged after {report.iterations} iterations")
+        print(f"hopflift gauge: {exc}", file=sys.stderr)
         return exc.exit_code
     write_h3f(args.out, a)
     _write_report(args.report, {**report.to_dict(), "converged": True})
@@ -268,7 +270,7 @@ def _cmd_lift(args):
         uhat, report = exc.result
         write_h3f(args.out, uhat)
         _write_report(args.report, {**report.to_dict(), "converged": False})
-        print(f"lift: NOT converged after {report.iterations} iterations")
+        print(f"hopflift lift: {exc}", file=sys.stderr)
         return exc.exit_code
     write_h3f(args.out, uhat)
     _write_report(args.report, {**report.to_dict(), "converged": True})

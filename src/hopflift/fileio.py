@@ -59,7 +59,8 @@ def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):
     The header does not carry the ball margin, so the caller supplies it
     when the inscribed-ball mask matters.  The file size must match the
     header exactly; it is checked before the payload is read, so a
-    corrupt header cannot ask for an oversized buffer.
+    corrupt header cannot ask for an oversized buffer.  A NaN or infinite
+    payload value raises IoError as well.
     """
     if not path:
         raise IoError("empty input path")
@@ -93,15 +94,18 @@ def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):
     vals = np.frombuffer(raw, dtype="<f8").reshape(n, n, n, ncomp)
     vals = np.ascontiguousarray(vals.transpose(2, 1, 0, 3))
     grid = Grid3(n, ball_margin)
-    if tag == "SCAL":
-        return ScalarField(grid, vals[..., 0])
-    if tag == "VEC1":
-        return VecField(grid, 1, vals)
-    if tag == "VEC2":
-        return VecField(grid, 2, vals)
-    if tag == "S2":
-        return SphereMapField(grid, vals)
-    return LiftField(grid, vals)
+    try:
+        if tag == "SCAL":
+            return ScalarField(grid, vals[..., 0])
+        if tag == "VEC1":
+            return VecField(grid, 1, vals)
+        if tag == "VEC2":
+            return VecField(grid, 2, vals)
+        if tag == "S2":
+            return SphereMapField(grid, vals)
+        return LiftField(grid, vals)
+    except ValueError as exc:  # a non-finite payload value
+        raise IoError(f"{path}: {exc}") from exc
 
 
 def export_vtk(field, path, name="field"):

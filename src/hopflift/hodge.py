@@ -15,11 +15,13 @@ test that matters.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotConverged
-from .fields import VecField, grad, l1_norm, l2_norm, lp_norm
+from .fields import (ScalarField, VecField, grad, l1_norm, l2_inner, l2_norm,
+                     lp_norm)
 from . import solvers
 
 
@@ -56,7 +58,10 @@ class GaugeReport:
         return dict(self.__dict__)
 
 
+@lru_cache(maxsize=2)
 def _normal_matrix(n, div_penalty, boundary_penalty):
+    """(mat, curl, div, normal, wb, w): the CSR normal matrix of the gauge
+    functional and its parts, cached read-only per (n, penalties)."""
     curl_m = solvers.curl_matrix(n)
     div_m = solvers.div_matrix(n)
     norm_m, wb = solvers.boundary_normal_operator(n)
@@ -66,8 +71,10 @@ def _normal_matrix(n, div_penalty, boundary_penalty):
     w1 = sp.diags(w)
     mat = (curl_m.T @ w3 @ curl_m
            + div_penalty * (div_m.T @ w1 @ div_m)
-           + boundary_penalty * (norm_m.T @ sp.diags(wb) @ norm_m))
-    return mat.tocsr(), curl_m, div_m, norm_m, wb, w
+           + boundary_penalty * (norm_m.T @ sp.diags(wb) @ norm_m)).tocsr()
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.setflags(write=False)
+    return mat, curl_m, div_m, norm_m, wb, w
 
 
 def random_test_functions(grid, trials, seed):
@@ -87,16 +94,28 @@ def random_test_functions(grid, trials, seed):
     return out
 
 
+@lru_cache(maxsize=2)
+def _trial_gradients(grid, trials, seed):
+    """Gradients of ``random_test_functions(grid, trials, seed)`` with
+    their squared L^2 norms, as ((grad psi, ||grad psi||^2), ...); the
+    values are read-only and cached per (grid, trials, seed)."""
+    out = []
+    for psi in random_test_functions(grid, trials, seed):
+        gpsi = grad(ScalarField(grid, psi))
+        gpsi.values.setflags(write=False)
+        out.append((gpsi, l2_inner(gpsi, gpsi)))
+    return tuple(out)
+
+
 def _weak_trace_defect(a: VecField, trials=20, seed=2024):
     """Max over test gradients of the relative L^2 pairing with a."""
-    from .fields import ScalarField, l2_inner
     na = l2_norm(a)
     if na == 0.0:
         return 0.0
     worst = 0.0
-    for psi in random_test_functions(a.grid, trials, seed):
-        gpsi = grad(ScalarField(a.grid, psi))
-        worst = max(worst, abs(l2_inner(a, gpsi)) / (na * l2_norm(gpsi)))
+    for gpsi, ng_sq in _trial_gradients(a.grid, trials, seed):
+        ng = float(np.sqrt(max(ng_sq, 0.0)))
+        worst = max(worst, abs(l2_inner(a, gpsi)) / (na * ng))
     return worst
 
 
@@ -164,14 +183,11 @@ def gauge_minimality_check(a: VecField, trials=20, seed=7):
     gradients (the weak form of the canonical conditions); any leftover
     gradient component shows up as a positive reduction.
     """
-    from .fields import ScalarField, l2_inner
     na = l2_norm(a)
     if na == 0.0:
         return 0.0
     worst = -np.inf
-    for psi in random_test_functions(a.grid, trials, seed):
-        gpsi = grad(ScalarField(a.grid, psi))
-        ng_sq = l2_inner(gpsi, gpsi)
+    for gpsi, ng_sq in _trial_gradients(a.grid, trials, seed):
         if ng_sq == 0.0:
             continue
         pairing = l2_inner(a, gpsi)

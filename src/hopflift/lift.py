@@ -74,6 +74,8 @@ class LiftConfig:
     def resolved(self, grid):
         closed = 50.0 * grid.h ** 2 if self.closed_tol is None else self.closed_tol
         iters = 20 * grid.n if self.max_iters is None else self.max_iters
+        if iters <= 0 or not 0.0 < self.rel_tol < 1.0:
+            raise ValueError("bad solver configuration")
         return closed, self.rel_tol, iters
 
 

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverDiverged
+from .fields import _node_weights
 
 
 @lru_cache(maxsize=8)
@@ -72,16 +73,10 @@ def div_matrix(n):
     return sp.hstack([p1, p2, p3], format="csr")
 
 
-@lru_cache(maxsize=8)
 def flat_weights(n):
-    """Trapezoid node weights as a flat vector over the scalar index."""
-    h = 2.0 / (n - 1)
-    c = np.ones(n)
-    c[0] = c[-1] = 0.5
-    w = h ** 3 * (c[:, None, None] * c[None, :, None] * c[None, None, :])
-    w = w.ravel()
-    w.setflags(write=False)
-    return w
+    """Trapezoid node weights as a flat vector over the scalar index: a
+    read-only view of ``fields._node_weights(n)``."""
+    return _node_weights(n).ravel()
 
 
 @lru_cache(maxsize=8)

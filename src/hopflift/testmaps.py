@@ -8,15 +8,20 @@ all have closed forms.  The hedgehog is the negative control, carrying a
 
 import numpy as np
 
-from .errors import BadLatitude
+from .errors import BadLatitude, NotUnit
 from .fields import Grid3, LiftField, SphereMapField, VecField
 
 
 def gen_constant(grid: Grid3, p) -> SphereMapField:
-    """u identically equal to the unit vector p."""
+    """u identically equal to the unit vector p (normalized if it is
+    not; NotUnit when p is zero or its norm overflows)."""
     p = np.asarray(p, dtype=np.float64)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-12:
-        p = p / np.linalg.norm(p)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(p)
+    if not 0.0 < norm < np.inf:
+        raise NotUnit(f"constant map value {p.tolist()} cannot be normalized")
+    if abs(norm - 1.0) > 1e-12:
+        p = p / norm
     vals = np.broadcast_to(p, (grid.n,) * 3 + (3,)).copy()
     return SphereMapField(grid, vals)
 

@@ -220,14 +220,38 @@ def test_cli_import_loads_no_scipy():
      "--in: expected a degree-2 field, got degree 1"),
     (["lift", "--u", "{u}", "--eta", "{D}", "--out", "{out}"], 2,
      "--eta: expected a degree-1 field, got degree 2"),
+    (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
+      "--tol", "2"], 64, "argument --tol: must lie in (0, 1)"),
+    (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
+      "--iters", "0"], 64, "argument --iters: must be positive"),
+    (["frame-check", "--samples", "0"], 64,
+     "argument --samples: must be positive"),
+    (["frame-check", "--samples", "-1"], 64,
+     "argument --samples: must be positive"),
+    (["gauge", "--in", "{D}", "--out", "{out}", "--iters", "1"], 3,
+     "hopflift gauge: gauge solve stopped at 1 iterations"),
+    (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
+      "--iters", "1"], 3, "hopflift lift: phase solve stopped at 1 iterations"),
+    (["gauge", "--in", "{nan}", "--out", "{out}"], 2,
+     "VecField: values must be finite"),
+    (["gen", "--map", "constant", "--p", "0,0,0", "--n", "5",
+      "--out-prefix", "{out}"], 2, "cannot be normalized"),
+    (["gen", "--map", "liftfam", "--a", "nan,0,0", "--n", "5",
+      "--out-prefix", "{out}"], 64, "argument --a: components must be finite"),
 ], ids=["eps-not-a-number", "eps-empty", "eps-increasing", "eps-nan",
         "tol-zero", "tol-two", "iters-zero", "gauge-degree-1",
-        "lift-eta-degree-2"])
+        "lift-eta-degree-2", "lift-tol-two", "lift-iters-zero",
+        "samples-zero", "samples-negative", "gauge-budget", "lift-budget",
+        "nan-payload", "constant-zero", "liftfam-a-nan"])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
     prefix = gen_family(tmp_path, n=9)
     files = {"u": prefix + "u.h3f", "eta": prefix + "eta.h3f",
-             "D": str(tmp_path / "D.h3f"), "out": str(tmp_path / "out")}
+             "D": str(tmp_path / "D.h3f"), "out": str(tmp_path / "out"),
+             "nan": str(tmp_path / "nan.h3f")}
     assert run(["pullback", "--in", files["u"], "--out", files["D"]]) == 0
+    header, payload = open(files["D"], "rb").read().split(b"\n", 1)
+    with open(files["nan"], "wb") as fh:
+        fh.write(header + b"\n" + b"\xff" * len(payload))
     capsys.readouterr()
     try:
         got = run([a.format(**files) for a in argv])

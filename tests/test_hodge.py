@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hopflift import hodge
 from hopflift.errors import NotConverged
 from hopflift.fields import ScalarField, VecField, curl, grad, l2_inner, l2_norm, make_grid
 from hopflift.hodge import (GaugeSolveConfig, canonical_gauge,
@@ -156,3 +157,67 @@ class TestCanonicalGauge:
         _, rep = canonical_gauge(g_form)
         assert np.isfinite(rep.l32_l1_ratio)
         assert rep.l32_l1_ratio >= 0.0
+
+
+def clear_gauge_caches():
+    hodge._normal_matrix.cache_clear()
+    hodge._trial_gradients.cache_clear()
+
+
+class TestGaugeCaches:
+    """The normal matrix and the trial gradients are built once per grid;
+    a warm call must reproduce a cold one bit for bit."""
+
+    def test_warm_calls_match_cold_call(self):
+        grid = make_grid(33)
+        _, g_form = manufactured_pair(grid)
+        clear_gauge_caches()
+        a_cold, rep_cold = canonical_gauge(g_form)
+        a_warm, rep_warm = canonical_gauge(g_form)
+        clear_gauge_caches()
+        a_again, rep_again = canonical_gauge(g_form)
+        assert np.array_equal(a_warm.values, a_cold.values)
+        assert np.array_equal(a_again.values, a_cold.values)
+        assert rep_warm == rep_cold == rep_again
+
+    def test_cached_arrays_are_read_only(self):
+        mat, _, _, _, wb, w = hodge._normal_matrix(9, 1.0, 40.0)
+        cached = [mat.data, mat.indices, mat.indptr, wb, w]
+        cached += [g.values for g, _ in hodge._trial_gradients(make_grid(9), 3, 7)]
+        for arr in cached:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+
+    def test_cache_keyed_on_penalties(self):
+        m1 = hodge._normal_matrix(9, 1.0, 40.0)[0]
+        m2 = hodge._normal_matrix(9, 2.0, 40.0)[0]
+        m3 = hodge._normal_matrix(9, 1.0, 20.0)[0]
+        assert abs(m1 - m2).max() > 0.0
+        assert abs(m1 - m3).max() > 0.0
+        assert hodge._normal_matrix(9, 2.0, 40.0)[0] is m2
+
+    def test_checks_match_uncached_loops(self):
+        # the loops as they read before the trial gradients were cached
+        grid = make_grid(17)
+        _, g_form = manufactured_pair(grid)
+        a, _ = canonical_gauge(g_form)
+        x1, x2, _ = grid.coords()
+        shifted = VecField(
+            grid, 1, a.values + grad(ScalarField(grid, x1 * x2)).values)
+        for field in (a, shifted):
+            na = l2_norm(field)
+            weak, minimal = 0.0, -np.inf
+            for psi in random_test_functions(grid, 20, 2024):
+                gpsi = grad(ScalarField(grid, psi))
+                weak = max(weak, abs(l2_inner(field, gpsi))
+                           / (na * l2_norm(gpsi)))
+            for psi in random_test_functions(grid, 20, 7):
+                gpsi = grad(ScalarField(grid, psi))
+                ng_sq = l2_inner(gpsi, gpsi)
+                if ng_sq == 0.0:
+                    continue
+                pairing = l2_inner(field, gpsi)
+                best_sq = max(na * na - pairing * pairing / ng_sq, 0.0)
+                minimal = max(minimal, na - np.sqrt(best_sq))
+            assert hodge._weak_trace_defect(field) == weak
+            assert gauge_minimality_check(field) == float(minimal)

@@ -104,6 +104,18 @@ class TestLift:
         assert rep.iterations == 2
         assert rep.projection_error <= 1e-12  # projection exact regardless
 
+    @pytest.mark.parametrize("cfg", [
+        LiftConfig(rel_tol=2.0), LiftConfig(rel_tol=0.0),
+        LiftConfig(rel_tol=float("nan")), LiftConfig(max_iters=0),
+        LiftConfig(max_iters=-5)])
+    def test_bad_solver_configuration_rejected(self, cfg):
+        grid = make_grid(9)
+        _, u0, eta0 = family(grid)
+        with pytest.raises(ValueError):
+            cfg.resolved(grid)
+        with pytest.raises(ValueError):
+            lift(u0, eta0, cfg)
+
     def test_energy_defect_bounded(self):
         grid = make_grid(33)
         uhat0, u0, eta0 = family(grid)

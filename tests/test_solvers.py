@@ -35,6 +35,20 @@ class TestOperatorMatrices:
         ref_d = div(VecField(grid, 2, a)).values
         assert np.abs((dm @ flat_vector(a)).reshape(n, n, n) - ref_d).max() < 1e-11
 
+    def test_flat_weights_are_the_node_weights(self):
+        # the formula flat_weights used before it shared fields'
+        # node weights; every factor but h^3 is 1 or 1/2, so the
+        # product order cannot move a bit
+        for n in (3, 9, 33, 65):
+            h = 2.0 / (n - 1)
+            c = np.ones(n)
+            c[0] = c[-1] = 0.5
+            ref = h ** 3 * (c[:, None, None] * c[None, :, None]
+                            * c[None, None, :])
+            w = solvers.flat_weights(n)
+            assert np.array_equal(w, ref.ravel())
+            assert not w.flags.writeable
+
     def test_exact_sequences_vanish_structurally(self):
         n = 9
         cg_prod = curl_matrix(n) @ grad_matrix(n)
