@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectionDegenerate
-from .fields import (LiftField, SphereMapField, VecField, component_partials,
-                     curl, l2_norm, mollify_components, mollify_region_mask)
+from .fields import (LiftField, SphereMapField, VecField, axis_partials, curl,
+                     l2_norm, mollify_components, mollify_region_mask,
+                     partials_sq)
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
 from .pullback import pullback_area_form
@@ -55,8 +56,7 @@ def _masked_l2(grid, values, mask):
 def _w12_distance(grid, diff, mask):
     w = grid.node_weights()
     sq = np.einsum("...c,...c->...", diff, diff)
-    d = component_partials(diff, grid.h)
-    sq = sq + np.einsum("...jc,...jc->...", d, d)
+    sq = sq + partials_sq(axis_partials(diff, grid.h))
     return float(np.sqrt((sq * w)[mask].sum()))
 
 

@@ -75,6 +75,14 @@ def _rel_tol(text):
     return tol
 
 
+def _positive_float(text):
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}")
+    return value
+
+
 def _positive_int(text):
     value = int(text)
     if value <= 0:
@@ -124,7 +132,7 @@ def build_parser():
     p = sub.add_parser("check", help="exactness verdict for a map")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--report")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_positive_float)
     p.add_argument("--vtk", help="write the divergence defect as VTK")
 
     p = sub.add_parser("gauge", help="canonical gauge of a degree-2 field")
@@ -141,7 +149,7 @@ def build_parser():
     p.add_argument("--report")
     p.add_argument("--tol", type=_rel_tol, default=1e-8)
     p.add_argument("--iters", type=_positive_int)
-    p.add_argument("--closed-tol", type=float)
+    p.add_argument("--closed-tol", type=_positive_float)
 
     p = sub.add_parser("verify", help="recompute lift diagnostics")
     p.add_argument("--u", required=True)

@@ -224,23 +224,89 @@ def _same_grid(a, b):
 # differential operators
 
 
+def stencil_partial(f, h, axis, out=None):
+    """``np.gradient(f, h, edge_order=2)[axis]`` of an (n,n,n) array, bit
+    for bit, without the other two partials.
+
+    The interior is (f[i+1] - f[i-1]) / (2h); each face takes numpy's
+    one-sided coefficients -1.5/h, 2/h, -0.5/h (mirrored at the far face)
+    in numpy's operation order.  ``out`` may be any (n,n,n) view.
+    """
+    if out is None:
+        out = np.empty(f.shape)
+    g = np.moveaxis(f, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    np.subtract(g[2:], g[:-2], out=o[1:-1])
+    o[1:-1] /= 2.0 * h
+    o[0] = (-1.5 / h) * g[0] + (2.0 / h) * g[1] + (-0.5 / h) * g[2]
+    o[-1] = (0.5 / h) * g[-3] + (-2.0 / h) * g[-2] + (1.5 / h) * g[-1]
+    return out
+
+
+def component_planes(values):
+    """Contiguous (n,n,n) copies of the components of a (n,n,n) or
+    (n,n,n,c) array, so each stencil pass runs on unit strides."""
+    if values.ndim == 3:
+        return [np.ascontiguousarray(values)]
+    return [np.ascontiguousarray(values[..., c])
+            for c in range(values.shape[-1])]
+
+
+def axis_partials(values, h):
+    """The three partials of every component: entry j is an (n,n,n,c)
+    array (c = 1 for scalar input) holding d_j of each component, i.e.
+    ``component_partials(values, h)[..., j, :]``, contiguous."""
+    planes = component_planes(values)
+    out = [np.empty(planes[0].shape + (len(planes),)) for _ in range(3)]
+    for c, plane in enumerate(planes):
+        for j in range(3):
+            stencil_partial(plane, h, j, out=out[j][..., c])
+    return out
+
+
+#: rows of nodes per slab in ``partials_sq``; bounds its buffer to
+#: about 1 MB at n=97
+_SLAB_NODES = 1 << 14
+
+
+def partials_sq(parts):
+    """Per-node sum of squares of all partials of all components,
+    ``np.einsum("...jc,...jc->...", d, d)`` for d stacked from the
+    ``axis_partials`` arrays along axis -2.
+
+    einsum reduces each node's 3c products with fused multiply-adds in
+    an order no sum of planes reproduces, so the stack is rebuilt and
+    reduced one slab of x1-rows at a time: the same bits without the
+    full (n,n,n,3,c) tensor.
+    """
+    n = parts[0].shape[0]
+    out = np.empty(parts[0].shape[:-1])
+    rows = max(1, _SLAB_NODES // (n * n))
+    buf = np.empty((rows,) + parts[0].shape[1:-1] + (3, parts[0].shape[-1]))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        b = buf[:hi - lo]
+        for j in range(3):
+            b[..., j, :] = parts[j][lo:hi]
+        np.einsum("...jc,...jc->...", b, b, out=out[lo:hi])
+    return out
+
+
 def component_partials(values, h):
     """All first partials of a (n,n,n) or (n,n,n,c) array.
 
     Returns an array with two trailing axes (j, c): entry [..., j, c] is
     the j-th partial of component c.  Scalar input yields c = 1.
     """
-    vals = values if values.ndim == 4 else values[..., None]
-    per_comp = [
-        np.stack(np.gradient(vals[..., c], h, edge_order=2), axis=-1)
-        for c in range(vals.shape[-1])
-    ]
-    return np.stack(per_comp, axis=-1)
+    return np.stack(axis_partials(values, h), axis=-2)
 
 
 def grad(f: ScalarField) -> VecField:
     """Discrete gradient of a 0-form; exact on polynomials of degree <= 2."""
-    g = np.stack(np.gradient(f.values, f.grid.h, edge_order=2), axis=-1)
+    plane = np.ascontiguousarray(f.values)
+    g = np.empty(plane.shape + (3,))
+    for j in range(3):
+        stencil_partial(plane, f.grid.h, j, out=g[..., j])
     return VecField(f.grid, 1, g)
 
 
@@ -249,9 +315,12 @@ def curl(a: VecField) -> VecField:
     if a.degree != 1:
         raise ValueError("curl acts on degree-1 fields")
     h = a.grid.h
-    d = [np.gradient(a.values[..., c], h, edge_order=2) for c in range(3)]
-    out = np.stack(
-        [d[2][1] - d[1][2], d[0][2] - d[2][0], d[1][0] - d[0][1]], axis=-1)
+    p = component_planes(a.values)
+    out = np.empty(a.values.shape)
+    for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        # component c is d_j a_k - d_k a_j
+        np.subtract(stencil_partial(p[k], h, j), stencil_partial(p[j], h, k),
+                    out=out[..., c])
     return VecField(a.grid, 2, out)
 
 
@@ -259,8 +328,9 @@ def div(a: VecField) -> ScalarField:
     """Coordinate divergence.  On degree 2 this realizes the exterior
     derivative of the 2-form; on degree 1 it is the codifferential d*."""
     h = a.grid.h
-    out = sum(
-        np.gradient(a.values[..., c], h, edge_order=2)[c] for c in range(3))
+    out = np.zeros(a.values.shape[:-1])
+    for c, plane in enumerate(component_planes(a.values)):
+        out += stencil_partial(plane, h, c)
     return ScalarField(a.grid, out)
 
 

@@ -48,7 +48,9 @@ def write_h3f(path, field):
     try:
         with open(path, "wb") as fh:
             fh.write(f"H3F1 {field.grid.n} {ncomp} {tag}\n".encode("ascii"))
-            fh.write(_payload(field).tobytes())
+            # the contiguous payload goes out through its buffer, not a
+            # bytes copy of it
+            fh.write(memoryview(_payload(field)))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

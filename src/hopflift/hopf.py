@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadLatitude, NotTangent, NotUnit, TooCloseToPole
-from .fields import LiftField, ScalarField, SphereMapField, VecField, component_partials
+from .fields import (LiftField, ScalarField, SphereMapField, VecField,
+                     axis_partials, component_planes, partials_sq,
+                     stencil_partial)
 
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
@@ -132,12 +134,17 @@ def vertical_field(q):
 def gauge_of_lift(uhat: LiftField) -> VecField:
     """The 1-form 2 theta(d uhat) of a lift field, componentwise
     2(-x2 d x1 + x1 d x2 - x4 d x3 + x3 d x4) from central differences."""
-    v = uhat.values
-    d = component_partials(v, uhat.grid.h)  # (..., j, c)
-    out = 2.0 * (
-        -v[..., None, 1] * d[..., 0] + v[..., None, 0] * d[..., 1]
-        - v[..., None, 3] * d[..., 2] + v[..., None, 2] * d[..., 3]
-    )
+    h = uhat.grid.h
+    x1, x2, x3, x4 = component_planes(uhat.values)
+    neg_x2 = -x2
+    out = np.empty(uhat.values.shape[:-1] + (3,))
+    d = np.empty(x1.shape)
+    for j in range(3):
+        acc = neg_x2 * stencil_partial(x1, h, j, out=d)
+        acc += x1 * stencil_partial(x2, h, j, out=d)
+        acc -= x4 * stencil_partial(x3, h, j, out=d)
+        acc += x3 * stencil_partial(x4, h, j, out=d)
+        np.multiply(2.0, acc, out=out[..., j])
     return VecField(uhat.grid, 1, out)
 
 
@@ -312,9 +319,7 @@ def energy_identity_defect(uhat: LiftField, u: SphereMapField,
     if not (uhat.grid == u.grid == eta.grid):
         raise ValueError("fields live on different grids")
     h = uhat.grid.h
-    duhat = component_partials(uhat.values, h)
-    du = component_partials(u.values, h)
-    e_hat = np.einsum("...jc,...jc->...", duhat, duhat)
-    e_u = np.einsum("...jc,...jc->...", du, du)
+    e_hat = partials_sq(axis_partials(uhat.values, h))
+    e_u = partials_sq(axis_partials(u.values, h))
     e_eta = np.einsum("...c,...c->...", eta.values, eta.values)
     return ScalarField(uhat.grid, e_hat - 0.25 * e_eta - 0.25 * e_u)

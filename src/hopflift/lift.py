@@ -76,6 +76,9 @@ class LiftConfig:
         iters = 20 * grid.n if self.max_iters is None else self.max_iters
         if iters <= 0 or not 0.0 < self.rel_tol < 1.0:
             raise ValueError("bad solver configuration")
+        if not (np.isfinite(closed) and closed > 0.0):
+            raise ValueError(
+                f"closed_tol must be a positive finite number, got {closed}")
         return closed, self.rel_tol, iters
 
 
@@ -111,12 +114,8 @@ def _solve_phase(grid, alpha: VecField, rel_tol, max_iters):
     """Least-squares solution of grad phi = alpha, anchored to zero at
     the node nearest the origin."""
     n = grid.n
-    gm = solvers.grad_matrix(n)
-    w = solvers.flat_weights(n)
-    w3 = np.concatenate([w, w, w])
-    rhs = gm.T @ (w3 * solvers.flat_vector(alpha.values))
-    import scipy.sparse as sp
-    mat = (gm.T @ sp.diags(w3) @ gm).tocsr()
+    rhs = solvers.grad_adjoint(alpha.values).ravel()
+    mat = solvers.phase_normal_matrix(n)
     phi, iters, achieved, converged = solvers.conjugate_gradient(
         mat, rhs, rel_tol, max_iters)
     anchor = grid.origin_index()

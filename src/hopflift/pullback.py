@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusOutOfRange
-from .fields import ScalarField, SphereMapField, VecField, component_partials, div
+from .fields import (ScalarField, SphereMapField, VecField, axis_partials, div,
+                     partials_sq)
 
 #: point count of the Fibonacci sphere quadrature used for fluxes
 FLUX_POINTS = 801
@@ -30,29 +31,32 @@ FLUX_RADII = (0.25, 0.5, 0.75)
 ORIGIN_EXCLUSION_SPACINGS = 2.0
 
 
-def _tangential_partials(u_values, h):
-    """Discrete partials projected onto the tangent plane of u.
+def _triple_products(uv, g):
+    """Yield (k, g_a x g_b, u . (g_a x g_b)) for the components
+    k = 2, 1, 0 of D(u), (a, b) = (0, 1), (2, 0), (1, 2), from the three
+    partials g_j as (n,n,n,3) arrays.
 
-    Enforces what |u| = 1 gives in the continuum, u . d_j u = 0; the
-    projected partials make the pointwise norm identity algebraic rather
-    than O(h^2).
+    Every cross product is written into one contiguous (n,n,n,3) scratch
+    array, which the next step overwrites, with the products and
+    differences of ``np.cross``.  The dot product stays one einsum over
+    it: its fused multiply-adds are not what a sum of three planes gives.
     """
-    d = component_partials(u_values, h)  # (..., j, c)
-    normal = np.einsum("...jc,...c->...j", d, u_values)
-    return d - normal[..., None] * u_values[..., None, :]
+    x = np.empty(uv.shape)
+    tmp = np.empty(uv.shape[:-1])
+    for k, (a, b) in ((2, (0, 1)), (1, (2, 0)), (0, (1, 2))):
+        ga, gb = g[a], g[b]
+        for c, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.multiply(ga[..., p], gb[..., q], out=x[..., c])
+            x[..., c] -= np.multiply(ga[..., q], gb[..., p], out=tmp)
+        yield k, x, np.einsum("...c,...c->...", uv, x)
 
 
 def pullback_area_form(u: SphereMapField) -> VecField:
     """D(u) from central-difference partials, as a degree-2 field."""
-    d = component_partials(u.values, u.grid.h)
-    g = [d[..., j, :] for j in range(3)]
-    uv = u.values
-
-    def triple(a, b):
-        return np.einsum("...c,...c->...", uv, np.cross(a, b))
-
-    out = np.stack([triple(g[1], g[2]), triple(g[2], g[0]), triple(g[0], g[1])],
-                   axis=-1)
+    out = np.empty(u.values.shape)
+    for k, _, t in _triple_products(u.values,
+                                    axis_partials(u.values, u.grid.h)):
+        out[..., k] = t
     return VecField(u.grid, 2, out)
 
 
@@ -77,22 +81,23 @@ def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseRepo
     for fields with a point singularity there).
     """
     grid = u.grid
-    p = _tangential_partials(u.values, grid.h)
-    g = [p[..., j, :] for j in range(3)]
     uv = u.values
+    g = axis_partials(uv, grid.h)
+    du_sq = partials_sq(g)
+    # project the partials onto the tangent plane of u: that enforces
+    # what |u| = 1 gives in the continuum, u . d_j u = 0, and makes the
+    # pointwise norm identity algebraic rather than O(h^2)
+    for gj in g:
+        gj -= np.einsum("...c,...c->...", gj, uv)[..., None] * uv
 
-    def triple(a, b):
-        return np.einsum("...c,...c->...", uv, np.cross(a, b))
-
-    d_vec = np.stack([triple(g[1], g[2]), triple(g[2], g[0]), triple(g[0], g[1])],
-                     axis=-1)
+    d_vec = np.empty(uv.shape)
+    cross_sq = 0
+    for k, x, t in _triple_products(uv, g):
+        d_vec[..., k] = t
+        # the crosses come as g0 x g1, g2 x g0 (= -(g0 x g2) exactly),
+        # g1 x g2: the order the norm identity sums them in
+        cross_sq = cross_sq + np.einsum("...c,...c->...", x, x)
     d_sq = np.einsum("...c,...c->...", d_vec, d_vec)
-    cross_sq = sum(
-        np.einsum("...c,...c->...", np.cross(g[j], g[l]), np.cross(g[j], g[l]))
-        for j, l in ((0, 1), (0, 2), (1, 2)))
-
-    raw = component_partials(u.values, grid.h)
-    du_sq = np.einsum("...jc,...jc->...", raw, raw)
     amgm = np.maximum(0.0, np.sqrt(d_sq) - 0.5 * du_sq)
 
     mask = grid.cube_interior_mask()

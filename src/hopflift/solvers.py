@@ -1,12 +1,15 @@
 """Sparse finite-difference operators and the conjugate-gradient loop
 shared by the gauge and phase solvers.
 
-The 1-d differentiation matrix reproduces the grad/curl/div stencils
-bit-for-bit, so quantities assembled here agree with the field operators
-to rounding.  Because the three partials are Kronecker products over
+The 1-d differentiation matrix reproduces the grad/curl/div stencils to
+rounding.  Because the three partials are Kronecker products over
 disjoint slots they commute exactly, which makes curl@grad and div@curl
-vanish identically as sparse matrices.  ``scipy.sparse`` is imported by
-the builders on first use, so importing this module costs numpy only.
+vanish identically as sparse matrices.  The phase solve of the lift uses
+no Kronecker factors: its normal matrix is assembled straight into CSR
+arrays from the 1-d stencil and its right-hand side is a slice-wise
+adjoint, both bit-identical to the sparse products they replace.
+``scipy.sparse`` is imported by the builders on first use, so importing
+this module costs numpy only.
 """
 
 import os
@@ -20,22 +23,42 @@ from .errors import SolverDiverged
 from .fields import _node_weights
 
 
+def _d1_rows(n, h):
+    """Rows of the 1-d differentiation matrix, each a list of (column,
+    coefficient): central differences inside, second-order one-sided
+    rows at both ends."""
+    inv2h = 0.5 / h
+    rows = [[(0, -3.0 * inv2h), (1, 4.0 * inv2h), (2, -1.0 * inv2h)]]
+    rows += [[(i - 1, -inv2h), (i + 1, inv2h)] for i in range(1, n - 1)]
+    rows.append([(n - 1, 3.0 * inv2h), (n - 2, -4.0 * inv2h),
+                 (n - 3, 1.0 * inv2h)])
+    return rows
+
+
 @lru_cache(maxsize=8)
 def _d1(n, h):
     import scipy.sparse as sp
-    rows, cols, data = [], [], []
-    inv2h = 0.5 / h
-    for i in range(1, n - 1):
-        rows += [i, i]
-        cols += [i - 1, i + 1]
-        data += [-inv2h, inv2h]
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    data += [-3.0 * inv2h, 4.0 * inv2h, -1.0 * inv2h]
-    rows += [n - 1, n - 1, n - 1]
-    cols += [n - 1, n - 2, n - 3]
-    data += [3.0 * inv2h, -4.0 * inv2h, 1.0 * inv2h]
+    entries = [(r, col, coef) for r, row in enumerate(_d1_rows(n, h))
+               for col, coef in row]
+    rows, cols, data = zip(*entries)
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def _column_runs(n, h):
+    """The 1-d matrix by columns: [lo, hi, terms] for each run of
+    consecutive columns i whose entries, as (source row - i, coefficient)
+    in ascending source row, are the same list ``terms``."""
+    cols = [[] for _ in range(n)]
+    for r, row in enumerate(_d1_rows(n, h)):
+        for i, coef in row:
+            cols[i].append((r - i, coef))
+    runs = []
+    for i, terms in enumerate(cols):
+        if runs and runs[-1][2] == terms:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1, terms])
+    return runs
 
 
 @lru_cache(maxsize=8)
@@ -77,6 +100,114 @@ def flat_weights(n):
     """Trapezoid node weights as a flat vector over the scalar index: a
     read-only view of ``fields._node_weights(n)``."""
     return _node_weights(n).ravel()
+
+
+def grad_adjoint(values):
+    """G^T (w3 * flat_vector(values)) for an (n,n,n,3) array, as an
+    (n,n,n) array: G = grad_matrix(n), w3 the node weights on each of its
+    three blocks.
+
+    Applies the transposed 1-d stencil along each axis with slices.  A
+    node adds its terms in ascending source row of G, one axis block after
+    another, as ``G.T @ v`` does, so the result is the same bit for bit.
+    """
+    n = values.shape[0]
+    h = 2.0 / (n - 1)
+    w = _node_weights(n)
+    out = np.zeros((n, n, n))
+    for axis in range(3):
+        o = np.moveaxis(out, axis, 0)
+        g = np.moveaxis(w * values[..., axis], axis, 0)
+        for lo, hi, terms in _column_runs(n, h):
+            for dr, coef in terms:
+                o[lo:hi] += coef * g[lo + dr:hi + dr]
+    return out
+
+
+def _phase_terms(n):
+    """1-d pieces of G^T W G, in the arithmetic of its sparse product.
+
+    Returns (offdiag, diag_terms, c): offdiag[o][i] is the 1-d entry
+    (i, i + o) for o in -2, -1, 1, 2 (0 where there is none), the running
+    sum over source rows r of (D[r,i] * h^3 c_r) * D[r,i+o]; diag_terms[s][i]
+    is the s-th such term of entry (i, i) in ascending r (0 past the
+    last); c holds the 1-d trapezoid factors.
+    """
+    h = 2.0 / (n - 1)
+    h3 = h ** 3
+    c = np.ones(n)
+    c[0] = c[-1] = 0.5
+    offdiag = {o: np.zeros(n) for o in (-2, -1, 1, 2)}
+    terms = [[] for _ in range(n)]
+    for r, row in enumerate(_d1_rows(n, h)):
+        wr = h3 * c[r]
+        for i, di in row:
+            for ip, dip in row:
+                t = (di * wr) * dip
+                if ip == i:
+                    terms[i].append(t)
+                else:
+                    offdiag[ip - i][i] += t
+    diag_terms = np.zeros((max(map(len, terms)), n))
+    for i, ts in enumerate(terms):
+        diag_terms[:len(ts), i] = ts
+    return offdiag, diag_terms, c
+
+
+def phase_normal_matrix(n):
+    """G^T W G as CSR, with G = grad_matrix(n) and W the node weights on
+    each of its three blocks: h^3 (M(x)C(x)C + C(x)M(x)C + C(x)C(x)M) for
+    the 1-d M = D^T C D, assembled straight into CSR arrays.
+
+    Bit-identical to ``(G.T @ diags(w3) @ G).tocsr()``, storage order
+    included: an entry off the diagonal couples nodes along one axis and
+    is the 1-d entry times the other two trapezoid factors (powers of
+    two, so exact); the diagonal keeps the product's one running sum,
+    axis block after axis block.
+    """
+    import scipy.sparse as sp
+    offdiag, diag_terms, c = _phase_terms(n)
+    cc = np.multiply.outer(c, c)
+    # diagonal: 1-d terms times the other axes' factors, added in order
+    diag = np.zeros((n, n, n))
+    for axis in range(3):
+        shape = [1, 1, 1]
+        shape[axis] = n
+        scale = np.expand_dims(cc, axis)
+        for t in diag_terms:
+            diag += t.reshape(shape) * scale
+
+    # a row's entries in ascending column: those below the diagonal along
+    # axis 0, 1 and 2, the diagonal, those above it along axis 2, 1 and 0
+    lower = [(axis, o) for axis in range(3) for o in (-2, -1)]
+    slots = lower + [None] + [(axis, -o) for axis, o in reversed(lower)]
+    per_axis = sum((offdiag[o] != 0.0).astype(np.int64)
+                   for o in (-2, -1, 1, 2))
+    counts = (1 + per_axis[:, None, None] + per_axis[None, :, None]
+              + per_axis[None, None, :])
+    nnz = int(counts.sum())
+    idx = np.int32 if max(nnz, n ** 3) < 2 ** 31 else np.int64
+    indptr = np.zeros(n ** 3 + 1, dtype=idx)
+    np.cumsum(counts.ravel(), out=indptr[1:])
+    del counts
+    pos = indptr[:-1].astype(np.int64).reshape(n, n, n)
+    node = np.arange(n ** 3, dtype=idx).reshape(n, n, n)
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx)
+    for slot in slots:
+        if slot is None:
+            p = pos.ravel()
+            data[p] = diag.ravel()
+            indices[p] = node.ravel()
+            pos += 1
+            continue
+        axis, o = slot
+        sel = np.flatnonzero(offdiag[o])
+        p = np.moveaxis(pos, axis, 0)[sel]
+        data[p] = offdiag[o][sel][:, None, None] * cc
+        indices[p] = np.moveaxis(node, axis, 0)[sel] + o * n ** (2 - axis)
+        np.moveaxis(pos, axis, 0)[sel] += 1
+    return sp.csr_matrix((data, indices, indptr), shape=(n ** 3, n ** 3))
 
 
 @lru_cache(maxsize=8)
@@ -179,7 +310,8 @@ def conjugate_gradient(mat, b, rel_tol, max_iters):
     Starts from zero and stops when the residual (the functional's
     gradient, up to a factor 2) drops below rel_tol times its initial
     norm.  Returns (x, iterations, achieved_rel, converged).  Raises
-    SolverDiverged after 10 consecutive steps in which the quadratic
+    SolverDiverged before the first step when the right-hand side norm
+    is not finite, and after 10 consecutive steps in which the quadratic
     functional fails to decrease, which for CG can only come from a
     non-positive curvature direction or numerical breakdown.
 
@@ -196,6 +328,10 @@ def conjugate_gradient(mat, b, rel_tol, max_iters):
     chunks = [(lo, min(lo + CHUNK, rows)) for lo in range(0, rows, CHUNK)]
     part = np.empty(len(chunks))
     norm0 = float(np.sqrt(_dot(r, r, part)))
+    if not np.isfinite(norm0):
+        raise SolverDiverged(
+            "right-hand side norm is not finite; the data overflow the "
+            "solver's arithmetic")
     if norm0 == 0.0:
         return x, 0, 0.0, True
     p = r.copy()

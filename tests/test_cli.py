@@ -238,20 +238,44 @@ def test_cli_import_loads_no_scipy():
       "--out-prefix", "{out}"], 2, "cannot be normalized"),
     (["gen", "--map", "liftfam", "--a", "nan,0,0", "--n", "5",
       "--out-prefix", "{out}"], 64, "argument --a: components must be finite"),
+    (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
+      "--closed-tol", "nan"], 64,
+     "argument --closed-tol: must be a positive finite number"),
+    (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
+      "--closed-tol", "inf"], 64,
+     "argument --closed-tol: must be a positive finite number"),
+    (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
+      "--closed-tol", "-1"], 64,
+     "argument --closed-tol: must be a positive finite number"),
+    (["check", "--in", "{u}", "--tol", "nan"], 64,
+     "argument --tol: must be a positive finite number"),
+    (["check", "--in", "{u}", "--tol", "0"], 64,
+     "argument --tol: must be a positive finite number"),
+    (["check", "--in", "{u}", "--tol=-1e-3"], 64,
+     "argument --tol: must be a positive finite number"),
+    (["gauge", "--in", "{big}", "--out", "{out}"], 3,
+     "hopflift gauge: right-hand side norm is not finite"),
 ], ids=["eps-not-a-number", "eps-empty", "eps-increasing", "eps-nan",
         "tol-zero", "tol-two", "iters-zero", "gauge-degree-1",
         "lift-eta-degree-2", "lift-tol-two", "lift-iters-zero",
         "samples-zero", "samples-negative", "gauge-budget", "lift-budget",
-        "nan-payload", "constant-zero", "liftfam-a-nan"])
+        "nan-payload", "constant-zero", "liftfam-a-nan", "closed-tol-nan",
+        "closed-tol-inf", "closed-tol-negative", "check-tol-nan",
+        "check-tol-zero", "check-tol-negative", "gauge-overflow"])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
     prefix = gen_family(tmp_path, n=9)
     files = {"u": prefix + "u.h3f", "eta": prefix + "eta.h3f",
              "D": str(tmp_path / "D.h3f"), "out": str(tmp_path / "out"),
-             "nan": str(tmp_path / "nan.h3f")}
+             "nan": str(tmp_path / "nan.h3f"),
+             "big": str(tmp_path / "big.h3f")}
     assert run(["pullback", "--in", files["u"], "--out", files["D"]]) == 0
     header, payload = open(files["D"], "rb").read().split(b"\n", 1)
     with open(files["nan"], "wb") as fh:
         fh.write(header + b"\n" + b"\xff" * len(payload))
+    # finite values whose weighted norm overflows
+    with open(files["big"], "wb") as fh:
+        fh.write(header + b"\n"
+                 + np.full(len(payload) // 8, 1e300, "<f8").tobytes())
     capsys.readouterr()
     try:
         got = run([a.format(**files) for a in argv])

@@ -3,10 +3,11 @@ import pytest
 
 from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
 from hopflift.fields import (Grid3, ScalarField, SphereMapField, VecField,
-                             _convolve_same, _gaussian_kernel, curl, div,
-                             grad, l1_norm, l2_inner, l2_norm, lp_norm,
-                             make_grid, mollify, mollify_components,
-                             mollify_region_mask)
+                             _convolve_same, _gaussian_kernel, axis_partials,
+                             component_partials, curl, div, grad, l1_norm,
+                             l2_inner, l2_norm, lp_norm, make_grid, mollify,
+                             mollify_components, mollify_region_mask,
+                             partials_sq, stencil_partial)
 
 
 def scalar(grid, arr):
@@ -125,6 +126,77 @@ class TestOperators:
         a = VecField(self.grid, 2, np.zeros((17, 17, 17, 3)))
         with pytest.raises(ValueError):
             curl(a)
+
+
+def gradient_partials(values, h):
+    """Reference partials tensor [..., j, c] from np.gradient, as the
+    field operators computed it before the slice stencil."""
+    vals = values if values.ndim == 4 else values[..., None]
+    return np.stack([np.stack(np.gradient(vals[..., c], h, edge_order=2),
+                              axis=-1) for c in range(vals.shape[-1])],
+                    axis=-1)
+
+
+class TestStencilMatchesNpGradient:
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 33])
+    def test_kernel_bit_identical(self, n):
+        h = 2.0 / (n - 1)
+        rng = np.random.default_rng(n)
+        vals = rng.normal(size=(n, n, n, 4)) * np.exp(
+            3.0 * rng.normal(size=(n, n, n, 4)))
+        for c in range(4):
+            strided = vals[..., c]
+            ref = np.gradient(strided, h, edge_order=2)
+            for f in (strided, np.ascontiguousarray(strided)):
+                for axis in range(3):
+                    assert np.array_equal(stencil_partial(f, h, axis),
+                                          ref[axis])
+            out = np.full((n, n, n, 3), np.nan)
+            for axis in range(3):
+                stencil_partial(strided, h, axis, out=out[..., axis])
+            assert np.array_equal(out, np.stack(ref, axis=-1))
+
+    @pytest.mark.parametrize("n", [3, 9, 17])
+    def test_operators_bit_identical(self, n):
+        grid = make_grid(n)
+        h = grid.h
+        rng = np.random.default_rng(n + 1)
+        f = rng.normal(size=(n, n, n))
+        a = rng.normal(size=(n, n, n, 3))
+        q = rng.normal(size=(n, n, n, 4))
+
+        g_ref = np.stack(np.gradient(f, h, edge_order=2), axis=-1)
+        assert np.array_equal(grad(ScalarField(grid, f)).values, g_ref)
+
+        d = [np.gradient(a[..., c], h, edge_order=2) for c in range(3)]
+        curl_ref = np.stack([d[2][1] - d[1][2], d[0][2] - d[2][0],
+                             d[1][0] - d[0][1]], axis=-1)
+        assert np.array_equal(curl(VecField(grid, 1, a)).values, curl_ref)
+        div_ref = sum(d[c][c] for c in range(3))
+        assert np.array_equal(div(VecField(grid, 2, a)).values, div_ref)
+
+        for vals in (f, a, q):
+            ref = gradient_partials(vals, h)
+            assert np.array_equal(component_partials(vals, h), ref)
+            parts = axis_partials(vals, h)
+            for j in range(3):
+                assert parts[j].flags.c_contiguous
+                assert np.array_equal(parts[j], ref[..., j, :])
+            assert np.array_equal(partials_sq(parts),
+                                  np.einsum("...jc,...jc->...", ref, ref))
+
+    def test_sum_of_squares_slabs(self, monkeypatch):
+        # slabs of one row and of rows that do not divide n give the
+        # same bits as the whole tensor
+        import hopflift.fields as fields_mod
+        n = 11
+        h = 2.0 / (n - 1)
+        vals = np.random.default_rng(7).normal(size=(n, n, n, 4))
+        ref = gradient_partials(vals, h)
+        want = np.einsum("...jc,...jc->...", ref, ref)
+        for nodes in (1, 4 * n * n, n ** 3):
+            monkeypatch.setattr(fields_mod, "_SLAB_NODES", nodes)
+            assert np.array_equal(partials_sq(axis_partials(vals, h)), want)
 
 
 class TestNormsAndInner:

@@ -36,6 +36,16 @@ def test_roundtrip_bit_exact(tmp_path, tag):
     assert np.array_equal(back.values, field.values)
     if isinstance(field, VecField):
         assert back.degree == field.degree
+    # the payload goes out through a memoryview; the bytes are those of a
+    # header line plus the file-order payload's tobytes()
+    ncomp = 1 if tag == "SCAL" else field.values.shape[-1]
+    vals = field.values if tag != "SCAL" else field.values[..., None]
+    want = (f"H3F1 {GRID.n} {ncomp} {tag}\n".encode("ascii")
+            + np.ascontiguousarray(vals.transpose(2, 1, 0, 3),
+                                   dtype="<f8").tobytes())
+    assert path.read_bytes() == want
+    write_h3f(tmp_path / "again.h3f", back)
+    assert (tmp_path / "again.h3f").read_bytes() == want
 
 
 def test_header_layout(tmp_path):

@@ -218,3 +218,36 @@ class TestEnergyIdentity:
         interior = grid.cube_interior_mask()
         assert np.abs(defect.values + expected)[interior].max() <= \
             10.0 * grid.h ** 2 + 1e-9
+
+
+def gradient_partials(values, h):
+    """Reference partials tensor [..., j, c] from np.gradient."""
+    return np.stack([np.stack(np.gradient(values[..., c], h, edge_order=2),
+                              axis=-1) for c in range(values.shape[-1])],
+                    axis=-1)
+
+
+class TestPlaneStencilMatchesTensorForm:
+    """gauge_of_lift and energy_identity_defect as they were written on
+    the np.gradient partials tensor; the plane-by-plane versions must give
+    the same bits."""
+
+    @pytest.mark.parametrize("n", [9, 33])
+    def test_bit_identical(self, n):
+        grid = make_grid(n)
+        uhat, u, eta = testmaps.gen_lift_family(grid, 0.8, (1, 0.5, 0),
+                                                (0, 1, 0.3))
+        v = uhat.values
+        d = gradient_partials(v, grid.h)
+        gauge_ref = 2.0 * (
+            -v[..., None, 1] * d[..., 0] + v[..., None, 0] * d[..., 1]
+            - v[..., None, 3] * d[..., 2] + v[..., None, 2] * d[..., 3])
+        assert np.array_equal(gauge_of_lift(uhat).values, gauge_ref)
+
+        du = gradient_partials(u.values, grid.h)
+        energy_ref = (np.einsum("...jc,...jc->...", d, d)
+                      - 0.25 * np.einsum("...c,...c->...", eta.values,
+                                         eta.values)
+                      - 0.25 * np.einsum("...jc,...jc->...", du, du))
+        assert np.array_equal(energy_identity_defect(uhat, u, eta).values,
+                              energy_ref)

@@ -107,7 +107,9 @@ class TestLift:
     @pytest.mark.parametrize("cfg", [
         LiftConfig(rel_tol=2.0), LiftConfig(rel_tol=0.0),
         LiftConfig(rel_tol=float("nan")), LiftConfig(max_iters=0),
-        LiftConfig(max_iters=-5)])
+        LiftConfig(max_iters=-5), LiftConfig(closed_tol=float("nan")),
+        LiftConfig(closed_tol=float("inf")), LiftConfig(closed_tol=0.0),
+        LiftConfig(closed_tol=-1.0)])
     def test_bad_solver_configuration_rejected(self, cfg):
         grid = make_grid(9)
         _, u0, eta0 = family(grid)
@@ -124,6 +126,32 @@ class TestLift:
         duhat = component_partials(uhat0.values, grid.h)
         scale = np.einsum("...jc,...jc->...", duhat, duhat).max()
         assert rep.energy_defect <= 20.0 * grid.h ** 2 * max(scale, 1.0)
+
+
+class TestLiftMemory:
+    def test_peak_allocation_bounded(self):
+        # the phase operator is assembled straight into CSR arrays and the
+        # report's partials are taken plane by plane: no Kronecker factors
+        # stay cached and no (n,n,n,3,c) tensor is built
+        import tracemalloc
+        import scipy.sparse  # noqa: F401  (imports are not the lift's)
+        from scipy.sparse import _sparsetools  # noqa: F401
+        from hopflift import fields, solvers
+        n = 33
+        grid = make_grid(n)
+        _, u0, eta0 = family(grid, 0.8, (1, 0.5, 0), (0, 1, 0.3))
+        for mod in (fields, solvers):
+            for fn in vars(mod).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+        tracemalloc.start()
+        try:
+            uhat, _ = lift(u0, eta0)
+            del uhat
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 55 * 8 * n ** 3
 
 
 class TestVerify:

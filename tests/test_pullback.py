@@ -3,8 +3,9 @@ import pytest
 
 from hopflift.errors import RadiusOutOfRange
 from hopflift.fields import SphereMapField, VecField, make_grid
-from hopflift.pullback import (exactness_defect, pointwise_identities,
-                               pullback_area_form, sphere_flux)
+from hopflift.pullback import (PointwiseReport, exactness_defect,
+                               pointwise_identities, pullback_area_form,
+                               sphere_flux)
 from hopflift import testmaps
 
 
@@ -112,6 +113,62 @@ class TestPointwiseIdentities:
             defects.append(pointwise_identities(bad).norm_identity_defect)
         ratio = defects[1] / defects[0]
         assert 5.0 < ratio < 20.0
+
+
+def gradient_partials(values, h):
+    """Reference partials tensor [..., j, c] from np.gradient."""
+    return np.stack([np.stack(np.gradient(values[..., c], h, edge_order=2),
+                              axis=-1) for c in range(values.shape[-1])],
+                    axis=-1)
+
+
+def tensor_area_form(uv, g):
+    def triple(a, b):
+        return np.einsum("...c,...c->...", uv, np.cross(a, b))
+    return np.stack([triple(g[1], g[2]), triple(g[2], g[0]),
+                     triple(g[0], g[1])], axis=-1)
+
+
+def tensor_identities(u, exclude_radius):
+    """pointwise_identities as written on the partials tensor, with its
+    tangential projection and second differentiation of u."""
+    grid = u.grid
+    uv = u.values
+    d = gradient_partials(uv, grid.h)
+    normal = np.einsum("...jc,...c->...j", d, uv)
+    p = d - normal[..., None] * uv[..., None, :]
+    g = [p[..., j, :] for j in range(3)]
+    d_vec = tensor_area_form(uv, g)
+    d_sq = np.einsum("...c,...c->...", d_vec, d_vec)
+    cross_sq = sum(
+        np.einsum("...c,...c->...", np.cross(g[j], g[l]), np.cross(g[j], g[l]))
+        for j, l in ((0, 1), (0, 2), (1, 2)))
+    raw = gradient_partials(uv, grid.h)
+    du_sq = np.einsum("...jc,...jc->...", raw, raw)
+    amgm = np.maximum(0.0, np.sqrt(d_sq) - 0.5 * du_sq)
+    mask = grid.cube_interior_mask()
+    if exclude_radius > 0.0:
+        mask = mask & (grid.radii() > exclude_radius)
+    return PointwiseReport(float(np.abs(d_sq - cross_sq)[mask].max()),
+                           float(amgm[mask].max()))
+
+
+class TestPlaneStencilMatchesTensorForm:
+    @pytest.mark.parametrize("n", [9, 33])
+    @pytest.mark.parametrize("kind", ["family", "hedgehog"])
+    def test_bit_identical(self, n, kind):
+        grid = make_grid(n)
+        if kind == "family":
+            _, u, _ = testmaps.gen_lift_family(grid, 0.6, (1, 0.3, -0.2),
+                                               (0.2, 1, 0))
+        else:
+            u = testmaps.gen_hedgehog(grid)
+        d = gradient_partials(u.values, grid.h)
+        ref = tensor_area_form(u.values, [d[..., j, :] for j in range(3)])
+        assert np.array_equal(pullback_area_form(u).values, ref)
+        for excl in (0.0, 2.0 * grid.h):
+            got = pointwise_identities(u, exclude_radius=excl)
+            assert got == tensor_identities(u, excl)
 
 
 class TestSphereFlux:

@@ -10,7 +10,8 @@ from hopflift.errors import SolverDiverged
 from hopflift.fields import ScalarField, VecField, curl, div, grad, make_grid
 from hopflift.solvers import (boundary_normal_operator, conjugate_gradient,
                               curl_matrix, div_matrix, flat_vector,
-                              grad_matrix, partial_matrices, unflat_vector)
+                              grad_adjoint, grad_matrix, partial_matrices,
+                              phase_normal_matrix, unflat_vector)
 
 
 class TestOperatorMatrices:
@@ -64,6 +65,34 @@ class TestOperatorMatrices:
         assert wb[:n * n].sum() == pytest.approx(4.0, abs=1e-12)
 
 
+class TestPhaseOperator:
+    """The lift's normal equations, built without Kronecker factors, must
+    be the sparse product they replace: same CSR arrays in storage order
+    and the same right-hand side bits, so CG runs the same steps."""
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 17, 33, 49, 65])
+    def test_matrix_is_the_product(self, n):
+        gm = grad_matrix(n)
+        w = solvers.flat_weights(n)
+        w3 = np.concatenate([w, w, w])
+        ref = (gm.T @ sp.diags(w3) @ gm).tocsr()
+        mat = phase_normal_matrix(n)
+        assert mat.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(mat, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("n", [3, 9, 33, 49])
+    def test_adjoint_is_the_transpose(self, n):
+        gm = grad_matrix(n)
+        w = solvers.flat_weights(n)
+        w3 = np.concatenate([w, w, w])
+        v = np.random.default_rng(n).normal(size=(n, n, n, 3))
+        ref = gm.T @ (w3 * flat_vector(v))
+        assert np.array_equal(grad_adjoint(v).ravel(), ref)
+
+
 class TestConjugateGradient:
     def test_solves_spd_system(self):
         rng = np.random.default_rng(1)
@@ -87,6 +116,15 @@ class TestConjugateGradient:
         b = rng.normal(size=60)
         x, iters, rel, converged = conjugate_gradient(mat, b, 1e-14, 3)
         assert not converged and iters == 3
+
+    @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
+    def test_non_finite_rhs_norm_diverges_before_iterating(self, bad):
+        # |b| overflows: the stopping test inf <= inf must not report
+        # convergence at iteration 0 with x = 0
+        mat = sp.identity(6, format="csr")
+        b = np.full(6, bad)
+        with pytest.raises(SolverDiverged, match="not finite"):
+            conjugate_gradient(mat, b, 1e-8, 10)
 
     def test_indefinite_matrix_diverges(self):
         mat = sp.diags([-1.0] * 20).tocsr()
