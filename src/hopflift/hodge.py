@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotConverged
-from .fields import (ScalarField, VecField, grad, l1_norm, l2_inner, l2_norm,
-                     lp_norm)
+from .fields import (ScalarField, VecField, curl, div, grad, l1_norm, l2_inner,
+                     l2_norm, lp_norm)
 from . import solvers
 
 
@@ -60,21 +60,12 @@ class GaugeReport:
 
 @lru_cache(maxsize=2)
 def _normal_matrix(n, div_penalty, boundary_penalty):
-    """(mat, curl, div, normal, wb, w): the CSR normal matrix of the gauge
-    functional and its parts, cached read-only per (n, penalties)."""
-    curl_m = solvers.curl_matrix(n)
-    div_m = solvers.div_matrix(n)
-    norm_m, wb = solvers.boundary_normal_operator(n)
-    w = solvers.flat_weights(n)
-    import scipy.sparse as sp
-    w3 = sp.diags(np.concatenate([w, w, w]))
-    w1 = sp.diags(w)
-    mat = (curl_m.T @ w3 @ curl_m
-           + div_penalty * (div_m.T @ w1 @ div_m)
-           + boundary_penalty * (norm_m.T @ sp.diags(wb) @ norm_m)).tocsr()
+    """The CSR normal matrix of the gauge functional, cached read-only per
+    (n, penalties)."""
+    mat = solvers.gauge_normal_matrix(n, div_penalty, boundary_penalty)
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
-    return mat, curl_m, div_m, norm_m, wb, w
+    return mat
 
 
 def random_test_functions(grid, trials, seed):
@@ -134,16 +125,14 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
     max_iters, rel_tol, bnd_pen, div_pen = cfg.resolved(grid)
     n = grid.n
 
-    mat, curl_m, div_m, norm_m, wb, w = _normal_matrix(n, div_pen, bnd_pen)
-    w3 = np.concatenate([w, w, w])
-    g_flat = solvers.flat_vector(g_form.values)
-    rhs = curl_m.T @ (w3 * g_flat)
-
+    mat = _normal_matrix(n, div_pen, bnd_pen)
+    rhs = solvers.block_adjoint(solvers.CURL, g_form.values).ravel()
     x, iters, achieved, converged = solvers.conjugate_gradient(
         mat, rhs, rel_tol, max_iters)
-    a = VecField(grid, 1, solvers.unflat_vector(x, n))
-    report = _gauge_report(a, g_form, x, g_flat, curl_m, div_m, norm_m, wb,
-                           w, w3, iters)
+    del rhs
+    a = VecField(grid, 1, np.moveaxis(x.reshape(3, n, n, n), 0, -1).copy())
+    del x
+    report = _gauge_report(a, g_form, iters)
     if not converged:
         raise NotConverged(
             f"gauge solve stopped at {iters} iterations with relative "
@@ -151,16 +140,44 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
     return a, report
 
 
-def _gauge_report(a, g_form, x, g_flat, curl_m, div_m, norm_m, wb, w, w3,
-                  iters):
-    resid = curl_m @ x - g_flat
-    g_norm = float(np.sqrt((g_flat * w3 * g_flat).sum()))
-    curl_rel = float(np.sqrt((resid * w3 * resid).sum()))
+def _blocked(values):
+    """(n,n,n,3) values as a contiguous (3,n,n,n) array: the solver's
+    component-blocked order, in which the report sums."""
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
+
+
+def _weighted_sq(v, w):
+    """sum(v * w * v), w broadcast against v, in v's storage order."""
+    t = v * w
+    t *= v
+    return float(t.sum())
+
+
+def _normal_trace(values):
+    """The face-normal component of (n,n,n,3) values on each cube face,
+    faces in the order x1 = -1, +1, x2 = -1, +1, x3 = -1, +1, with the
+    faces' 2-d trapezoid weights."""
+    n = values.shape[0]
+    h = 2.0 / (n - 1)
+    c = solvers._trapezoid(n)
+    area = (h * h * c[:, None] * c[None, :]).ravel()
+    faces = [np.moveaxis(values[..., axis], axis, 0)[side].ravel()
+             for axis in range(3) for side in (0, -1)]
+    return np.concatenate(faces), np.tile(area, 6)
+
+
+def _gauge_report(a, g_form, iters):
+    w = a.grid.node_weights()
+    g = _blocked(g_form.values)
+    g_norm = float(np.sqrt(_weighted_sq(g, w)))
+    resid = _blocked(curl(a).values)
+    resid -= g
+    del g
+    curl_rel = float(np.sqrt(_weighted_sq(resid, w)))
+    del resid
     curl_rel = curl_rel / g_norm if g_norm > 0.0 else curl_rel
-    dvec = div_m @ x
-    div_norm = float(np.sqrt((dvec * w * dvec).sum()))
-    nvec = norm_m @ x
-    normal_norm = float(np.sqrt((nvec * wb * nvec).sum()))
+    div_norm = float(np.sqrt(_weighted_sq(div(a).values, w)))
+    normal_norm = float(np.sqrt(_weighted_sq(*_normal_trace(a.values))))
     ratio = 0.0
     g_l1 = l1_norm(g_form, region="ball")
     if g_l1 > 0.0:

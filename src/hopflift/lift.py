@@ -114,7 +114,7 @@ def _solve_phase(grid, alpha: VecField, rel_tol, max_iters):
     """Least-squares solution of grad phi = alpha, anchored to zero at
     the node nearest the origin."""
     n = grid.n
-    rhs = solvers.grad_adjoint(alpha.values).ravel()
+    rhs = solvers.block_adjoint(solvers.GRAD, alpha.values).ravel()
     mat = solvers.phase_normal_matrix(n)
     phi, iters, achieved, converged = solvers.conjugate_gradient(
         mat, rhs, rel_tol, max_iters)

@@ -28,7 +28,18 @@ FLUX_RADII = (0.25, 0.5, 0.75)
 
 #: statistics ignore nodes within this many spacings of the origin, where
 #: a point singularity would dominate every stencil
-ORIGIN_EXCLUSION_SPACINGS = 2.0
+ORIGIN_EXCLUSION_SPACINGS = 2
+
+
+def beyond_origin(n, spacings):
+    """Mask of the nodes farther than ``spacings`` node spacings from the
+    origin, decided in integers: node i lies 2i - (n-1) half-spacings out
+    along its axis, so |x| > k h exactly when the squared half-spacing
+    offsets sum to more than (2k)^2.  Float radii would let nodes at
+    exactly k h through on some grids."""
+    m = (2 * np.arange(n) - (n - 1)) ** 2
+    return (m[:, None, None] + m[None, :, None] + m[None, None, :]
+            > (2 * spacings) ** 2)
 
 
 def _triple_products(uv, g):
@@ -189,8 +200,8 @@ def exactness_defect(u: SphereMapField, tol=None) -> ExactnessReport:
         tol = 10.0 * grid.h ** 2
     d_field = pullback_area_form(u)
     defect = div(d_field)
-    mask = grid.cube_interior_mask() & (
-        grid.radii() > ORIGIN_EXCLUSION_SPACINGS * grid.h)
+    mask = grid.cube_interior_mask() & beyond_origin(
+        grid.n, ORIGIN_EXCLUSION_SPACINGS)
     max_div = float(np.abs(defect.values[mask]).max())
     # on coarse grids the outer probes violate the interpolation margin;
     # probe whatever radii remain admissible

@@ -1,13 +1,18 @@
 """Sparse finite-difference operators and the conjugate-gradient loop
 shared by the gauge and phase solvers.
 
-The 1-d differentiation matrix reproduces the grad/curl/div stencils to
-rounding.  Because the three partials are Kronecker products over
-disjoint slots they commute exactly, which makes curl@grad and div@curl
-vanish identically as sparse matrices.  The phase solve of the lift uses
-no Kronecker factors: its normal matrix is assembled straight into CSR
-arrays from the 1-d stencil and its right-hand side is a slice-wise
-adjoint, both bit-identical to the sparse products they replace.
+Both solvers minimize a weighted least-squares functional of a block
+operator A whose blocks are signed partials: grad for the lift's phase,
+curl and div for the gauge.  Their normal matrices A^T W A are assembled
+straight into CSR arrays from the 1-d stencil (``_normal_tables``,
+``_csr_from_tables``) and their right-hand sides A^T W v are slice-wise
+adjoints (``block_adjoint``); both are bit-identical to the sparse
+products of the Kronecker matrices they replace, storage order included.
+No solver path builds those matrices any more: ``partial_matrices``,
+``grad_matrix``, ``curl_matrix``, ``div_matrix`` and
+``boundary_normal_operator`` remain as references.  Because the three
+partials are Kronecker products over disjoint slots they commute exactly,
+which makes curl@grad and div@curl vanish identically as sparse matrices.
 ``scipy.sparse`` is imported by the builders on first use, so importing
 this module costs numpy only.
 """
@@ -22,6 +27,15 @@ import numpy as np
 from .errors import SolverDiverged
 from .fields import _node_weights
 
+#: block operators as row blocks of (column block, sign, axis) entries,
+#: each standing for sign times the partial along axis; the row blocks of
+#: grad and curl are vector components, div has one
+GRAD = (((0, 1.0, 0),), ((0, 1.0, 1),), ((0, 1.0, 2),))
+CURL = (((1, -1.0, 2), (2, 1.0, 1)),
+        ((0, 1.0, 2), (2, -1.0, 0)),
+        ((0, -1.0, 1), (1, 1.0, 0)))
+DIV = (((0, 1.0, 0), (1, 1.0, 1), (2, 1.0, 2)),)
+
 
 def _d1_rows(n, h):
     """Rows of the 1-d differentiation matrix, each a list of (column,
@@ -33,6 +47,13 @@ def _d1_rows(n, h):
     rows.append([(n - 1, 3.0 * inv2h), (n - 2, -4.0 * inv2h),
                  (n - 3, 1.0 * inv2h)])
     return rows
+
+
+def _trapezoid(n):
+    """1-d trapezoid factors: 1 inside, 1/2 at both ends."""
+    c = np.ones(n)
+    c[0] = c[-1] = 0.5
+    return c
 
 
 @lru_cache(maxsize=8)
@@ -96,120 +117,6 @@ def div_matrix(n):
     return sp.hstack([p1, p2, p3], format="csr")
 
 
-def flat_weights(n):
-    """Trapezoid node weights as a flat vector over the scalar index: a
-    read-only view of ``fields._node_weights(n)``."""
-    return _node_weights(n).ravel()
-
-
-def grad_adjoint(values):
-    """G^T (w3 * flat_vector(values)) for an (n,n,n,3) array, as an
-    (n,n,n) array: G = grad_matrix(n), w3 the node weights on each of its
-    three blocks.
-
-    Applies the transposed 1-d stencil along each axis with slices.  A
-    node adds its terms in ascending source row of G, one axis block after
-    another, as ``G.T @ v`` does, so the result is the same bit for bit.
-    """
-    n = values.shape[0]
-    h = 2.0 / (n - 1)
-    w = _node_weights(n)
-    out = np.zeros((n, n, n))
-    for axis in range(3):
-        o = np.moveaxis(out, axis, 0)
-        g = np.moveaxis(w * values[..., axis], axis, 0)
-        for lo, hi, terms in _column_runs(n, h):
-            for dr, coef in terms:
-                o[lo:hi] += coef * g[lo + dr:hi + dr]
-    return out
-
-
-def _phase_terms(n):
-    """1-d pieces of G^T W G, in the arithmetic of its sparse product.
-
-    Returns (offdiag, diag_terms, c): offdiag[o][i] is the 1-d entry
-    (i, i + o) for o in -2, -1, 1, 2 (0 where there is none), the running
-    sum over source rows r of (D[r,i] * h^3 c_r) * D[r,i+o]; diag_terms[s][i]
-    is the s-th such term of entry (i, i) in ascending r (0 past the
-    last); c holds the 1-d trapezoid factors.
-    """
-    h = 2.0 / (n - 1)
-    h3 = h ** 3
-    c = np.ones(n)
-    c[0] = c[-1] = 0.5
-    offdiag = {o: np.zeros(n) for o in (-2, -1, 1, 2)}
-    terms = [[] for _ in range(n)]
-    for r, row in enumerate(_d1_rows(n, h)):
-        wr = h3 * c[r]
-        for i, di in row:
-            for ip, dip in row:
-                t = (di * wr) * dip
-                if ip == i:
-                    terms[i].append(t)
-                else:
-                    offdiag[ip - i][i] += t
-    diag_terms = np.zeros((max(map(len, terms)), n))
-    for i, ts in enumerate(terms):
-        diag_terms[:len(ts), i] = ts
-    return offdiag, diag_terms, c
-
-
-def phase_normal_matrix(n):
-    """G^T W G as CSR, with G = grad_matrix(n) and W the node weights on
-    each of its three blocks: h^3 (M(x)C(x)C + C(x)M(x)C + C(x)C(x)M) for
-    the 1-d M = D^T C D, assembled straight into CSR arrays.
-
-    Bit-identical to ``(G.T @ diags(w3) @ G).tocsr()``, storage order
-    included: an entry off the diagonal couples nodes along one axis and
-    is the 1-d entry times the other two trapezoid factors (powers of
-    two, so exact); the diagonal keeps the product's one running sum,
-    axis block after axis block.
-    """
-    import scipy.sparse as sp
-    offdiag, diag_terms, c = _phase_terms(n)
-    cc = np.multiply.outer(c, c)
-    # diagonal: 1-d terms times the other axes' factors, added in order
-    diag = np.zeros((n, n, n))
-    for axis in range(3):
-        shape = [1, 1, 1]
-        shape[axis] = n
-        scale = np.expand_dims(cc, axis)
-        for t in diag_terms:
-            diag += t.reshape(shape) * scale
-
-    # a row's entries in ascending column: those below the diagonal along
-    # axis 0, 1 and 2, the diagonal, those above it along axis 2, 1 and 0
-    lower = [(axis, o) for axis in range(3) for o in (-2, -1)]
-    slots = lower + [None] + [(axis, -o) for axis, o in reversed(lower)]
-    per_axis = sum((offdiag[o] != 0.0).astype(np.int64)
-                   for o in (-2, -1, 1, 2))
-    counts = (1 + per_axis[:, None, None] + per_axis[None, :, None]
-              + per_axis[None, None, :])
-    nnz = int(counts.sum())
-    idx = np.int32 if max(nnz, n ** 3) < 2 ** 31 else np.int64
-    indptr = np.zeros(n ** 3 + 1, dtype=idx)
-    np.cumsum(counts.ravel(), out=indptr[1:])
-    del counts
-    pos = indptr[:-1].astype(np.int64).reshape(n, n, n)
-    node = np.arange(n ** 3, dtype=idx).reshape(n, n, n)
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=idx)
-    for slot in slots:
-        if slot is None:
-            p = pos.ravel()
-            data[p] = diag.ravel()
-            indices[p] = node.ravel()
-            pos += 1
-            continue
-        axis, o = slot
-        sel = np.flatnonzero(offdiag[o])
-        p = np.moveaxis(pos, axis, 0)[sel]
-        data[p] = offdiag[o][sel][:, None, None] * cc
-        indices[p] = np.moveaxis(node, axis, 0)[sel] + o * n ** (2 - axis)
-        np.moveaxis(pos, axis, 0)[sel] += 1
-    return sp.csr_matrix((data, indices, indptr), shape=(n ** 3, n ** 3))
-
-
 @lru_cache(maxsize=8)
 def boundary_normal_operator(n):
     """(N, wb): rows of N pick the face-normal vector component at every
@@ -219,8 +126,7 @@ def boundary_normal_operator(n):
     h = 2.0 / (n - 1)
     n3 = n ** 3
     idx = np.arange(n3).reshape(n, n, n)
-    c = np.ones(n)
-    c[0] = c[-1] = 0.5
+    c = _trapezoid(n)
     area = (h * h * c[:, None] * c[None, :]).ravel()
     cols, wts = [], []
     for axis, comp in ((0, 0), (1, 1), (2, 2)):
@@ -237,15 +143,229 @@ def boundary_normal_operator(n):
     return op, wb
 
 
-def flat_vector(values):
-    """(n,n,n,3) field values -> component-blocked flat vector."""
-    return np.concatenate([values[..., c].ravel() for c in range(3)])
+def block_adjoint(blocks, values):
+    """A^T (W v) for the block operator ``blocks`` and an (n,n,n,k) array
+    v, one component per row block; W holds the node weights on each row
+    block.  Returns a (m,n,n,n) array, one (n,n,n) block per column block,
+    whose ravel is the solver's component-blocked vector.
+
+    Applies the transposed 1-d stencil along each axis with slices.  A
+    node adds its terms in ascending source row of A, one row block after
+    another, as ``A.T @ (w * v)`` does, so the result is the same bit for
+    bit.
+    """
+    n = values.shape[0]
+    h = 2.0 / (n - 1)
+    w = _node_weights(n)
+    runs = _column_runs(n, h)
+    out = np.zeros((1 + max(b for row in blocks for b, _, _ in row),
+                    n, n, n))
+    for k, row in enumerate(blocks):
+        g = w * values[..., k]
+        for b, sign, axis in row:
+            o = np.moveaxis(out[b], axis, 0)
+            gk = np.moveaxis(g, axis, 0)
+            for lo, hi, terms in runs:
+                for dr, coef in terms:
+                    o[lo:hi] += (sign * coef) * gk[lo + dr:hi + dr]
+    return out
 
 
-def unflat_vector(vec, n):
+# ---------------------------------------------------------------------------
+# normal matrices
+#
+# A table is a 3-d array whose axes have length n or 1, standing for its
+# values times the trapezoid factor c of the node index on every axis of
+# length 1.  The factors are powers of two, so moving them in or out of a
+# product or a sum is exact; entries that share factors are computed once
+# per line or plane instead of once per node.
+
+
+def _on_axes(t, axes):
+    """A 1-d or 2-d array as a table with its axes on ``axes``."""
+    shape = [1, 1, 1]
+    for axis, m in zip(axes, t.shape):
+        shape[axis] = m
+    if len(axes) == 2 and axes[0] > axes[1]:
+        t = t.T
+    return t.reshape(shape)
+
+
+def _widen(t, shape, c):
+    for axis in range(3):
+        if t.shape[axis] < shape[axis]:
+            t = t * _on_axes(c, (axis,))
+    return t
+
+
+def _add(a, b, c):
+    """a + b of two tables, None standing for zero."""
+    if a is None or b is None:
+        return b if a is None else a
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    return _widen(a, shape, c) + _widen(b, shape, c)
+
+
+def _stencil_terms(n):
+    """The 1-d and 2-d pieces of P_a^T W P_b for the partials P_a, P_b
+    along axes a, b, in the arithmetic of the sparse product.
+
+    Returns (same, cross).  For a = b, same[o] is a (k, n) array whose row
+    s holds at i the s-th term (d[r,i] h^3 c_r) d[r,i+o] in ascending
+    source row r, 0 past the last.  For a != b each entry has one source
+    row, and cross[(oa, ob)] is the (n, n) array of its term
+    (d[i+oa,i] h^3 c_(i+oa)) d[k,k+ob] c_k at (i_a, k_b) = (i, k); only
+    offsets with some term are kept.
+    """
+    h = 2.0 / (n - 1)
+    h3 = h ** 3
+    c = _trapezoid(n)
+    d = np.zeros((n, n))
+    terms = {}
+    for r, row in enumerate(_d1_rows(n, h)):
+        wr = h3 * c[r]
+        for i, di in row:
+            d[r, i] = di
+            for ip, dip in row:
+                per_node = terms.setdefault(ip - i, [[] for _ in range(n)])
+                per_node[i].append((di * wr) * dip)
+    same = {}
+    for o, per_node in terms.items():
+        same[o] = np.zeros((max(map(len, per_node)), n))
+        for i, ts in enumerate(per_node):
+            same[o][:len(ts), i] = ts
+
+    node = np.arange(n)
+    lefts, rights = {}, {}
+    for o in range(-2, 3):
+        j = np.clip(node + o, 0, n - 1)
+        inside = node + o == j
+        lefts[o] = np.where(inside, d[j, node] * (h3 * c[j]), 0.0)
+        rights[o] = np.where(inside, d[node, j], 0.0)
+    cross = {}
+    for oa in range(-2, 3):
+        for ob in range(-2, 3):
+            t = np.multiply.outer(lefts[oa], rights[ob]) * c
+            if t.any():
+                cross[(oa, ob)] = t
+    return same, cross
+
+
+def _offset(*steps):
+    """The node offset with the given (axis, step) pairs, 0 elsewhere."""
+    o = [0, 0, 0]
+    for axis, step in steps:
+        o[axis] = step
+    return tuple(o)
+
+
+def _normal_tables(blocks, n):
+    """A^T W A for the block operator ``blocks`` as tables: the entry in
+    row (b, i) and column (b2, i + o) is the value at node i of
+    ``tables[(b, b2, o)]``, for o a triple of node offsets.
+
+    Every entry is the sparse product's one running sum of
+    (A[r,i] w_r) A[r,j] in ascending source row r, row block after row
+    block (``_stencil_terms`` has the terms).
+    """
+    c = _trapezoid(n)
+    same, cross = _stencil_terms(n)
+    tables = {}
+    for row in blocks:
+        for b, s, alpha in row:
+            for b2, s2, beta in row:
+                if alpha == beta:
+                    parts = [(_offset((alpha, o)), t, (alpha,))
+                             for o, ts in same.items() for t in ts]
+                else:
+                    parts = [(_offset((alpha, oa), (beta, ob)), t,
+                              (alpha, beta))
+                             for (oa, ob), t in cross.items()]
+                for o, t, axes in parts:
+                    key = (b, b2, o)
+                    tables[key] = _add(tables.get(key),
+                                       _on_axes(s * s2 * t, axes), c)
+    return tables
+
+
+def _csr_from_tables(tables, n, blocks):
+    """The CSR matrix (blocks * n^3 square) of ``_normal_tables``-style
+    tables.  Each row holds its entries in ascending column and stores
+    only those that are not exactly 0.0, as scipy's sparse products and
+    sums do."""
+    import scipy.sparse as sp
     n3 = n ** 3
-    return np.stack([vec[c * n3:(c + 1) * n3].reshape(n, n, n)
-                     for c in range(3)], axis=-1)
+    c = _trapezoid(n)
+    counts = np.zeros((blocks, n, n, n), dtype=np.int32)
+    for (b, _, _), t in tables.items():
+        counts[b] += t != 0.0
+    nnz = int(counts.sum(dtype=np.int64))
+    idx = np.int32 if max(nnz, blocks * n3) < 2 ** 31 else np.int64
+    indptr = np.zeros(blocks * n3 + 1, dtype=idx)
+    np.cumsum(counts.ravel(), dtype=idx, out=indptr[1:])
+    del counts
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=idx)
+    node = np.arange(n3, dtype=idx).reshape(n, n, n)
+    for b in range(blocks):
+        pos = indptr[b * n3:(b + 1) * n3].astype(np.int64).reshape(n, n, n)
+        for key in sorted(k for k in tables if k[0] == b):
+            _, b2, o = key
+            t = tables[key]
+            axes = [a for a in range(3) if t.shape[a] > 1]
+            tt = t.reshape((n,) * len(axes))
+            sel = tt != 0.0
+            if sel.all():
+                sel = Ellipsis  # views instead of index arrays
+            vals = tt[sel]
+            if len(axes) < 3:
+                factor = c if len(axes) == 2 else np.multiply.outer(c, c)
+                vals = vals.reshape((-1,) + (1,) * factor.ndim) * factor
+            p_view = np.moveaxis(pos, axes, range(len(axes)))
+            p = p_view[sel]
+            data[p] = vals
+            indices[p] = (np.moveaxis(node, axes, range(len(axes)))[sel]
+                          + (b2 * n3 + (o[0] * n + o[1]) * n + o[2]))
+            p_view[sel] += 1
+    return sp.csr_matrix((data, indices, indptr), shape=(blocks * n3,) * 2)
+
+
+def phase_normal_matrix(n):
+    """G^T W G as CSR, with G = grad_matrix(n) and W the node weights on
+    each of its three blocks; bit-identical to
+    ``(G.T @ diags(w3) @ G).tocsr()``, storage order included."""
+    return _csr_from_tables(_normal_tables(GRAD, n), n, 1)
+
+
+def gauge_normal_matrix(n, div_penalty, boundary_penalty):
+    """C^T W C + div_penalty D^T w D + boundary_penalty N^T wb N as CSR,
+    with C = curl_matrix(n), D = div_matrix(n), (N, wb) =
+    boundary_normal_operator(n) and W, w the node weights.
+
+    Bit-identical to the sum of the three sparse products, storage order
+    included: the penalties scale the finished products, and each sum
+    drops the entries that cancel to exactly 0.0, as the mixed-component
+    terms of C^T W C and D^T w D do inside the cube when div_penalty is 1.
+    N^T wb N is diagonal: the face area weight at every face node of the
+    face-normal component.
+    """
+    h = 2.0 / (n - 1)
+    c = _trapezoid(n)
+    curl_t = _normal_tables(CURL, n)
+    div_t = _normal_tables(DIV, n)
+    tables = {}
+    for key in curl_t.keys() | div_t.keys():
+        scaled = div_t.get(key)
+        if scaled is not None:
+            scaled = div_penalty * scaled
+        tables[key] = _add(curl_t.get(key), scaled, c)
+    del curl_t, div_t
+    face = np.zeros(n)
+    face[0] = face[-1] = boundary_penalty * (h * h)
+    for b in range(3):
+        key = (b, b, (0, 0, 0))
+        tables[key] = _add(tables[key], _on_axes(face, (b,)), c)
+    return _csr_from_tables(tables, n, 3)
 
 
 #: entries per partial sum; every dot product adds the chunk sums in

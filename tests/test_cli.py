@@ -306,3 +306,38 @@ def test_selftest_independent_of_thread_counts(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outputs.add(path.read_bytes())
     assert len(outputs) == 1
+
+
+def test_gauge_independent_of_thread_counts(tmp_path):
+    # the gauge's matrix, right-hand side, CG and report are all built
+    # without BLAS reductions or thread-dependent sums
+    from hopflift.fields import curl, make_grid
+    from hopflift.fileio import write_h3f
+    grid = make_grid(33)
+    x1, x2, x3 = grid.coords()
+    s = np.clip(np.sqrt(x1 ** 2 + x2 ** 2 + x3 ** 2) / 0.75, 0.0, 1.0)
+    psi = np.zeros_like(s)
+    inside = s < 1.0
+    psi[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    pot = VecField(grid, 1, psi[..., None] * np.array([0.3, -0.5, 0.8]))
+    g = curl(VecField(grid, 1, curl(pot).values))
+    g_path = tmp_path / "G.h3f"
+    write_h3f(str(g_path), g)
+    src = os.path.dirname(os.path.dirname(hopflift.__file__))
+    outputs = set()
+    for blas in ("1", "2"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"a_{blas}_{threads}.h3f"
+            rep = tmp_path / f"gauge_{blas}_{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       HOPFLIFT_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-m", "hopflift", "gauge", "--in",
+                 str(g_path), "--out", str(out), "--report", str(rep)],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(rep.read_text())["converged"] is True
+            outputs.add((out.read_bytes(), rep.read_bytes()))
+    assert len(outputs) == 1

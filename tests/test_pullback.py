@@ -3,9 +3,9 @@ import pytest
 
 from hopflift.errors import RadiusOutOfRange
 from hopflift.fields import SphereMapField, VecField, make_grid
-from hopflift.pullback import (PointwiseReport, exactness_defect,
-                               pointwise_identities, pullback_area_form,
-                               sphere_flux)
+from hopflift.pullback import (PointwiseReport, beyond_origin,
+                               exactness_defect, pointwise_identities,
+                               pullback_area_form, sphere_flux)
 from hopflift import testmaps
 
 
@@ -232,6 +232,35 @@ class TestExactness:
         grid = make_grid(17)
         rep = exactness_defect(testmaps.gen_hedgehog(grid))
         assert rep.verdict == "inconclusive"
+
+    @pytest.mark.parametrize("n", [17, 33, 49, 65, 97])
+    def test_origin_exclusion_is_exact(self, n):
+        # at n=49 and 97 float radii put 3 of the 6 nodes at exactly 2h
+        # from the origin beyond 2h; the mask must drop all of them
+        from fractions import Fraction
+        mask = beyond_origin(n, 2)
+        mid = (n - 1) // 2
+        box = range(mid - 3, mid + 4)  # nodes outside lie beyond 3h
+        x = {i: Fraction(2 * i - (n - 1), n - 1) for i in box}
+        limit = (2 * Fraction(2, n - 1)) ** 2
+        outside = np.ones_like(mask)
+        for i in box:
+            for j in box:
+                for k in box:
+                    far = x[i] ** 2 + x[j] ** 2 + x[k] ** 2 > limit
+                    assert mask[i, j, k] == far, (i, j, k)
+                    outside[i, j, k] = False
+        assert mask[outside].all()
+        assert (~mask).sum() == 33
+
+    def test_interior_div_skips_the_origin_ball(self):
+        grid = make_grid(49)
+        u = testmaps.gen_hedgehog(grid)
+        rep = exactness_defect(u)
+        keep = grid.cube_interior_mask() & beyond_origin(grid.n, 2)
+        defect = np.abs(rep.div_defect.values)
+        assert rep.max_interior_div == float(defect[keep].max())
+        assert rep.verdict == "singular"
 
     def test_report_serializes(self):
         import json

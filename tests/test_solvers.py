@@ -7,11 +7,50 @@ import scipy.sparse as sp
 
 from hopflift import solvers
 from hopflift.errors import SolverDiverged
-from hopflift.fields import ScalarField, VecField, curl, div, grad, make_grid
-from hopflift.solvers import (boundary_normal_operator, conjugate_gradient,
-                              curl_matrix, div_matrix, flat_vector,
-                              grad_adjoint, grad_matrix, partial_matrices,
-                              phase_normal_matrix, unflat_vector)
+from hopflift.fields import (ScalarField, VecField, _node_weights, curl, div,
+                             grad, make_grid)
+from hopflift.solvers import (CURL, GRAD, block_adjoint,
+                              boundary_normal_operator, conjugate_gradient,
+                              curl_matrix, div_matrix, gauge_normal_matrix,
+                              grad_matrix, partial_matrices,
+                              phase_normal_matrix)
+
+
+# the Kronecker matrices act on flat vectors: a scalar field raveled, a
+# vector field one raveled component after another
+
+
+def flat_weights(n):
+    """Trapezoid node weights as a flat vector over the scalar index."""
+    return _node_weights(n).ravel()
+
+
+def flat_vector(values):
+    """(n,n,n,3) field values -> component-blocked flat vector."""
+    return np.concatenate([values[..., c].ravel() for c in range(3)])
+
+
+def unflat_vector(vec, n):
+    n3 = n ** 3
+    return np.stack([vec[c * n3:(c + 1) * n3].reshape(n, n, n)
+                     for c in range(3)], axis=-1)
+
+
+def assert_same_csr(mat, ref):
+    assert mat.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(mat, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.fixture(scope="module", autouse=True)
+def drop_kronecker_caches():
+    # the reference matrices at n=65 hold hundreds of MB
+    yield
+    for fn in (partial_matrices, grad_matrix, curl_matrix, div_matrix,
+               boundary_normal_operator):
+        fn.cache_clear()
 
 
 class TestOperatorMatrices:
@@ -46,7 +85,7 @@ class TestOperatorMatrices:
             c[0] = c[-1] = 0.5
             ref = h ** 3 * (c[:, None, None] * c[None, :, None]
                             * c[None, None, :])
-            w = solvers.flat_weights(n)
+            w = flat_weights(n)
             assert np.array_equal(w, ref.ravel())
             assert not w.flags.writeable
 
@@ -73,24 +112,58 @@ class TestPhaseOperator:
     @pytest.mark.parametrize("n", [3, 4, 9, 17, 33, 49, 65])
     def test_matrix_is_the_product(self, n):
         gm = grad_matrix(n)
-        w = solvers.flat_weights(n)
+        w = flat_weights(n)
         w3 = np.concatenate([w, w, w])
         ref = (gm.T @ sp.diags(w3) @ gm).tocsr()
-        mat = phase_normal_matrix(n)
-        assert mat.shape == ref.shape
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(mat, name), getattr(ref, name)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), name
+        assert_same_csr(phase_normal_matrix(n), ref)
 
     @pytest.mark.parametrize("n", [3, 9, 33, 49])
     def test_adjoint_is_the_transpose(self, n):
         gm = grad_matrix(n)
-        w = solvers.flat_weights(n)
+        w = flat_weights(n)
         w3 = np.concatenate([w, w, w])
         v = np.random.default_rng(n).normal(size=(n, n, n, 3))
         ref = gm.T @ (w3 * flat_vector(v))
-        assert np.array_equal(grad_adjoint(v).ravel(), ref)
+        assert np.array_equal(block_adjoint(GRAD, v).ravel(), ref)
+
+
+class TestGaugeOperator:
+    """The gauge's normal equations, built without Kronecker factors, must
+    be the sparse expression they replace, zero-dropping sums included."""
+
+    @staticmethod
+    def reference(n, div_penalty, boundary_penalty):
+        cm, dm = curl_matrix(n), div_matrix(n)
+        nm, wb = boundary_normal_operator(n)
+        w = flat_weights(n)
+        w3 = sp.diags(np.concatenate([w, w, w]))
+        return (cm.T @ w3 @ cm
+                + div_penalty * (dm.T @ sp.diags(w) @ dm)
+                + boundary_penalty * (nm.T @ sp.diags(wb) @ nm)).tocsr()
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 17, 33, 49, 65])
+    def test_matrix_is_the_expression(self, n):
+        bnd = 10.0 * (n - 1) / 2.0
+        ref = self.reference(n, 1.0, bnd)
+        assert_same_csr(gauge_normal_matrix(n, 1.0, bnd), ref)
+        if n == 17:
+            # the cancelled mixed-component entries are not stored
+            assert ref.nnz == 178857
+
+    @pytest.mark.parametrize("n", [4, 9, 17, 33])
+    @pytest.mark.parametrize("penalties", [(2.5, 3.0), (1.0, 0.7),
+                                           (0.3, 100.0)])
+    def test_matrix_for_other_penalties(self, n, penalties):
+        assert_same_csr(gauge_normal_matrix(n, *penalties),
+                        self.reference(n, *penalties))
+
+    @pytest.mark.parametrize("n", [3, 9, 33, 49])
+    def test_adjoint_is_the_transpose(self, n):
+        w = flat_weights(n)
+        w3 = np.concatenate([w, w, w])
+        v = np.random.default_rng(n).normal(size=(n, n, n, 3))
+        ref = curl_matrix(n).T @ (w3 * flat_vector(v))
+        assert np.array_equal(block_adjoint(CURL, v).ravel(), ref)
 
 
 class TestConjugateGradient:
@@ -138,7 +211,7 @@ def gauge_system():
     # the n=33 gauge normal matrix: 107811 rows, 4 chunks of CHUNK rows
     from hopflift.hodge import _normal_matrix
     n = 33
-    mat = _normal_matrix(n, 1.0, 10.0 * (n - 1) / 2.0)[0]
+    mat = _normal_matrix(n, 1.0, 10.0 * (n - 1) / 2.0)
     b = mat @ np.random.default_rng(3).normal(size=mat.shape[0])
     return mat, b
 
