@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectionDegenerate
-from .fields import (LiftField, SphereMapField, VecField, axis_partials, curl,
-                     l2_norm, mollify_components, mollify_region_mask,
-                     partials_sq)
+from .fields import (LiftField, SphereMapField, VecField, axis_partials,
+                     box_mask, curl, integrate, l2_norm, mollify_components,
+                     mollify_region_mask, partials_sq)
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
 from .pullback import pullback_area_form
-from .solvers import max_workers
+from .solvers import worker_count
 
 #: mollified lift moduli below this cannot be renormalized meaningfully
 MODULUS_FLOOR = 0.5
@@ -47,17 +47,10 @@ class ApproxReport:
                 self.constraint_residual)
 
 
-def _masked_l2(grid, values, mask):
-    w = grid.node_weights()
-    sq = np.einsum("...c,...c->...", values, values)
-    return float(np.sqrt((sq * w)[mask].sum()))
-
-
-def _w12_distance(grid, diff, mask):
-    w = grid.node_weights()
+def _w12_distance(grid, diff, region):
     sq = np.einsum("...c,...c->...", diff, diff)
     sq = sq + partials_sq(axis_partials(diff, grid.h))
-    return float(np.sqrt((sq * w)[mask].sum()))
+    return float(np.sqrt(integrate(grid, sq, region)))
 
 
 def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
@@ -94,18 +87,17 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
 
     # constraint residual where the smoothing is exact convolution and
     # the curl stencil stays inside that region
-    x1, x2, x3 = grid.coords()
-    depth = 1.0 - 3.0 * eps - 2.0 * grid.h
-    deep = (np.abs(x1) <= depth) & (np.abs(x2) <= depth) & (np.abs(x3) <= depth)
-    resid = curl(eta_eps).values - pullback_area_form(u_eps).values
-    constraint = _masked_l2(grid, resid, deep) if deep.any() else float("nan")
+    deep = box_mask(grid, 1.0 - 3.0 * eps - 2.0 * grid.h)
+    resid = VecField(grid, 2,
+                     curl(eta_eps).values - pullback_area_form(u_eps).values)
+    constraint = l2_norm(resid, deep) if deep.any() else float("nan")
 
-    ball = grid.ball_mask()
     report = ApproxReport(
         eps=float(eps),
         constraint_residual=constraint,
-        dist_u_w12=_w12_distance(grid, u_eps.values - u.values, ball),
-        dist_eta_l2=_masked_l2(grid, eta_eps.values - eta.values, ball),
+        dist_u_w12=_w12_distance(grid, u_eps.values - u.values, "ball"),
+        dist_eta_l2=l2_norm(VecField(grid, 1, eta_eps.values - eta.values),
+                            "ball"),
         curl_remainder_norm=curl_remainder,
         min_modulus=min_modulus,
         lift=lift_report,
@@ -117,14 +109,14 @@ def convergence_sweep(u: SphereMapField, eta: VecField, eps_list,
                       cfg: LiftConfig = None):
     """One approximate call per width, widths strictly decreasing.
 
-    The calls are independent, so they run on a thread pool capped by
-    HOPFLIFT_THREADS; results are gathered in input order, so the output
-    does not depend on the thread count.
+    The calls are independent, so they run on a thread pool of
+    ``worker_count`` threads; results are gathered in input order, so the
+    output does not depend on the thread count.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    workers = min(max_workers(), max(1, len(eps_list)))
+    workers = worker_count(len(eps_list))
     if workers == 1:
         results = [approximate(u, eta, e, cfg) for e in eps_list]
     else:

@@ -90,7 +90,9 @@ def _positive_int(text):
     return value
 
 
-def _expect(field, kind, flag, degree=None):
+def _read(args, path, flag, kind, degree=None):
+    """The field at ``path``; IoError unless it is what ``flag`` takes."""
+    field = read_h3f(path, args.ball_margin)
     if not isinstance(field, kind):
         raise IoError(f"{flag}: expected a {kind.__name__}, "
                       f"got {type(field).__name__}")
@@ -218,14 +220,14 @@ def _cmd_gen(args):
 
 
 def _cmd_pullback(args):
-    u = _expect(read_h3f(args.infile, args.ball_margin), SphereMapField, "--in")
+    u = _read(args, args.infile, "--in", SphereMapField)
     write_h3f(args.out, pullback_area_form(u))
     print(f"pullback: wrote {args.out}")
     return 0
 
 
 def _cmd_check(args):
-    u = _expect(read_h3f(args.infile, args.ball_margin), SphereMapField, "--in")
+    u = _read(args, args.infile, "--in", SphereMapField)
     tol = args.tol
     if tol is None:
         tol = 10.0 * u.grid.h ** 2
@@ -240,63 +242,66 @@ def _cmd_check(args):
     return 0 if report.verdict == "exact" else 2
 
 
+def _solve_and_write(args, solve, *inputs):
+    """Run ``solve(*inputs)`` and write its field to --out and its report
+    to --report, converged or not; a NotConverged solve is raised again
+    once both are written, so it exits 3 with its message."""
+    try:
+        field, report = solve(*inputs)
+        failure = None
+    except NotConverged as exc:
+        (field, report), failure = exc.result, exc
+    write_h3f(args.out, field)
+    _write_report(args.report,
+                  {**report.to_dict(), "converged": failure is None})
+    if failure is not None:
+        raise failure
+    return report
+
+
 def _cmd_gauge(args):
-    g = _expect(read_h3f(args.infile, args.ball_margin), VecField, "--in",
-                degree=2)
+    g = _read(args, args.infile, "--in", VecField, degree=2)
     tol = args.tol * 0.5 if args.strict else args.tol
     cfg = hodge.GaugeSolveConfig(max_iters=args.iters, rel_tol=tol)
-    try:
-        a, report = hodge.canonical_gauge(g, cfg)
-    except NotConverged as exc:
-        a, report = exc.result
-        write_h3f(args.out, a)
-        _write_report(args.report, {**report.to_dict(), "converged": False})
-        print(f"hopflift gauge: {exc}", file=sys.stderr)
-        return exc.exit_code
-    write_h3f(args.out, a)
-    _write_report(args.report, {**report.to_dict(), "converged": True})
+    report = _solve_and_write(args, hodge.canonical_gauge, g, cfg)
     print(f"gauge: curl residual {report.curl_residual_rel:.3e} in "
           f"{report.iterations} iterations")
     return 0
 
 
-def _lift_config(args):
-    closed = getattr(args, "closed_tol", None)
-    tol = args.tol * 0.5 if args.strict else args.tol
-    if closed is not None and args.strict:
-        closed *= 0.5
-    return LiftConfig(closed_tol=closed, rel_tol=tol, max_iters=args.iters)
+def _read_pair(args):
+    """The (--u, --eta) pair: a sphere map and a 1-form."""
+    return (_read(args, args.u, "--u", SphereMapField),
+            _read(args, args.eta, "--eta", VecField, degree=1))
+
+
+def _lift_config(args, grid):
+    """The lift's configuration on ``grid``: the flags where given, the
+    defaults elsewhere, and under --strict every tolerance halved."""
+    closed, tol, iters = LiftConfig(
+        closed_tol=getattr(args, "closed_tol", None),
+        rel_tol=getattr(args, "tol", LiftConfig.rel_tol),
+        max_iters=getattr(args, "iters", None)).resolved(grid)
+    if args.strict:
+        closed, tol = closed * 0.5, tol * 0.5
+    return LiftConfig(closed_tol=closed, rel_tol=tol, max_iters=iters)
 
 
 def _cmd_lift(args):
-    u = _expect(read_h3f(args.u, args.ball_margin), SphereMapField, "--u")
-    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta",
-                  degree=1)
-    try:
-        uhat, report = build_lift(u, eta, _lift_config(args))
-    except NotConverged as exc:
-        uhat, report = exc.result
-        write_h3f(args.out, uhat)
-        _write_report(args.report, {**report.to_dict(), "converged": False})
-        print(f"hopflift lift: {exc}", file=sys.stderr)
-        return exc.exit_code
-    write_h3f(args.out, uhat)
-    _write_report(args.report, {**report.to_dict(), "converged": True})
+    u, eta = _read_pair(args)
+    report = _solve_and_write(args, build_lift, u, eta,
+                              _lift_config(args, u.grid))
     print(f"lift: projection error {report.projection_error:.3e}, gauge "
           f"error {report.gauge_error:.3e}")
     return 0
 
 
 def _cmd_verify(args):
-    u = _expect(read_h3f(args.u, args.ball_margin), SphereMapField, "--u")
-    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta",
-                  degree=1)
-    uhat = _expect(read_h3f(args.uhat, args.ball_margin), LiftField, "--uhat")
+    u, eta = _read_pair(args)
+    uhat = _read(args, args.uhat, "--uhat", LiftField)
     report = verify_lift(u, eta, uhat)
-    payload = report.to_dict()
-    payload["min_pole_distance"] = None
-    payload["alpha_closedness"] = None
-    _write_report(args.report, payload)
+    _write_report(args.report, {**report.to_dict(), "min_pole_distance": None,
+                                "alpha_closedness": None})
     print(f"verify: projection error {report.projection_error:.3e}, gauge "
           f"error {report.gauge_error:.3e}, energy defect "
           f"{report.energy_defect:.3e}")
@@ -304,24 +309,23 @@ def _cmd_verify(args):
 
 
 def _cmd_project(args):
-    uhat = _expect(read_h3f(args.infile, args.ball_margin), LiftField, "--in")
+    uhat = _read(args, args.infile, "--in", LiftField)
     write_h3f(args.out, project_to_sphere(uhat))
     print(f"project: wrote {args.out}")
     return 0
 
 
 def _cmd_gauge_of_lift(args):
-    uhat = _expect(read_h3f(args.infile, args.ball_margin), LiftField, "--in")
+    uhat = _read(args, args.infile, "--in", LiftField)
     write_h3f(args.out, gauge_of_lift(uhat))
     print(f"gauge-of-lift: wrote {args.out}")
     return 0
 
 
 def _cmd_approx(args):
-    u = _expect(read_h3f(args.u, args.ball_margin), SphereMapField, "--u")
-    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta",
-                  degree=1)
-    u_eps, eta_eps, report = approx.approximate(u, eta, args.eps)
+    u, eta = _read_pair(args)
+    u_eps, eta_eps, report = approx.approximate(
+        u, eta, args.eps, _lift_config(args, u.grid))
     write_h3f(args.out_prefix + "u.h3f", u_eps)
     write_h3f(args.out_prefix + "eta.h3f", eta_eps)
     _write_report(args.report, report.to_dict())
@@ -331,10 +335,9 @@ def _cmd_approx(args):
 
 
 def _cmd_sweep(args):
-    u = _expect(read_h3f(args.u, args.ball_margin), SphereMapField, "--u")
-    eta = _expect(read_h3f(args.eta, args.ball_margin), VecField, "--eta",
-                  degree=1)
-    reports = approx.convergence_sweep(u, eta, args.eps)
+    u, eta = _read_pair(args)
+    reports = approx.convergence_sweep(u, eta, args.eps,
+                                       _lift_config(args, u.grid))
     approx.write_sweep_csv(reports, args.csv)
     print(f"sweep: wrote {args.csv} ({len(reports)} rows)")
     return 0

@@ -125,11 +125,17 @@ def _radii(n):
     return r
 
 
+def _trapezoid(n):
+    """1-d trapezoid factors: 1 inside, 1/2 at both ends."""
+    c = np.ones(n)
+    c[0] = c[-1] = 0.5
+    return c
+
+
 @lru_cache(maxsize=8)
 def _node_weights(n):
     h = 2.0 / (n - 1)
-    c = np.ones(n)
-    c[0] = c[-1] = 0.5
+    c = _trapezoid(n)
     w = h ** 3 * c[:, None, None] * c[None, :, None] * c[None, None, :]
     w.setflags(write=False)
     return w
@@ -343,6 +349,13 @@ def _flat_values(field):
     return v[..., None] if v.ndim == 3 else v
 
 
+def integrate(grid, density, region="cube"):
+    """Trapezoid-weighted sum of an (n,n,n) density over the selected
+    region (see ``Grid3.region_mask``), in node order."""
+    mask = grid.region_mask(region)
+    return float(np.sum(density[mask] * grid.node_weights()[mask]))
+
+
 def l2_inner(a, b, region="cube"):
     """Trapezoid-weighted L^2 pairing over the selected region.
 
@@ -354,9 +367,7 @@ def l2_inner(a, b, region="cube"):
     va, vb = _flat_values(a), _flat_values(b)
     if va.shape != vb.shape:
         raise ValueError("component mismatch in l2_inner")
-    mask = a.grid.region_mask(region)
-    w = a.grid.node_weights()
-    return float(np.sum(np.einsum("...c,...c->...", va, vb)[mask] * w[mask]))
+    return integrate(a.grid, np.einsum("...c,...c->...", va, vb), region)
 
 
 def l2_norm(a, region="cube"):
@@ -373,10 +384,7 @@ def lp_norm(a, p, region="cube"):
     """(integral of |a|^p)^(1/p) with trapezoid weights."""
     if p <= 0:
         raise ValueError("p must be positive")
-    mag = pointwise_magnitude(a)
-    mask = a.grid.region_mask(region)
-    w = a.grid.node_weights()
-    return float(np.sum(mag[mask] ** p * w[mask]) ** (1.0 / p))
+    return integrate(a.grid, pointwise_magnitude(a) ** p, region) ** (1.0 / p)
 
 
 def l1_norm(a, region="cube"):
@@ -428,12 +436,17 @@ def _convolve_same(values, eps, h):
     return conv[lo:lo + n, lo:lo + n, lo:lo + n]
 
 
+def box_mask(grid, half_width):
+    """Nodes of the centred box max_i |x_i| <= half_width."""
+    inside = np.abs(grid.axis()) <= half_width
+    return (inside[:, None, None] & inside[None, :, None]
+            & inside[None, None, :])
+
+
 def mollify_region_mask(grid, eps):
     """Nodes far enough from the cube boundary for the kernel to fit:
     max_i |x_i| <= 1 - 3*eps.  May be empty for large eps."""
-    x1, x2, x3 = grid.coords()
-    lim = 1.0 - 3.0 * eps + 1e-12
-    return (np.abs(x1) <= lim) & (np.abs(x2) <= lim) & (np.abs(x3) <= lim)
+    return box_mask(grid, 1.0 - 3.0 * eps + 1e-12)
 
 
 def mollify_components(grid, values, eps):

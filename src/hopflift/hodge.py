@@ -3,8 +3,7 @@ of a 1-form with prescribed exterior derivative.
 
 Given a degree-2 field G, the solver minimizes
 
-    ||curl a - G||^2 + div_penalty ||div a||^2
-                     + boundary_penalty ||a . n||^2 on the cube faces
+    ||curl a - G||^2 + ||div a||^2 + (10/h) ||a . n||^2 on the cube faces
 
 by conjugate gradients on the normal equations, all norms trapezoid-
 weighted.  On a simply connected domain the penalties pin the minimizer
@@ -20,29 +19,23 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotConverged
-from .fields import (ScalarField, VecField, curl, div, grad, l1_norm, l2_inner,
-                     l2_norm, lp_norm)
+from .fields import (ScalarField, VecField, _trapezoid, curl, div, grad,
+                     l1_norm, l2_inner, l2_norm, lp_norm)
 from . import solvers
 
 
 @dataclass
 class GaugeSolveConfig:
-    """Stopping and penalty parameters; None picks the grid-dependent
-    default (boundary_penalty 10/h, max_iters 20n)."""
+    """Stopping parameters; max_iters None picks 20n."""
 
     max_iters: int = None
     rel_tol: float = 1e-8
-    boundary_penalty: float = None
-    div_penalty: float = 1.0
 
     def resolved(self, grid):
         max_iters = 20 * grid.n if self.max_iters is None else self.max_iters
-        bnd = 10.0 / grid.h if self.boundary_penalty is None else self.boundary_penalty
         if max_iters <= 0 or not 0.0 < self.rel_tol < 1.0:
             raise ValueError("bad solver configuration")
-        if bnd <= 0.0 or self.div_penalty <= 0.0:
-            raise ValueError("penalties must be positive")
-        return max_iters, self.rel_tol, bnd, self.div_penalty
+        return max_iters, self.rel_tol
 
 
 @dataclass
@@ -59,10 +52,11 @@ class GaugeReport:
 
 
 @lru_cache(maxsize=2)
-def _normal_matrix(n, div_penalty, boundary_penalty):
-    """The CSR normal matrix of the gauge functional, cached read-only per
-    (n, penalties)."""
-    mat = solvers.gauge_normal_matrix(n, div_penalty, boundary_penalty)
+def _normal_matrix(n):
+    """The CSR normal matrix of the gauge functional (div penalty 1,
+    boundary penalty 10/h), cached read-only per n."""
+    h = 2.0 / (n - 1)
+    mat = solvers.gauge_normal_matrix(n, 1.0, 10.0 / h)
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
     return mat
@@ -122,10 +116,10 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
         raise ValueError("canonical_gauge expects a degree-2 field")
     cfg = cfg or GaugeSolveConfig()
     grid = g_form.grid
-    max_iters, rel_tol, bnd_pen, div_pen = cfg.resolved(grid)
+    max_iters, rel_tol = cfg.resolved(grid)
     n = grid.n
 
-    mat = _normal_matrix(n, div_pen, bnd_pen)
+    mat = _normal_matrix(n)
     rhs = solvers.block_adjoint(solvers.CURL, g_form.values).ravel()
     x, iters, achieved, converged = solvers.conjugate_gradient(
         mat, rhs, rel_tol, max_iters)
@@ -159,7 +153,7 @@ def _normal_trace(values):
     faces' 2-d trapezoid weights."""
     n = values.shape[0]
     h = 2.0 / (n - 1)
-    c = solvers._trapezoid(n)
+    c = _trapezoid(n)
     area = (h * h * c[:, None] * c[None, :]).ravel()
     faces = [np.moveaxis(values[..., axis], axis, 0)[side].ravel()
              for axis in range(3) for side in (0, -1)]

@@ -68,8 +68,6 @@ class LiftConfig:
     closed_tol: float = None
     rel_tol: float = 1e-8
     max_iters: int = None
-    pole_candidates: tuple = None
-    min_pole_angle: float = DEFAULT_POLE_ANGLE
 
     def resolved(self, grid):
         closed = 50.0 * grid.h ** 2 if self.closed_tol is None else self.closed_tol
@@ -158,11 +156,11 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     grid = u.grid
     closed_tol, rel_tol, max_iters = cfg.resolved(grid)
 
-    pole = select_pole(u, cfg.pole_candidates, cfg.min_pole_angle)
+    pole = select_pole(u)
     pts = u.values.reshape(-1, 3)
     min_dist = float(np.arccos(np.clip(pts @ pole, -1.0, 1.0)).min())
 
-    section = section_of_map(u, pole, cfg.min_pole_angle)
+    section = section_of_map(u, pole)
     section_gauge = gauge_of_lift(section)
     alpha = VecField(grid, 1,
                      0.5 * (eta.values - section_gauge.values))

@@ -36,7 +36,7 @@ def beyond_origin(n, spacings):
     origin, decided in integers: node i lies 2i - (n-1) half-spacings out
     along its axis, so |x| > k h exactly when the squared half-spacing
     offsets sum to more than (2k)^2.  Float radii would let nodes at
-    exactly k h through on some grids."""
+    exactly k h through on some grids.  Fractional k work the same way."""
     m = (2 * np.arange(n) - (n - 1)) ** 2
     return (m[:, None, None] + m[None, :, None] + m[None, None, :]
             > (2 * spacings) ** 2)
@@ -89,7 +89,7 @@ def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseRepo
     are projected tangentially, so the reported maxima are rounding-level
     for exact-unit inputs and grow linearly with any injected norm error.
     ``exclude_radius`` drops nodes near the origin from the maxima (used
-    for fields with a point singularity there).
+    for fields with a point singularity there), by ``beyond_origin``.
     """
     grid = u.grid
     uv = u.values
@@ -113,7 +113,7 @@ def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseRepo
 
     mask = grid.cube_interior_mask()
     if exclude_radius > 0.0:
-        mask = mask & (grid.radii() > exclude_radius)
+        mask = mask & beyond_origin(grid.n, exclude_radius / grid.h)
     return PointwiseReport(
         norm_identity_defect=float(np.abs(d_sq - cross_sq)[mask].max()),
         amgm_violation=float(amgm[mask].max()),

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverDiverged
-from .fields import _node_weights
+from .fields import _node_weights, _trapezoid
 
 #: block operators as row blocks of (column block, sign, axis) entries,
 #: each standing for sign times the partial along axis; the row blocks of
@@ -47,13 +47,6 @@ def _d1_rows(n, h):
     rows.append([(n - 1, 3.0 * inv2h), (n - 2, -4.0 * inv2h),
                  (n - 3, 1.0 * inv2h)])
     return rows
-
-
-def _trapezoid(n):
-    """1-d trapezoid factors: 1 inside, 1/2 at both ends."""
-    c = np.ones(n)
-    c[0] = c[-1] = 0.5
-    return c
 
 
 @lru_cache(maxsize=8)
@@ -392,14 +385,19 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def worker_count(tasks):
+    """Threads for `tasks` independent tasks: one per task at most, capped
+    by HOPFLIFT_THREADS and the usable CPUs; at least one."""
+    return max(1, min(max_workers(), _usable_cpus(), tasks))
+
+
 def cg_workers(rows):
-    """Threads for one CG solve on `rows` unknowns: one per chunk at most,
-    capped by HOPFLIFT_THREADS and the usable CPUs; one off the main
-    thread, where the caller's own pool already fills the cores."""
+    """Threads for one CG solve on `rows` unknowns: ``worker_count`` of
+    its chunks; one off the main thread, where the caller's own pool
+    already fills the cores."""
     if threading.current_thread() is not threading.main_thread():
         return 1
-    chunks = -(-rows // CHUNK)
-    return max(1, min(max_workers(), _usable_cpus(), chunks))
+    return worker_count(-(-rows // CHUNK))
 
 
 def block_matvec(mat, p, out, a, e):

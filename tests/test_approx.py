@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from hopflift.approx import (approximate, convergence_sweep, max_workers,
-                             write_sweep_csv)
+from hopflift.approx import approximate, convergence_sweep, write_sweep_csv
 from hopflift.errors import ProjectionDegenerate, WidthTooSmall
 from hopflift.fields import VecField, make_grid
-from hopflift import testmaps
+from hopflift.solvers import max_workers
+from hopflift import approx, solvers, testmaps
 
 
 def family(grid, a=(1, 0, 0), b=(0, 2, 0)):
@@ -101,6 +101,20 @@ class TestSweep:
         assert max_workers() == 2
         monkeypatch.setenv("HOPFLIFT_THREADS", "not-a-number")
         assert max_workers() >= 1
+
+    def test_no_pool_on_one_usable_cpu(self, monkeypatch):
+        # HOPFLIFT_THREADS asks for 4 threads, but one CPU is usable
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 1)
+        monkeypatch.setenv("HOPFLIFT_THREADS", "4")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep built a thread pool")
+
+        monkeypatch.setattr(approx, "ThreadPoolExecutor", no_pool)
+        grid = make_grid(17)
+        _, u0, eta0 = family(grid)
+        reports = convergence_sweep(u0, eta0, [2.5 * grid.h, 2 * grid.h])
+        assert [r.eps for r in reports] == [2.5 * grid.h, 2 * grid.h]
 
     def test_result_independent_of_workers(self, monkeypatch):
         grid = make_grid(25)

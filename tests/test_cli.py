@@ -341,3 +341,41 @@ def test_gauge_independent_of_thread_counts(tmp_path):
             assert json.loads(rep.read_text())["converged"] is True
             outputs.add((out.read_bytes(), rep.read_bytes()))
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "--out", "x"],
+    ["approx", "--eps", "0.25", "--out-prefix", "x"],
+    ["sweep", "--eps", "0.25,0.125", "--csv", "x"],
+], ids=["lift", "approx", "sweep"])
+def test_strict_halves_every_lift_tolerance(argv):
+    from hopflift.cli import _lift_config, build_parser
+    from hopflift.fields import make_grid
+    grid = make_grid(17)
+    pair = ["--u", "u.h3f", "--eta", "eta.h3f"]
+    for strict, scale in ((False, 1.0), (True, 0.5)):
+        args = build_parser().parse_args(
+            ["--strict"] * strict + argv[:1] + pair + argv[1:])
+        closed, tol, iters = _lift_config(args, grid).resolved(grid)
+        assert closed == scale * 50.0 * grid.h ** 2
+        assert tol == scale * 1e-8
+        assert iters == 20 * grid.n
+
+
+def test_readme_synopsis_parses():
+    # every command line of the README's synopsis, optional [...] groups
+    # dropped, parses with the current flags, and every command is shown
+    import re
+    import shlex
+    from pathlib import Path
+    from hopflift.cli import _COMMANDS, build_parser
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(),
+                        re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("hopflift ")]
+    shown = set()
+    for line in lines:
+        argv = shlex.split(re.sub(r"\[[^\]]*\]", "", line))[1:]
+        shown.add(build_parser().parse_args(argv).command)
+    assert shown == set(_COMMANDS)

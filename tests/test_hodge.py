@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopflift import hodge
+from hopflift import hodge, solvers
 from hopflift.errors import NotConverged
 from hopflift.fields import ScalarField, VecField, curl, grad, l2_inner, l2_norm, make_grid
 from hopflift.hodge import (GaugeSolveConfig, canonical_gauge,
@@ -181,20 +181,24 @@ class TestGaugeCaches:
         assert rep_warm == rep_cold == rep_again
 
     def test_cached_arrays_are_read_only(self):
-        mat = hodge._normal_matrix(9, 1.0, 40.0)
+        mat = hodge._normal_matrix(9)
         cached = [mat.data, mat.indices, mat.indptr]
         cached += [g.values for g, _ in hodge._trial_gradients(make_grid(9), 3, 7)]
         for arr in cached:
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
 
-    def test_cache_keyed_on_penalties(self):
-        m1 = hodge._normal_matrix(9, 1.0, 40.0)
-        m2 = hodge._normal_matrix(9, 2.0, 40.0)
-        m3 = hodge._normal_matrix(9, 1.0, 20.0)
-        assert abs(m1 - m2).max() > 0.0
-        assert abs(m1 - m3).max() > 0.0
-        assert hodge._normal_matrix(9, 2.0, 40.0) is m2
+    def test_cache_keyed_on_n(self):
+        clear_gauge_caches()
+        m9 = hodge._normal_matrix(9)
+        ref = solvers.gauge_normal_matrix(9, 1.0, 10.0 / make_grid(9).h)
+        for got, want in ((m9.data, ref.data), (m9.indices, ref.indices),
+                          (m9.indptr, ref.indptr)):
+            assert np.array_equal(got, want)
+        m5 = hodge._normal_matrix(5)
+        assert m5.shape == (3 * 5 ** 3,) * 2
+        assert hodge._normal_matrix(9) is m9
+        assert hodge._normal_matrix(5) is m5
 
     def test_checks_match_uncached_loops(self):
         # the loops as they read before the trial gradients were cached

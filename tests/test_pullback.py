@@ -100,6 +100,26 @@ class TestPointwiseIdentities:
         assert rep.norm_identity_defect <= 1e-10
         assert rep.amgm_violation <= 1e-10
 
+    @pytest.mark.parametrize("n", [25, 49])
+    def test_exclusion_drops_nodes_at_the_radius(self, n):
+        # float radii keep 3 of the 6 nodes at exactly 2h from the origin
+        # at these n; a norm error put on all 6 must not reach the maxima
+        grid = make_grid(n)
+        vals = testmaps.gen_hedgehog(grid).values.copy()
+        mid = (n - 1) // 2
+        for axis in range(3):
+            for step in (-2, 2):
+                node = [mid, mid, mid]
+                node[axis] += step
+                vals[tuple(node)] *= 1.0 + 1e-3
+        # bypass the constructor's unit check on purpose
+        bad = SphereMapField.__new__(SphereMapField)
+        bad.grid = grid
+        bad.values = vals
+        rep = pointwise_identities(bad, exclude_radius=2.0 * grid.h)
+        assert rep.norm_identity_defect <= 1e-10
+        assert rep.amgm_violation <= 1e-10
+
     def test_norm_error_scales_linearly(self):
         grid = make_grid(17)
         u = testmaps.gen_planar(grid, "linear-winding")

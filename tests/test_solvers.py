@@ -211,9 +211,21 @@ def gauge_system():
     # the n=33 gauge normal matrix: 107811 rows, 4 chunks of CHUNK rows
     from hopflift.hodge import _normal_matrix
     n = 33
-    mat = _normal_matrix(n, 1.0, 10.0 * (n - 1) / 2.0)
+    mat = _normal_matrix(n)
     b = mat @ np.random.default_rng(3).normal(size=mat.shape[0])
     return mat, b
+
+
+def test_worker_count(monkeypatch):
+    # min(HOPFLIFT_THREADS, usable CPUs, tasks), at least one
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 3)
+    monkeypatch.setenv("HOPFLIFT_THREADS", "4")
+    assert [solvers.worker_count(t) for t in (0, 1, 2, 3, 5)] == \
+        [1, 1, 2, 3, 3]
+    monkeypatch.setenv("HOPFLIFT_THREADS", "2")
+    assert solvers.worker_count(5) == 2
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 1)
+    assert solvers.worker_count(5) == 1
 
 
 def _solve_with_workers(monkeypatch, workers, *args):
