@@ -269,10 +269,19 @@ def _cmd_gauge(args):
     return 0
 
 
+def _same_grid(field, flag, other, other_flag):
+    """IoError unless ``field`` lives on the grid of ``other``."""
+    if field.grid != other.grid:
+        raise IoError(f"{flag} is on an n={field.grid.n} grid, "
+                      f"{other_flag} on an n={other.grid.n} grid")
+
+
 def _read_pair(args):
-    """The (--u, --eta) pair: a sphere map and a 1-form."""
-    return (_read(args, args.u, "--u", SphereMapField),
-            _read(args, args.eta, "--eta", VecField, degree=1))
+    """The (--u, --eta) pair: a sphere map and a 1-form on one grid."""
+    u = _read(args, args.u, "--u", SphereMapField)
+    eta = _read(args, args.eta, "--eta", VecField, degree=1)
+    _same_grid(eta, "--eta", u, "--u")
+    return u, eta
 
 
 def _lift_config(args, grid):
@@ -299,6 +308,7 @@ def _cmd_lift(args):
 def _cmd_verify(args):
     u, eta = _read_pair(args)
     uhat = _read(args, args.uhat, "--uhat", LiftField)
+    _same_grid(uhat, "--uhat", u, "--u")
     report = verify_lift(u, eta, uhat)
     _write_report(args.report, {**report.to_dict(), "min_pole_distance": None,
                                 "alpha_closedness": None})

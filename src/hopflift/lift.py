@@ -108,11 +108,11 @@ def _phase_rotate(values, phase):
     return out
 
 
-def _solve_phase(grid, alpha: VecField, rel_tol, max_iters):
+def _solve_phase(grid, rhs, rel_tol, max_iters):
     """Least-squares solution of grad phi = alpha, anchored to zero at
-    the node nearest the origin."""
+    the node nearest the origin; ``rhs`` is G^T W alpha, the flat
+    right-hand side of the normal equations."""
     n = grid.n
-    rhs = solvers.block_adjoint(solvers.GRAD, alpha.values).ravel()
     mat = solvers.phase_normal_matrix(n)
     phi, iters, achieved, converged = solvers.conjugate_gradient(
         mat, rhs, rel_tol, max_iters)
@@ -182,9 +182,14 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
             f"the closedness tolerance {closed_tol:.3e}; eta does not "
             f"match the pullback of u")
 
+    # only the right-hand side of the phase solve is needed from here on
+    rhs = solvers.block_adjoint(solvers.GRAD, alpha.values).ravel()
+    del section_gauge, curl_alpha, alpha
     phi, anchor, iters, converged, achieved = _solve_phase(
-        grid, alpha, rel_tol, max_iters)
+        grid, rhs, rel_tol, max_iters)
+    del rhs
     uhat = LiftField(grid, _phase_rotate(section.values, phi))
+    del section, phi
     report = LiftReport(
         pole_used=tuple(float(c) for c in pole),
         min_pole_distance=min_dist,

@@ -255,16 +255,31 @@ def test_cli_import_loads_no_scipy():
      "argument --tol: must be a positive finite number"),
     (["gauge", "--in", "{big}", "--out", "{out}"], 3,
      "hopflift gauge: right-hand side norm is not finite"),
+    (["lift", "--u", "{u}", "--eta", "{eta11}", "--out", "{out}"], 2,
+     "hopflift lift: --eta is on an n=11 grid, --u on an n=9 grid"),
+    (["sweep", "--u", "{u}", "--eta", "{eta11}", "--csv", "{out}",
+      "--eps", "0.2"], 2,
+     "hopflift sweep: --eta is on an n=11 grid, --u on an n=9 grid"),
+    (["approx", "--u", "{u}", "--eta", "{eta11}", "--eps", "0.2",
+      "--out-prefix", "{out}"], 2,
+     "hopflift approx: --eta is on an n=11 grid, --u on an n=9 grid"),
+    (["verify", "--u", "{u}", "--eta", "{eta}", "--uhat", "{uhat11}"], 2,
+     "hopflift verify: --uhat is on an n=11 grid, --u on an n=9 grid"),
 ], ids=["eps-not-a-number", "eps-empty", "eps-increasing", "eps-nan",
         "tol-zero", "tol-two", "iters-zero", "gauge-degree-1",
         "lift-eta-degree-2", "lift-tol-two", "lift-iters-zero",
         "samples-zero", "samples-negative", "gauge-budget", "lift-budget",
         "nan-payload", "constant-zero", "liftfam-a-nan", "closed-tol-nan",
         "closed-tol-inf", "closed-tol-negative", "check-tol-nan",
-        "check-tol-zero", "check-tol-negative", "gauge-overflow"])
+        "check-tol-zero", "check-tol-negative", "gauge-overflow",
+        "lift-mixed-grids", "sweep-mixed-grids", "approx-mixed-grids",
+        "verify-mixed-grids"])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
     prefix = gen_family(tmp_path, n=9)
+    (tmp_path / "n11").mkdir()
+    prefix11 = gen_family(tmp_path / "n11", n=11)
     files = {"u": prefix + "u.h3f", "eta": prefix + "eta.h3f",
+             "eta11": prefix11 + "eta.h3f", "uhat11": prefix11 + "uhat.h3f",
              "D": str(tmp_path / "D.h3f"), "out": str(tmp_path / "out"),
              "nan": str(tmp_path / "nan.h3f"),
              "big": str(tmp_path / "big.h3f")}
@@ -285,6 +300,8 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
     assert got == code
     assert message in err.strip().splitlines()[-1]
     assert "Traceback" not in err
+    if code != 64:
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_selftest_independent_of_thread_counts(tmp_path):

@@ -151,7 +151,7 @@ class TestLiftMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 55 * 8 * n ** 3
+        assert peak <= 35 * 8 * n ** 3
 
 
 class TestVerify:
