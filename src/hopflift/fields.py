@@ -270,6 +270,17 @@ def axis_partials(values, h):
     return out
 
 
+def slab_partials(values, h, lo, hi):
+    """``[p[lo:hi] for p in axis_partials(values, h)]``, bit for bit,
+    from the x1-rows lo..hi-1 of values and the rows the x1 stencil reads
+    beyond them: one on each side, or the two next to a cube face."""
+    n = values.shape[0]
+    start = max(0, min(lo - 1, n - 3))
+    stop = min(n, max(hi + 1, 3))
+    return [p[lo - start:hi - start]
+            for p in axis_partials(values[start:stop], h)]
+
+
 #: rows of nodes per slab in ``partials_sq``; bounds its buffer to
 #: about 1 MB at n=97
 _SLAB_NODES = 1 << 14
@@ -285,12 +296,12 @@ def partials_sq(parts):
     reduced one slab of x1-rows at a time: the same bits without the
     full (n,n,n,3,c) tensor.
     """
-    n = parts[0].shape[0]
+    m, n2, n3 = parts[0].shape[:3]
     out = np.empty(parts[0].shape[:-1])
-    rows = max(1, _SLAB_NODES // (n * n))
+    rows = min(m, max(1, _SLAB_NODES // (n2 * n3)))
     buf = np.empty((rows,) + parts[0].shape[1:-1] + (3, parts[0].shape[-1]))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
         b = buf[:hi - lo]
         for j in range(3):
             b[..., j, :] = parts[j][lo:hi]

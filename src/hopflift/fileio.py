@@ -110,6 +110,17 @@ def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):
         raise IoError(f"{path}: {exc}") from exc
 
 
+#: values formatted per write in ``export_vtk``, a whole number of lines
+_VTK_BLOCK = 6 << 12
+
+
+def _vtk_lines(values):
+    """repr of each value, six to a line, every line ended."""
+    words = list(map(repr, values.tolist()))
+    return "".join([" ".join(words[row:row + 6]) + "\n"
+                    for row in range(0, len(words), 6)])
+
+
 def export_vtk(field, path, name="field"):
     """Write a legacy-ASCII STRUCTURED_POINTS file with one scalar array
     per component, for external viewers only."""
@@ -134,9 +145,8 @@ def export_vtk(field, path, name="field"):
                 fh.write(f"SCALARS {name}_{c} double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
                 # VTK iterates x fastest, matching the H3F1 file order
-                flat = vals[..., c].transpose(2, 1, 0).ravel().tolist()
-                for row in range(0, len(flat), 6):
-                    fh.write(" ".join(repr(x) for x in flat[row:row + 6]))
-                    fh.write("\n")
+                flat = vals[..., c].transpose(2, 1, 0).ravel()
+                for lo in range(0, flat.size, _VTK_BLOCK):
+                    fh.write(_vtk_lines(flat[lo:lo + _VTK_BLOCK]))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

@@ -9,7 +9,9 @@ by conjugate gradients on the normal equations, all norms trapezoid-
 weighted.  On a simply connected domain the penalties pin the minimizer
 uniquely; the defining property is weak, orthogonality to every gradient,
 which is what the report measures.  It takes each pairing with a gradient
-by parts, <a, grad psi> = psi . (G^T W a), so no trial gradient is kept.
+by parts, <a, grad psi> = psi . (G^T W a), and contracts that one axis at
+a time against the separable trial functions, so no trial psi or gradient
+is kept.
 Pointwise normals are ambiguous on cube edges, so the penalty is applied
 facewise and the weak form is the test that matters.
 """
@@ -63,50 +65,103 @@ def _normal_matrix(n):
     return mat
 
 
+def _trial_draws(trials, seed):
+    """The parameters of ``random_test_functions(grid, trials, seed)``,
+    drawn in its order (ramp, then per wave k, phase, amplitude): arrays
+    lin (trials, 3), k (trials, 4, 3), phase (trials, 4), amp (trials, 4)."""
+    rng = np.random.default_rng(seed)
+    lin = np.empty((trials, 3))
+    k = np.empty((trials, 4, 3))
+    phase = np.empty((trials, 4))
+    amp = np.empty((trials, 4))
+    for t in range(trials):
+        lin[t] = rng.normal(size=3)
+        for w in range(4):
+            k[t, w] = rng.uniform(-4.0, 4.0, 3)
+            phase[t, w] = rng.uniform(0.0, 2.0 * np.pi)
+            amp[t, w] = rng.normal()
+    return lin, k, phase, amp
+
+
+def _trial_function(grid, lin, k, phase, amp):
+    """One test function on the grid from its row of ``_trial_draws``."""
+    x1, x2, x3 = grid.coords()
+    psi = lin[0] * x1 + lin[1] * x2 + lin[2] * x3
+    for kw, pw, aw in zip(k, phase, amp):
+        psi = psi + aw * np.cos(kw[0] * x1 + kw[1] * x2 + kw[2] * x3 + pw)
+    return psi
+
+
 def random_test_functions(grid, trials, seed):
     """Smooth scalar test functions: a linear ramp plus a few cosine
     plane waves with full 3-vector frequencies."""
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.coords()
-    out = []
-    for _ in range(trials):
-        lin = rng.normal(size=3)
-        psi = lin[0] * x1 + lin[1] * x2 + lin[2] * x3
-        for _ in range(4):
-            k = rng.uniform(-4.0, 4.0, 3)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            psi = psi + rng.normal() * np.cos(k[0] * x1 + k[1] * x2 + k[2] * x3 + phase)
-        out.append(psi)
-    return out
+    return [_trial_function(grid, *row)
+            for row in zip(*_trial_draws(trials, seed))]
 
 
 @lru_cache(maxsize=2)
-def _trial_functions(grid, trials, seed):
-    """``random_test_functions(grid, trials, seed)`` with the squared L^2
-    norms of their gradients, as ((psi, ||grad psi||^2), ...); each psi
-    is a read-only (n,n,n) array, cached per (grid, trials, seed).  The
-    gradients are taken one at a time and not kept."""
-    out = []
-    for psi in random_test_functions(grid, trials, seed):
-        gpsi = grad(ScalarField(grid, psi))
-        psi.setflags(write=False)
-        out.append((psi, l2_inner(gpsi, gpsi)))
+def _trial_set(grid, trials, seed):
+    """(``_trial_draws(trials, seed)``, (||grad psi||^2, ...)), cached per
+    (grid, trials, seed).  Each psi is formed once, while the cache
+    fills, so the norms are those of ``random_test_functions`` bit for
+    bit; neither psi nor its gradient is kept."""
+    draws = _trial_draws(trials, seed)
+    norms = []
+    for row in zip(*draws):
+        gpsi = grad(ScalarField(grid, _trial_function(grid, *row)))
+        norms.append(l2_inner(gpsi, gpsi))
         del gpsi
-    return tuple(out)
+    for arr in draws:
+        arr.setflags(write=False)
+    return draws, tuple(norms)
+
+
+def _separable_pairings(s, x, draws):
+    """psi . s for each trial psi of ``draws``, with s an (n,n,n) array
+    and x the node coordinates of one axis, contracted one axis at a
+    time.
+
+    A ramp is a sum of 1-d terms, and a wave is
+    cos(k . x + phase) = Re e^{i phase} prod_d e^{i k_d x_d}.  The x3
+    axis goes first, as one real einsum of s with the [cos | sin]
+    columns of every wave and the ramp's x and 1 columns; the x2 and x1
+    axes follow as small complex contractions.  numpy's own einsum loops
+    do the work, so the bits do not depend on BLAS threads.
+    """
+    lin, k, phase, amp = draws
+    trials, waves = amp.shape
+    kw = k.reshape(-1, 3)
+    m = kw.shape[0]
+    arg = np.multiply.outer(x, kw[:, 2])
+    cols = np.concatenate(
+        [np.cos(arg), np.sin(arg), x[:, None], np.ones((x.size, 1))], axis=1)
+    t = np.einsum("ijk,km->ijm", s, cols)
+    along3 = t[..., :m] + 1j * t[..., m:2 * m]
+    along2 = np.einsum("ijm,jm->im", along3,
+                       np.exp(1j * np.multiply.outer(x, kw[:, 1])))
+    along1 = np.einsum("im,im->m", along2,
+                       np.exp(1j * np.multiply.outer(x, kw[:, 0])))
+    wave = (np.exp(1j * phase.ravel()) * along1).real * amp.ravel()
+    # the ramp pairs to lin . (sum x1 s, sum x2 s, sum x3 s)
+    ones = t[..., 2 * m + 1]
+    ramp = np.einsum("tc,c->t", lin, [
+        np.einsum("i,i->", x, ones.sum(axis=1)),
+        np.einsum("j,j->", x, ones.sum(axis=0)), t[..., 2 * m].sum()])
+    return ramp + wave.reshape(trials, waves).sum(axis=1)
 
 
 def _gradient_pairings(a: VecField, trials, seed):
-    """(<a, grad psi>, ||grad psi||^2) for each cached trial function psi.
+    """(<a, grad psi>, ||grad psi||^2) for each cached trial psi.
 
     The pairing is taken by parts: the trapezoid-weighted sum of
     a . grad psi is psi . (G^T W a), with G the discrete gradient, so one
-    adjoint serves every trial and no gradient is formed.  The dot
-    product is numpy's own einsum loop, whose bits do not depend on BLAS
-    threads.
+    adjoint serves every trial; ``_separable_pairings`` takes each psi .
+    (G^T W a) without forming psi.
     """
-    s = solvers.block_adjoint(solvers.GRAD, a.values)[0].ravel()
-    for psi, ng_sq in _trial_functions(a.grid, trials, seed):
-        yield float(np.einsum("i,i->", psi.ravel(), s)), ng_sq
+    draws, norms = _trial_set(a.grid, trials, seed)
+    s = solvers.block_adjoint(solvers.GRAD, a.values)[0]
+    pairings = _separable_pairings(s, a.grid.axis(), draws)
+    return zip(pairings.tolist(), norms)
 
 
 def _weak_trace_defect(a: VecField, trials=20, seed=2024):

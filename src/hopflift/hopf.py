@@ -26,11 +26,14 @@ import numpy as np
 
 from .errors import BadLatitude, NotTangent, NotUnit, TooCloseToPole
 from .fields import (LiftField, ScalarField, SphereMapField, VecField,
-                     axis_partials, component_planes, partials_sq,
+                     component_planes, partials_sq, slab_partials,
                      stencil_partial)
 
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
+
+#: x1-rows per slab in ``energy_identity_defect``
+_ENERGY_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +318,20 @@ def frame_sweep(samples, seed=0):
 def energy_identity_defect(uhat: LiftField, u: SphereMapField,
                            eta: VecField) -> ScalarField:
     """Nodewise |d uhat|^2 - |eta|^2/4 - |du|^2/4 from central
-    differences; vanishes to O(h^2) whenever eta is the gauge of uhat."""
+    differences; vanishes to O(h^2) whenever eta is the gauge of uhat.
+
+    The partials are taken one slab of x1-rows at a time
+    (``slab_partials``), so they are never all held at once."""
     if not (uhat.grid == u.grid == eta.grid):
         raise ValueError("fields live on different grids")
     h = uhat.grid.h
-    e_hat = partials_sq(axis_partials(uhat.values, h))
-    e_u = partials_sq(axis_partials(u.values, h))
-    e_eta = np.einsum("...c,...c->...", eta.values, eta.values)
-    return ScalarField(uhat.grid, e_hat - 0.25 * e_eta - 0.25 * e_u)
+    n = uhat.grid.n
+    out = np.empty((n, n, n))
+    for lo in range(0, n, _ENERGY_ROWS):
+        hi = min(lo + _ENERGY_ROWS, n)
+        e_hat = partials_sq(slab_partials(uhat.values, h, lo, hi))
+        e_u = partials_sq(slab_partials(u.values, h, lo, hi))
+        v = eta.values[lo:hi]
+        e_eta = np.einsum("...c,...c->...", v, v)
+        out[lo:hi] = e_hat - 0.25 * e_eta - 0.25 * e_u
+    return ScalarField(uhat.grid, out)

@@ -23,6 +23,9 @@ from . import solvers
 #: treat norms below this as zero when forming relative errors
 _TINY = 1e-12
 
+#: nodes per block of ``select_pole``'s scan, about 2.4 MB of dots
+_POLE_NODES = 1 << 14
+
 
 def default_pole_candidates():
     """The 12 icosahedron vertices plus the 6 signed axes."""
@@ -37,6 +40,21 @@ def default_pole_candidates():
     return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
 
+def _min_angles(pts, cands):
+    """Min over the points of the angle to each candidate: the arccos of
+    ``(pts @ cands.T).max(axis=0)``, taken as a running max over
+    near-equal blocks of about ``_POLE_NODES`` points.  The max is exact,
+    so the blocks change no bit, and no (points, candidates) matrix is
+    formed.  Near-equal blocks leave no lone last point, which matmul
+    would take as a vector product that rounds differently."""
+    blocks = -(-len(pts) // _POLE_NODES)
+    top = np.full(len(cands), -np.inf)
+    for b in range(blocks):
+        chunk = pts[len(pts) * b // blocks:len(pts) * (b + 1) // blocks]
+        np.maximum(top, (chunk @ cands.T).max(axis=0), out=top)
+    return np.arccos(np.clip(top, -1.0, 1.0))
+
+
 def select_pole(u: SphereMapField, candidates=None, min_angle=DEFAULT_POLE_ANGLE):
     """Pick the candidate direction farthest (in min angle) from the
     range of u; first in candidate order on ties.
@@ -48,10 +66,7 @@ def select_pole(u: SphereMapField, candidates=None, min_angle=DEFAULT_POLE_ANGLE
         candidates, dtype=np.float64)
     if cands.size == 0:
         raise ValueError("empty candidate list")
-    pts = u.values.reshape(-1, 3)
-    # min over nodes of the angle to each candidate == arccos of the max dot
-    dots = pts @ cands.T
-    min_angles = np.arccos(np.clip(dots.max(axis=0), -1.0, 1.0))
+    min_angles = _min_angles(u.values.reshape(-1, 3), cands)
     best = int(np.argmax(min_angles))
     if min_angles[best] < min_angle:
         raise ChartExhausted(

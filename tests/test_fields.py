@@ -7,7 +7,7 @@ from hopflift.fields import (Grid3, ScalarField, SphereMapField, VecField,
                              component_partials, curl, div, grad, l1_norm,
                              l2_inner, l2_norm, lp_norm, make_grid, mollify,
                              mollify_components, mollify_region_mask,
-                             partials_sq, stencil_partial)
+                             partials_sq, slab_partials, stencil_partial)
 
 
 def scalar(grid, arr):
@@ -197,6 +197,37 @@ class TestStencilMatchesNpGradient:
         for nodes in (1, 4 * n * n, n ** 3):
             monkeypatch.setattr(fields_mod, "_SLAB_NODES", nodes)
             assert np.array_equal(partials_sq(axis_partials(vals, h)), want)
+
+
+    def test_slab_partials_match_whole_cube(self):
+        # every slab, faces and one-row slabs included, gives the rows
+        # of the whole-cube partials bit for bit
+        for n in (3, 4, 11):
+            h = 2.0 / (n - 1)
+            vals = np.random.default_rng(n).normal(size=(n, n, n, 3))
+            whole = axis_partials(vals, h)
+            for lo in range(n):
+                for hi in range(lo + 1, n + 1):
+                    got = slab_partials(vals, h, lo, hi)
+                    for j in range(3):
+                        assert np.array_equal(got[j], whole[j][lo:hi])
+
+    def test_sum_of_squares_buffer_sized_from_slab(self):
+        # a slab of two x1-rows needs a buffer of at most those rows
+        import tracemalloc
+        n = 17
+        h = 2.0 / (n - 1)
+        vals = np.random.default_rng(3).normal(size=(n, n, n, 4))
+        parts = slab_partials(vals, h, 5, 7)
+        want = np.einsum("...jc,...jc->...", *[np.stack(parts, axis=-2)] * 2)
+        tracemalloc.start()
+        try:
+            got = partials_sq(parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 2 * 8 * 2 * n * n * 3 * 4
 
 
 class TestNormsAndInner:

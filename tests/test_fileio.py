@@ -186,6 +186,50 @@ def test_vtk_structure(tmp_path):
     assert all(v == 1.25 for v in values)
 
 
+def reference_vtk(field, name):
+    """The ASCII VTK writer as it was first written: one repr per value
+    in a generator, six values to a line."""
+    grid = field.grid
+    n = grid.n
+    v = field.values
+    vals = v[..., None] if v.ndim == 3 else v
+    out = ["# vtk DataFile Version 3.0\n",
+           f"hopflift {'SCAL' if v.ndim == 3 else 'VEC1'} field\n",
+           "ASCII\n", "DATASET STRUCTURED_POINTS\n",
+           f"DIMENSIONS {n} {n} {n}\n", "ORIGIN -1.0 -1.0 -1.0\n",
+           f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\n",
+           f"POINT_DATA {n ** 3}\n"]
+    for c in range(vals.shape[-1]):
+        out.append(f"SCALARS {name}_{c} double 1\n")
+        out.append("LOOKUP_TABLE default\n")
+        flat = vals[..., c].transpose(2, 1, 0).ravel().tolist()
+        for row in range(0, len(flat), 6):
+            out.append(" ".join(repr(x) for x in flat[row:row + 6]))
+            out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+@pytest.mark.parametrize("block", [6, 12, 6 << 12])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
+def test_vtk_bytes_match_reference_writer(tmp_path, monkeypatch, n, block):
+    # exponent-form values, signed zeros and integral floats, with a
+    # value count that is and is not a whole number of lines
+    import sys
+    monkeypatch.setattr(sys.modules["hopflift.fileio"], "_VTK_BLOCK", block)
+    grid = make_grid(n)
+    rng = np.random.default_rng(n)
+    vals = rng.normal(size=(n, n, n, 3)) * 10.0 ** rng.integers(
+        -30, 30, size=(n, n, n, 3))
+    vals.flat[::5] = -0.0
+    vals.flat[1::5] = 0.0
+    vals.flat[2::7] = np.arange(len(vals.flat[2::7])) - 40.0
+    vals.flat[3::11] = 1e16
+    for field in (ScalarField(grid, vals[..., 0]), VecField(grid, 1, vals)):
+        path = tmp_path / "out.vtk"
+        export_vtk(field, path, name="f")
+        assert path.read_bytes() == reference_vtk(field, "f")
+
+
 def test_vtk_empty_path():
     grid = make_grid(5)
     with pytest.raises(IoError):

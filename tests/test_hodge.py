@@ -167,11 +167,11 @@ class TestCanonicalGauge:
 
 def clear_gauge_caches():
     hodge._normal_matrix.cache_clear()
-    hodge._trial_functions.cache_clear()
+    hodge._trial_set.cache_clear()
 
 
 class TestGaugeCaches:
-    """The normal matrix and the trial functions are built once per grid;
+    """The normal matrix and the trial norms are built once per grid;
     a warm call must reproduce a cold one bit for bit."""
 
     def test_warm_calls_match_cold_call(self):
@@ -189,7 +189,7 @@ class TestGaugeCaches:
     def test_cached_arrays_are_read_only(self):
         mat = hodge._normal_matrix(9)
         cached = [mat.data, mat.indices, mat.indptr]
-        cached += [psi for psi, _ in hodge._trial_functions(make_grid(9), 3, 7)]
+        cached += list(hodge._trial_set(make_grid(9), 3, 7)[0])
         for arr in cached:
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
@@ -206,19 +206,31 @@ class TestGaugeCaches:
         assert hodge._normal_matrix(9) is m9
         assert hodge._normal_matrix(5) is m5
 
-    def test_trial_cache_holds_functions_and_exact_norms(self):
+    def test_trial_cache_holds_no_grid_array(self):
+        n = 9
+        clear_gauge_caches()
+        draws, norms = hodge._trial_set(make_grid(n), 20, 2024)
+        assert len(norms) == 20
+        for arr in draws:
+            assert arr.size < n ** 3
+        assert all(isinstance(ng_sq, float) for ng_sq in norms)
+
+    def test_trial_norms_exact(self):
         grid = make_grid(9)
         clear_gauge_caches()
-        cached = hodge._trial_functions(grid, 20, 2024)
-        assert len(cached) == 20
-        for (psi, ng_sq), ref in zip(cached,
-                                     random_test_functions(grid, 20, 2024)):
-            assert psi.shape == (9, 9, 9)
-            assert not psi.flags.writeable
-            assert np.array_equal(psi, ref)
+        _, norms = hodge._trial_set(grid, 20, 2024)
+        refs = random_test_functions(grid, 20, 2024)
+        assert len(refs) == len(norms)
+        for ng_sq, ref in zip(norms, refs):
             gpsi = grad(ScalarField(grid, ref))
             assert ng_sq == l2_inner(gpsi, gpsi)
-        assert hodge._trial_functions(grid, 20, 2024) is cached
+
+    def test_trial_cache_reused(self):
+        grid = make_grid(9)
+        clear_gauge_caches()
+        cached = hodge._trial_set(grid, 20, 2024)
+        assert hodge._trial_set(make_grid(9), 20, 2024) is cached
+        assert hodge._trial_set(grid, 20, 7) is not cached
 
     def test_checks_match_uncached_loops(self):
         # the loops as they read when every gradient was formed: the
@@ -265,6 +277,23 @@ def test_pairing_by_parts(n):
     assert abs(by_parts - direct) <= 1e-13 * l2_norm(a) * l2_norm(gpsi)
 
 
+@pytest.mark.parametrize("n", [3, 4, 9, 33])
+def test_separable_pairing_matches_dense(n):
+    # the pairing contracted axis by axis equals psi . (G^T W a) with
+    # every psi formed on the grid
+    grid = make_grid(n)
+    a = np.random.default_rng(n).normal(size=(n, n, n, 3))
+    s = solvers.block_adjoint(solvers.GRAD, a)[0]
+    got = hodge._separable_pairings(s, grid.axis(),
+                                    hodge._trial_draws(20, 2024))
+    psis = random_test_functions(grid, 20, 2024)
+    assert len(got) == len(psis)
+    for pairing, psi in zip(got, psis):
+        dense = np.einsum("i,i->", psi.ravel(), s.ravel())
+        bound = 1e-13 * np.linalg.norm(psi) * np.linalg.norm(s)
+        assert abs(pairing - dense) <= bound
+
+
 def test_checks_independent_of_blas_threads(tmp_path):
     # the pairings' dot products run in numpy's own loop, not in BLAS
     grid = make_grid(33)
@@ -301,7 +330,8 @@ class TestGaugeMemory:
     def test_peak_allocation_bounded(self):
         # the normal matrix is assembled straight into CSR arrays: no
         # Kronecker factors and no sparse-product temporaries; the peak is
-        # the matrix, the CG vectors and the cached trial functions
+        # the matrix and the CG vectors, and the trial cache holds no
+        # grid array (measured 65.2 n^3)
         import tracemalloc
         import scipy.sparse  # noqa: F401  (imports are not the gauge's)
         from scipy.sparse import _sparsetools  # noqa: F401
@@ -319,4 +349,4 @@ class TestGaugeMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 100 * 8 * n ** 3
+        assert peak <= 72 * 8 * n ** 3
