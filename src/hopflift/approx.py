@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectionDegenerate
-from .fields import (LiftField, SphereMapField, VecField, axis_partials,
-                     box_mask, curl, integrate, l2_norm, mollify_components,
-                     mollify_region_mask, partials_sq)
+from .fields import (LiftField, SphereMapField, VecField, box_mask, curl,
+                     energy_density, integrate, l2_norm, mollify_components,
+                     mollify_region_mask)
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
 from .pullback import pullback_area_form
@@ -49,7 +49,7 @@ class ApproxReport:
 
 def _w12_distance(grid, diff, region):
     sq = np.einsum("...c,...c->...", diff, diff)
-    sq = sq + partials_sq(axis_partials(diff, grid.h))
+    sq = sq + energy_density(diff, grid.h)
     return float(np.sqrt(integrate(grid, sq, region)))
 
 

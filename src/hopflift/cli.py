@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 precondition violations (chart exhausted,
-non-closed data, bad radii, singular verdicts from ``check``), 3 solver
+non-closed data, bad radii, grids too coarse for a check, singular
+verdicts from ``check``) and requests larger than memory, 3 solver
 failures, 64 malformed flags.
 """
 
@@ -219,11 +220,14 @@ def _cmd_gen(args):
     return 0
 
 
-def _cmd_pullback(args):
-    u = _read(args, args.infile, "--in", SphereMapField)
-    write_h3f(args.out, pullback_area_form(u))
-    print(f"pullback: wrote {args.out}")
-    return 0
+def _map_command(kind, fn):
+    """The command writing ``fn`` of the ``kind`` field at --in to --out;
+    ``fn`` looks its function up per call, for tracers' rebindings."""
+    def command(args):
+        write_h3f(args.out, fn(_read(args, args.infile, "--in", kind)))
+        print(f"{args.command}: wrote {args.out}")
+        return 0
+    return command
 
 
 def _cmd_check(args):
@@ -318,20 +322,6 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_project(args):
-    uhat = _read(args, args.infile, "--in", LiftField)
-    write_h3f(args.out, project_to_sphere(uhat))
-    print(f"project: wrote {args.out}")
-    return 0
-
-
-def _cmd_gauge_of_lift(args):
-    uhat = _read(args, args.infile, "--in", LiftField)
-    write_h3f(args.out, gauge_of_lift(uhat))
-    print(f"gauge-of-lift: wrote {args.out}")
-    return 0
-
-
 def _cmd_approx(args):
     u, eta = _read_pair(args)
     u_eps, eta_eps, report = approx.approximate(
@@ -373,13 +363,13 @@ def _cmd_selftest(args):
 
 _COMMANDS = {
     "gen": _cmd_gen,
-    "pullback": _cmd_pullback,
+    "pullback": _map_command(SphereMapField, lambda u: pullback_area_form(u)),
     "check": _cmd_check,
     "gauge": _cmd_gauge,
     "lift": _cmd_lift,
     "verify": _cmd_verify,
-    "project": _cmd_project,
-    "gauge-of-lift": _cmd_gauge_of_lift,
+    "project": _map_command(LiftField, lambda uhat: project_to_sphere(uhat)),
+    "gauge-of-lift": _map_command(LiftField, lambda uhat: gauge_of_lift(uhat)),
     "approx": _cmd_approx,
     "sweep": _cmd_sweep,
     "frame-check": _cmd_frame_check,
@@ -396,6 +386,10 @@ def run(argv):
     except HopfliftError as exc:
         print(f"hopflift {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"hopflift {args.command}: out of memory: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 def main(argv=None):

@@ -231,12 +231,12 @@ def _same_grid(a, b):
 
 
 def stencil_partial(f, h, axis, out=None):
-    """``np.gradient(f, h, edge_order=2)[axis]`` of an (n,n,n) array, bit
-    for bit, without the other two partials.
+    """``np.gradient(f, h, edge_order=2)[axis]`` of an array, bit for
+    bit, without the other partials.
 
     The interior is (f[i+1] - f[i-1]) / (2h); each face takes numpy's
     one-sided coefficients -1.5/h, 2/h, -0.5/h (mirrored at the far face)
-    in numpy's operation order.  ``out`` may be any (n,n,n) view.
+    in numpy's operation order.  ``out`` may be any view of f's shape.
     """
     if out is None:
         out = np.empty(f.shape)
@@ -270,42 +270,32 @@ def axis_partials(values, h):
     return out
 
 
-def slab_partials(values, h, lo, hi):
-    """``[p[lo:hi] for p in axis_partials(values, h)]``, bit for bit,
-    from the x1-rows lo..hi-1 of values and the rows the x1 stencil reads
-    beyond them: one on each side, or the two next to a cube face."""
-    n = values.shape[0]
-    start = max(0, min(lo - 1, n - 3))
-    stop = min(n, max(hi + 1, 3))
-    return [p[lo - start:hi - start]
-            for p in axis_partials(values[start:stop], h)]
+#: x1-rows per slab of ``energy_density`` in ``energy_identity_defect``
+_SLAB_ROWS = 8
 
 
-#: rows of nodes per slab in ``partials_sq``; bounds its buffer to
-#: about 1 MB at n=97
-_SLAB_NODES = 1 << 14
-
-
-def partials_sq(parts):
-    """Per-node sum of squares of all partials of all components,
-    ``np.einsum("...jc,...jc->...", d, d)`` for d stacked from the
-    ``axis_partials`` arrays along axis -2.
+def energy_density(values, h, lo=0, hi=None):
+    """|grad v|^2 per node on the x1-rows lo..hi-1 of a (n,n,n) or
+    (n,n,n,c) array v: ``np.einsum("...jc,...jc->...", d, d)`` for
+    d = ``component_partials(values, h)[lo:hi]``, bit for bit.
 
     einsum reduces each node's 3c products with fused multiply-adds in
-    an order no sum of planes reproduces, so the stack is rebuilt and
-    reduced one slab of x1-rows at a time: the same bits without the
-    full (n,n,n,3,c) tensor.
+    an order no sum of planes reproduces, so the stack is kept, but for
+    one x1-row r at a time, in an (n,n,3,c) buffer: the x1 stencil runs
+    on rows r-1..r+1 (the three next to a face), the x2 and x3 stencils
+    on row r.
     """
-    m, n2, n3 = parts[0].shape[:3]
-    out = np.empty(parts[0].shape[:-1])
-    rows = min(m, max(1, _SLAB_NODES // (n2 * n3)))
-    buf = np.empty((rows,) + parts[0].shape[1:-1] + (3, parts[0].shape[-1]))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        b = buf[:hi - lo]
-        for j in range(3):
-            b[..., j, :] = parts[j][lo:hi]
-        np.einsum("...jc,...jc->...", b, b, out=out[lo:hi])
+    n = values.shape[0]
+    hi = n if hi is None else hi
+    v = _flat_values(values)
+    out = np.empty((hi - lo,) + v.shape[1:3])
+    d = np.empty(v.shape[1:3] + (3, v.shape[-1]))
+    for r in range(lo, hi):
+        s = max(0, min(r - 1, n - 3))
+        d[..., 0, :] = stencil_partial(v[s:s + 3], h, 0)[r - s]
+        stencil_partial(v[r], h, 0, out=d[..., 1, :])
+        stencil_partial(v[r], h, 1, out=d[..., 2, :])
+        np.einsum("...jc,...jc->...", d, d, out=out[r - lo])
     return out
 
 
@@ -355,9 +345,21 @@ def div(a: VecField) -> ScalarField:
 # inner products and norms
 
 
-def _flat_values(field):
-    v = field.values
+def _flat_values(v):
     return v[..., None] if v.ndim == 3 else v
+
+
+def face_trace(values):
+    """The face-normal component of (n,n,n,3) values on each cube face,
+    faces in the order x1 = -1, +1, x2 = -1, +1, x3 = -1, +1, with the
+    faces' 2-d trapezoid weights."""
+    n = values.shape[0]
+    h = 2.0 / (n - 1)
+    c = _trapezoid(n)
+    area = (h * h * c[:, None] * c[None, :]).ravel()
+    faces = [np.moveaxis(values[..., axis], axis, 0)[side].ravel()
+             for axis in range(3) for side in (0, -1)]
+    return np.concatenate(faces), np.tile(area, 6)
 
 
 def integrate(grid, density, region="cube"):
@@ -375,7 +377,7 @@ def l2_inner(a, b, region="cube"):
     _same_grid(a, b)
     if isinstance(a, VecField) and isinstance(b, VecField) and a.degree != b.degree:
         raise ValueError("degree mismatch in l2_inner")
-    va, vb = _flat_values(a), _flat_values(b)
+    va, vb = _flat_values(a.values), _flat_values(b.values)
     if va.shape != vb.shape:
         raise ValueError("component mismatch in l2_inner")
     return integrate(a.grid, np.einsum("...c,...c->...", va, vb), region)
@@ -387,7 +389,7 @@ def l2_norm(a, region="cube"):
 
 def pointwise_magnitude(a):
     """Euclidean magnitude per node, as an (n,n,n) array."""
-    v = _flat_values(a)
+    v = _flat_values(a.values)
     return np.sqrt(np.einsum("...c,...c->...", v, v))
 
 

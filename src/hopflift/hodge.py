@@ -22,9 +22,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotConverged
-from .fields import (ScalarField, VecField, _trapezoid, curl, div, grad,
+from .fields import (ScalarField, VecField, curl, div, face_trace, grad,
                      l1_norm, l2_inner, l2_norm, lp_norm)
 from . import solvers
+
+#: weighted L^2 norm of a G that ``canonical_gauge`` takes for noise: an
+#: absolute floor, far above the 1e-16 rounding of a unit map's pullback
+_NOISE_FLOOR = 1e-12
 
 
 @dataclass
@@ -183,7 +187,9 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
     Returns (a, GaugeReport).  The solver runs regardless of whether G is
     actually in the range of curl and reports the attainable residual;
     NotConverged (carrying the partial result) is raised when the
-    iteration budget runs out first.
+    iteration budget runs out first.  A G whose weighted L^2 norm is at
+    most ``_NOISE_FLOOR`` gets the zero field without a solve, reported
+    with 0 iterations and a relative curl residual of 1: all of G.
     """
     if g_form.degree != 2:
         raise ValueError("canonical_gauge expects a degree-2 field")
@@ -191,6 +197,12 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
     grid = g_form.grid
     max_iters, rel_tol = cfg.resolved(grid)
     n = grid.n
+    with np.errstate(over="ignore"):  # inf, for the solver to refuse
+        g_norm = float(np.sqrt(_weighted_sq(_blocked(g_form.values),
+                                            grid.node_weights())))
+    if g_norm <= _NOISE_FLOOR:
+        a = VecField(grid, 1, np.zeros(g_form.values.shape))
+        return a, _gauge_report(a, g_form, 0, g_norm)
 
     mat = _normal_matrix(n)
     rhs = solvers.block_adjoint(solvers.CURL, g_form.values).ravel()
@@ -199,7 +211,7 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
     del rhs
     a = VecField(grid, 1, np.moveaxis(x.reshape(3, n, n, n), 0, -1).copy())
     del x
-    report = _gauge_report(a, g_form, iters)
+    report = _gauge_report(a, g_form, iters, g_norm)
     if not converged:
         raise NotConverged(
             f"gauge solve stopped at {iters} iterations with relative "
@@ -220,31 +232,15 @@ def _weighted_sq(v, w):
     return float(t.sum())
 
 
-def _normal_trace(values):
-    """The face-normal component of (n,n,n,3) values on each cube face,
-    faces in the order x1 = -1, +1, x2 = -1, +1, x3 = -1, +1, with the
-    faces' 2-d trapezoid weights."""
-    n = values.shape[0]
-    h = 2.0 / (n - 1)
-    c = _trapezoid(n)
-    area = (h * h * c[:, None] * c[None, :]).ravel()
-    faces = [np.moveaxis(values[..., axis], axis, 0)[side].ravel()
-             for axis in range(3) for side in (0, -1)]
-    return np.concatenate(faces), np.tile(area, 6)
-
-
-def _gauge_report(a, g_form, iters):
+def _gauge_report(a, g_form, iters, g_norm):
     w = a.grid.node_weights()
-    g = _blocked(g_form.values)
-    g_norm = float(np.sqrt(_weighted_sq(g, w)))
     resid = _blocked(curl(a).values)
-    resid -= g
-    del g
+    resid -= np.moveaxis(g_form.values, -1, 0)
     curl_rel = float(np.sqrt(_weighted_sq(resid, w)))
     del resid
     curl_rel = curl_rel / g_norm if g_norm > 0.0 else curl_rel
     div_norm = float(np.sqrt(_weighted_sq(div(a).values, w)))
-    normal_norm = float(np.sqrt(_weighted_sq(*_normal_trace(a.values))))
+    normal_norm = float(np.sqrt(_weighted_sq(*face_trace(a.values))))
     ratio = 0.0
     g_l1 = l1_norm(g_form, region="ball")
     if g_l1 > 0.0:

@@ -25,15 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadLatitude, NotTangent, NotUnit, TooCloseToPole
-from .fields import (LiftField, ScalarField, SphereMapField, VecField,
-                     component_planes, partials_sq, slab_partials,
+from .fields import (_SLAB_ROWS, LiftField, ScalarField, SphereMapField,
+                     VecField, component_planes, energy_density,
                      stencil_partial)
 
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
-
-#: x1-rows per slab in ``energy_identity_defect``
-_ENERGY_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +317,17 @@ def energy_identity_defect(uhat: LiftField, u: SphereMapField,
     """Nodewise |d uhat|^2 - |eta|^2/4 - |du|^2/4 from central
     differences; vanishes to O(h^2) whenever eta is the gauge of uhat.
 
-    The partials are taken one slab of x1-rows at a time
-    (``slab_partials``), so they are never all held at once."""
+    The densities are taken one slab of x1-rows at a time
+    (``energy_density``), so no full set of partials is held."""
     if not (uhat.grid == u.grid == eta.grid):
         raise ValueError("fields live on different grids")
     h = uhat.grid.h
     n = uhat.grid.n
     out = np.empty((n, n, n))
-    for lo in range(0, n, _ENERGY_ROWS):
-        hi = min(lo + _ENERGY_ROWS, n)
-        e_hat = partials_sq(slab_partials(uhat.values, h, lo, hi))
-        e_u = partials_sq(slab_partials(u.values, h, lo, hi))
+    for lo in range(0, n, _SLAB_ROWS):
+        hi = min(lo + _SLAB_ROWS, n)
         v = eta.values[lo:hi]
-        e_eta = np.einsum("...c,...c->...", v, v)
-        out[lo:hi] = e_hat - 0.25 * e_eta - 0.25 * e_u
+        out[lo:hi] = (energy_density(uhat.values, h, lo, hi)
+                      - 0.25 * np.einsum("...c,...c->...", v, v)
+                      - 0.25 * energy_density(u.values, h, lo, hi))
     return ScalarField(uhat.grid, out)

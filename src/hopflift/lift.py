@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartExhausted, NotClosed, NotConverged
-from .fields import LiftField, ScalarField, SphereMapField, VecField, curl, l2_norm
+from .fields import LiftField, SphereMapField, VecField, curl, l2_norm
 from .hopf import (DEFAULT_POLE_ANGLE, energy_identity_defect, gauge_of_lift,
                    hopf, section_of_map)
 from . import solvers
@@ -131,28 +131,27 @@ def _solve_phase(grid, rhs, rel_tol, max_iters):
     mat = solvers.phase_normal_matrix(n)
     phi, iters, achieved, converged = solvers.conjugate_gradient(
         mat, rhs, rel_tol, max_iters)
-    anchor = grid.origin_index()
-    phi = phi - phi[anchor]
-    return phi.reshape(n, n, n), anchor, iters, converged, achieved
+    phi = phi - phi[grid.origin_index()]
+    return phi.reshape(n, n, n), iters, converged, achieved
 
 
-def _projection_error(uhat_values, u_values):
-    diff = hopf(uhat_values) - u_values
-    return float(np.sqrt(np.einsum("...c,...c->...", diff, diff)).max())
-
-
-def _gauge_error(grid, uhat: LiftField, eta: VecField):
-    recovered = gauge_of_lift(uhat)
-    diff = VecField(grid, 1, recovered.values - eta.values)
+def _report(u, eta, uhat, **solve_fields):
+    """The LiftReport of uhat against (u, eta).  ``solve_fields`` give
+    the entries only a solve knows: the pole, its distance, the
+    closedness and the iterations."""
+    grid = u.grid
+    diff = hopf(uhat.values) - u.values
+    projection = float(np.sqrt(np.einsum("...c,...c->...", diff, diff)).max())
+    del diff  # the gauge's stage is the peak: no diff, no cached weights yet
+    err = l2_norm(VecField(grid, 1, gauge_of_lift(uhat).values - eta.values))
     denom = l2_norm(eta)
-    err = l2_norm(diff)
-    return err / denom if denom > _TINY else err
-
-
-def _energy_defect(uhat, u, eta):
-    defect = energy_identity_defect(uhat, u, eta)
-    mask = uhat.grid.cube_interior_mask()
-    return float(np.abs(defect.values[mask]).max())
+    defect = energy_identity_defect(uhat, u, eta).values
+    return LiftReport(
+        projection_error=projection,
+        gauge_error=err / denom if denom > _TINY else err,
+        energy_defect=float(np.abs(defect[grid.cube_interior_mask()]).max()),
+        phase_anchor=grid.origin_index(),
+        **solve_fields)
 
 
 def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
@@ -200,21 +199,15 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     # only the right-hand side of the phase solve is needed from here on
     rhs = solvers.block_adjoint(solvers.GRAD, alpha.values).ravel()
     del section_gauge, curl_alpha, alpha
-    phi, anchor, iters, converged, achieved = _solve_phase(
+    phi, iters, converged, achieved = _solve_phase(
         grid, rhs, rel_tol, max_iters)
     del rhs
     uhat = LiftField(grid, _phase_rotate(section.values, phi))
     del section, phi
-    report = LiftReport(
-        pole_used=tuple(float(c) for c in pole),
-        min_pole_distance=min_dist,
-        alpha_closedness=closedness,
-        projection_error=_projection_error(uhat.values, u.values),
-        gauge_error=_gauge_error(grid, uhat, eta),
-        energy_defect=_energy_defect(uhat, u, eta),
-        phase_anchor=anchor,
-        iterations=iters,
-    )
+    # not verify_lift: the public name is the one tracers wrap
+    report = _report(u, eta, uhat, pole_used=tuple(float(c) for c in pole),
+                     min_pole_distance=min_dist, alpha_closedness=closedness,
+                     iterations=iters)
     if not converged:
         raise NotConverged(
             f"phase solve stopped at {iters} iterations with relative "
@@ -227,15 +220,9 @@ def verify_lift(u: SphereMapField, eta: VecField, uhat: LiftField) -> LiftReport
     uhat was produced.  Pure: repeated calls agree bit-exactly."""
     if not (u.grid == eta.grid == uhat.grid):
         raise ValueError("fields live on different grids")
-    return LiftReport(
-        pole_used=None,
-        min_pole_distance=float("nan"),
-        alpha_closedness=float("nan"),
-        projection_error=_projection_error(uhat.values, u.values),
-        gauge_error=_gauge_error(u.grid, uhat, eta),
-        energy_defect=_energy_defect(uhat, u, eta),
-        phase_anchor=u.grid.origin_index(),
-    )
+    return _report(u, eta, uhat, pole_used=None,
+                   min_pole_distance=float("nan"),
+                   alpha_closedness=float("nan"))
 
 
 def relative_phase(uhat: LiftField, reference: LiftField):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RadiusOutOfRange
+from .errors import InvalidResolution, RadiusOutOfRange
 from .fields import (ScalarField, SphereMapField, VecField, axis_partials, div,
-                     partials_sq)
+                     energy_density)
 
 #: point count of the Fibonacci sphere quadrature used for fluxes
 FLUX_POINTS = 801
@@ -89,12 +89,19 @@ def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseRepo
     are projected tangentially, so the reported maxima are rounding-level
     for exact-unit inputs and grow linearly with any injected norm error.
     ``exclude_radius`` drops nodes near the origin from the maxima (used
-    for fields with a point singularity there), by ``beyond_origin``.
+    for fields with a point singularity there), by ``beyond_origin``;
+    InvalidResolution when that leaves no interior node.
     """
     grid = u.grid
+    mask = grid.cube_interior_mask()
+    if exclude_radius > 0.0:
+        mask = mask & beyond_origin(grid.n, exclude_radius / grid.h)
+    if not mask.any():
+        raise InvalidResolution(
+            f"no interior node beyond |x| = {exclude_radius:.4g} on this grid")
     uv = u.values
+    du_sq = energy_density(uv, grid.h)
     g = axis_partials(uv, grid.h)
-    du_sq = partials_sq(g)
     # project the partials onto the tangent plane of u: that enforces
     # what |u| = 1 gives in the continuum, u . d_j u = 0, and makes the
     # pointwise norm identity algebraic rather than O(h^2)
@@ -110,10 +117,6 @@ def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseRepo
         cross_sq = cross_sq + np.einsum("...c,...c->...", x, x)
     d_sq = np.einsum("...c,...c->...", d_vec, d_vec)
     amgm = np.maximum(0.0, np.sqrt(d_sq) - 0.5 * du_sq)
-
-    mask = grid.cube_interior_mask()
-    if exclude_radius > 0.0:
-        mask = mask & beyond_origin(grid.n, exclude_radius / grid.h)
     return PointwiseReport(
         norm_identity_defect=float(np.abs(d_sq - cross_sq)[mask].max()),
         amgm_violation=float(amgm[mask].max()),
@@ -193,9 +196,15 @@ def exactness_defect(u: SphereMapField, tol=None) -> ExactnessReport:
     probes the flux of D(u) through the spheres of radius 0.25, 0.5 and
     0.75.  ``exact`` needs both small; consistent large fluxes mean
     ``singular``; anything else is ``inconclusive``.  Default tolerance
-    is 10 h^2, matching the stencil order.
+    is 10 h^2, matching the stencil order.  Grids with no room for a
+    probe sphere inside |x| < 1 - 3h (``sphere_flux``), n < 8, raise
+    InvalidResolution.
     """
     grid = u.grid
+    margin = 1.0 - 3.0 * grid.h
+    if margin <= 0.0:
+        raise InvalidResolution(
+            f"the flux probes need 1 - 3h > 0, that is n >= 8; got n={grid.n}")
     if tol is None:
         tol = 10.0 * grid.h ** 2
     d_field = pullback_area_form(u)
@@ -205,9 +214,9 @@ def exactness_defect(u: SphereMapField, tol=None) -> ExactnessReport:
     max_div = float(np.abs(defect.values[mask]).max())
     # on coarse grids the outer probes violate the interpolation margin;
     # probe whatever radii remain admissible
-    radii = [r for r in FLUX_RADII if r < 1.0 - 3.0 * grid.h]
+    radii = [r for r in FLUX_RADII if r < margin]
     if not radii:
-        radii = [0.5 * (1.0 - 3.0 * grid.h)]
+        radii = [0.5 * margin]
     fluxes = [(r, sphere_flux(d_field, r)) for r in radii]
 
     flux_vals = np.array([f for _, f in fluxes])

@@ -10,9 +10,10 @@ adjoints (``block_adjoint``); both are bit-identical to the sparse
 products of the Kronecker matrices they replace, storage order included.
 No solver path builds those matrices any more: ``partial_matrices``,
 ``grad_matrix``, ``curl_matrix``, ``div_matrix`` and
-``boundary_normal_operator`` remain as references.  Because the three
-partials are Kronecker products over disjoint slots they commute exactly,
-which makes curl@grad and div@curl vanish identically as sparse matrices.
+``boundary_normal_operator`` remain as references for the tests and for
+the benchmark tracer's lookups by name.  Because the three partials are
+Kronecker products over disjoint slots they commute exactly, which makes
+curl@grad and div@curl vanish identically as sparse matrices.
 ``scipy.sparse`` is imported by the builders on first use, so importing
 this module costs numpy only.
 """
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverDiverged
-from .fields import _node_weights, _trapezoid
+from .fields import _node_weights, _trapezoid, face_trace
 
 #: block operators as row blocks of (column block, sign, axis) entries,
 #: each standing for sign times the partial along axis; the row blocks of
@@ -114,24 +115,14 @@ def div_matrix(n):
 def boundary_normal_operator(n):
     """(N, wb): rows of N pick the face-normal vector component at every
     node of each cube face; wb holds the matching 2-d trapezoid area
-    weights.  Edge and corner nodes contribute once per adjacent face."""
+    weights.  Edge and corner nodes contribute once per adjacent face.
+    Rows and weights are ``face_trace`` of the solver's component-blocked
+    flat indices, so N @ v is ``face_trace`` of v, bit for bit."""
     import scipy.sparse as sp
-    h = 2.0 / (n - 1)
-    n3 = n ** 3
-    idx = np.arange(n3).reshape(n, n, n)
-    c = _trapezoid(n)
-    area = (h * h * c[:, None] * c[None, :]).ravel()
-    cols, wts = [], []
-    for axis, comp in ((0, 0), (1, 1), (2, 2)):
-        for side in (0, -1):
-            sl = [slice(None)] * 3
-            sl[axis] = side
-            cols.append(comp * n3 + idx[tuple(sl)].ravel())
-            wts.append(area)
-    cols = np.concatenate(cols)
+    flat = np.moveaxis(np.arange(3 * n ** 3).reshape(3, n, n, n), 0, -1)
+    cols, wb = face_trace(flat)
     m = cols.size
-    op = sp.csr_matrix((np.ones(m), (np.arange(m), cols)), shape=(m, 3 * n3))
-    wb = np.concatenate(wts)
+    op = sp.csr_matrix((np.ones(m), (np.arange(m), cols)), shape=(m, flat.size))
     wb.setflags(write=False)
     return op, wb
 

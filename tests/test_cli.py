@@ -90,7 +90,11 @@ def test_gauge_of_lift_roundtrip(tmp_path):
 
 
 def test_gauge_solve_smoke(tmp_path):
-    prefix = gen_family(tmp_path, n=17, a="1,0,0", b="0,2,0")
+    # the planar map's pullback: the lift family's is rounding noise,
+    # which the gauge answers without a solve
+    prefix = str(tmp_path / "pl_")
+    assert run(["gen", "--map", "planar", "--n", "17",
+                "--out-prefix", prefix]) == 0
     d_path = str(tmp_path / "D.h3f")
     assert run(["pullback", "--in", prefix + "u.h3f", "--out", d_path]) == 0
     out = str(tmp_path / "eta_canon.h3f")
@@ -98,7 +102,25 @@ def test_gauge_solve_smoke(tmp_path):
     assert run(["gauge", "--in", d_path, "--out", out, "--report", rep]) == 0
     payload = json.loads(open(rep).read())
     assert payload["converged"] is True
-    assert payload["iterations"] >= 0
+    assert payload["iterations"] > 0
+    assert read_h3f(out).values.any()
+
+
+@pytest.mark.parametrize("n", [17, 33])
+def test_gauge_of_rounding_noise_is_zero(tmp_path, n):
+    # the lift family's pullback is rounding noise: the gauge is the
+    # zero field without a solve, and the report says all of G is left
+    prefix = gen_family(tmp_path, n=n)
+    d_path, out = str(tmp_path / "D.h3f"), str(tmp_path / "a.h3f")
+    rep = str(tmp_path / "gauge.json")
+    assert run(["pullback", "--in", prefix + "u.h3f", "--out", d_path]) == 0
+    assert run(["gauge", "--in", d_path, "--out", out, "--report", rep]) == 0
+    payload = json.loads(open(rep).read())
+    assert payload.pop("converged") is True
+    assert payload.pop("schema") == "hopflift-report@1"
+    assert payload.pop("curl_residual_rel") == 1.0
+    assert set(payload.values()) == {0}
+    assert not read_h3f(out).values.any()
 
 
 def test_lift_refuses_hedgehog(tmp_path):
@@ -176,7 +198,11 @@ def test_bad_field_kind_rejected(tmp_path):
 
 
 def test_gauge_budget_exhaustion_exits_three(tmp_path):
-    prefix = gen_family(tmp_path, n=17, b="0,2,0")
+    # the planar map's pullback: the lift family's is rounding noise,
+    # which the gauge answers with the zero field and no solve
+    prefix = str(tmp_path / "pl_")
+    assert run(["gen", "--map", "planar", "--n", "17",
+                "--out-prefix", prefix]) == 0
     d_path = str(tmp_path / "D.h3f")
     assert run(["pullback", "--in", prefix + "u.h3f", "--out", d_path]) == 0
     rep = str(tmp_path / "gauge.json")
@@ -228,7 +254,7 @@ def test_cli_import_loads_no_scipy():
      "argument --samples: must be positive"),
     (["frame-check", "--samples", "-1"], 64,
      "argument --samples: must be positive"),
-    (["gauge", "--in", "{D}", "--out", "{out}", "--iters", "1"], 3,
+    (["gauge", "--in", "{Dplanar}", "--out", "{out}", "--iters", "1"], 3,
      "hopflift gauge: gauge solve stopped at 1 iterations"),
     (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
       "--iters", "1"], 3, "hopflift lift: phase solve stopped at 1 iterations"),
@@ -265,6 +291,10 @@ def test_cli_import_loads_no_scipy():
      "hopflift approx: --eta is on an n=11 grid, --u on an n=9 grid"),
     (["verify", "--u", "{u}", "--eta", "{eta}", "--uhat", "{uhat11}"], 2,
      "hopflift verify: --uhat is on an n=11 grid, --u on an n=9 grid"),
+    # n^3 * 3 doubles at n = 40000 exceed the 47-bit address space, so
+    # the allocation fails before any memory is touched
+    (["gen", "--map", "constant", "--n", "40000", "--out-prefix", "{out}"],
+     2, "hopflift gen: out of memory: "),
 ], ids=["eps-not-a-number", "eps-empty", "eps-increasing", "eps-nan",
         "tol-zero", "tol-two", "iters-zero", "gauge-degree-1",
         "lift-eta-degree-2", "lift-tol-two", "lift-iters-zero",
@@ -273,7 +303,7 @@ def test_cli_import_loads_no_scipy():
         "closed-tol-inf", "closed-tol-negative", "check-tol-nan",
         "check-tol-zero", "check-tol-negative", "gauge-overflow",
         "lift-mixed-grids", "sweep-mixed-grids", "approx-mixed-grids",
-        "verify-mixed-grids"])
+        "verify-mixed-grids", "gen-out-of-memory"])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
     prefix = gen_family(tmp_path, n=9)
     (tmp_path / "n11").mkdir()
@@ -282,8 +312,15 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
              "eta11": prefix11 + "eta.h3f", "uhat11": prefix11 + "uhat.h3f",
              "D": str(tmp_path / "D.h3f"), "out": str(tmp_path / "out"),
              "nan": str(tmp_path / "nan.h3f"),
-             "big": str(tmp_path / "big.h3f")}
+             "big": str(tmp_path / "big.h3f"),
+             "Dplanar": str(tmp_path / "Dplanar.h3f")}
     assert run(["pullback", "--in", files["u"], "--out", files["D"]]) == 0
+    # the lift family's pullback is rounding noise, which the gauge
+    # answers without a solve; a budget needs a planar map's
+    assert run(["gen", "--map", "planar", "--n", "9",
+                "--out-prefix", str(tmp_path / "pl_")]) == 0
+    assert run(["pullback", "--in", str(tmp_path / "pl_u.h3f"),
+                "--out", files["Dplanar"]]) == 0
     header, payload = open(files["D"], "rb").read().split(b"\n", 1)
     with open(files["nan"], "wb") as fh:
         fh.write(header + b"\n" + b"\xff" * len(payload))
@@ -302,6 +339,28 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
     assert "Traceback" not in err
     if code != 64:
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["check", "--in", "{u}"],
+                                  ["selftest", "--n", "{n}"]],
+                         ids=["check", "selftest"])
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_grids_too_coarse_exit_two(tmp_path, capsys, argv, n):
+    prefix = str(tmp_path / "c_")
+    assert run(["gen", "--map", "constant", "--n", str(n),
+                "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    assert run([a.format(u=prefix + "u.h3f", n=n) for a in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"hopflift {argv[0]}: ")
+
+
+def test_check_at_coarsest_grid_exits_zero(tmp_path):
+    prefix = str(tmp_path / "c_")
+    assert run(["gen", "--map", "constant", "--n", "8",
+                "--out-prefix", prefix]) == 0
+    assert run(["check", "--in", prefix + "u.h3f"]) == 0
 
 
 def test_selftest_independent_of_thread_counts(tmp_path):

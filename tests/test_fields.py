@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
-from hopflift.fields import (Grid3, ScalarField, SphereMapField, VecField,
-                             _convolve_same, _gaussian_kernel, axis_partials,
-                             component_partials, curl, div, grad, l1_norm,
-                             l2_inner, l2_norm, lp_norm, make_grid, mollify,
-                             mollify_components, mollify_region_mask,
-                             partials_sq, slab_partials, stencil_partial)
+from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
+                             VecField, _convolve_same, _gaussian_kernel,
+                             axis_partials, component_partials, curl, div,
+                             energy_density, grad, l1_norm, l2_inner, l2_norm,
+                             lp_norm, make_grid, mollify, mollify_components,
+                             mollify_region_mask, stencil_partial)
 
 
 def scalar(grid, arr):
@@ -182,47 +182,63 @@ class TestStencilMatchesNpGradient:
             for j in range(3):
                 assert parts[j].flags.c_contiguous
                 assert np.array_equal(parts[j], ref[..., j, :])
-            assert np.array_equal(partials_sq(parts),
+            assert np.array_equal(energy_density(vals, h),
                                   np.einsum("...jc,...jc->...", ref, ref))
 
     def test_sum_of_squares_slabs(self, monkeypatch):
-        # slabs of one row and of rows that do not divide n give the
-        # same bits as the whole tensor
-        import hopflift.fields as fields_mod
+        # energy_identity_defect summed slab by slab, for slabs of one
+        # row, of rows that do not divide n and of the whole cube, gives
+        # the same bits as the np.gradient tensors
+        import importlib
+        # the package's ``hopf`` attribute is the map, not the module
+        hopf_mod = importlib.import_module("hopflift.hopf")
         n = 11
-        h = 2.0 / (n - 1)
-        vals = np.random.default_rng(7).normal(size=(n, n, n, 4))
-        ref = gradient_partials(vals, h)
-        want = np.einsum("...jc,...jc->...", ref, ref)
-        for nodes in (1, 4 * n * n, n ** 3):
-            monkeypatch.setattr(fields_mod, "_SLAB_NODES", nodes)
-            assert np.array_equal(partials_sq(axis_partials(vals, h)), want)
-
+        grid = make_grid(n)
+        rng = np.random.default_rng(7)
+        q = rng.normal(size=(n, n, n, 4))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        s = rng.normal(size=(n, n, n, 3))
+        s /= np.linalg.norm(s, axis=-1, keepdims=True)
+        eta = rng.normal(size=(n, n, n, 3))
+        dq = gradient_partials(q, grid.h)
+        ds = gradient_partials(s, grid.h)
+        want = (np.einsum("...jc,...jc->...", dq, dq)
+                - 0.25 * np.einsum("...c,...c->...", eta, eta)
+                - 0.25 * np.einsum("...jc,...jc->...", ds, ds))
+        for rows in (1, 4, n):
+            monkeypatch.setattr(hopf_mod, "_SLAB_ROWS", rows)
+            got = hopf_mod.energy_identity_defect(
+                LiftField(grid, q), SphereMapField(grid, s),
+                VecField(grid, 1, eta))
+            assert np.array_equal(got.values, want)
 
     def test_slab_partials_match_whole_cube(self):
-        # every slab, faces and one-row slabs included, gives the rows
-        # of the whole-cube partials bit for bit
+        # every row range, faces and one-row ranges included, gives the
+        # rows of the whole-cube einsum bit for bit
         for n in (3, 4, 11):
             h = 2.0 / (n - 1)
-            vals = np.random.default_rng(n).normal(size=(n, n, n, 3))
-            whole = axis_partials(vals, h)
-            for lo in range(n):
-                for hi in range(lo + 1, n + 1):
-                    got = slab_partials(vals, h, lo, hi)
-                    for j in range(3):
-                        assert np.array_equal(got[j], whole[j][lo:hi])
+            rng = np.random.default_rng(n)
+            for shape in ((n, n, n), (n, n, n, 3), (n, n, n, 4)):
+                vals = rng.normal(size=shape)
+                d = component_partials(vals, h)
+                want = np.einsum("...jc,...jc->...", d, d)
+                for lo in range(n):
+                    for hi in range(lo + 1, n + 1):
+                        assert np.array_equal(
+                            energy_density(vals, h, lo, hi), want[lo:hi])
 
     def test_sum_of_squares_buffer_sized_from_slab(self):
-        # a slab of two x1-rows needs a buffer of at most those rows
+        # a call for two x1-rows holds at most the stacked buffer of
+        # those rows, twice over
         import tracemalloc
         n = 17
         h = 2.0 / (n - 1)
         vals = np.random.default_rng(3).normal(size=(n, n, n, 4))
-        parts = slab_partials(vals, h, 5, 7)
-        want = np.einsum("...jc,...jc->...", *[np.stack(parts, axis=-2)] * 2)
+        d = component_partials(vals, h)[5:7]
+        want = np.einsum("...jc,...jc->...", d, d)
         tracemalloc.start()
         try:
-            got = partials_sq(parts)
+            got = energy_density(vals, h, 5, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

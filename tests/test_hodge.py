@@ -69,6 +69,59 @@ class TestCanonicalGauge:
         assert rep.curl_residual_rel == 0.0
         assert rep.div_norm == 0.0
 
+    @pytest.mark.parametrize("n", [17, 33])
+    def test_rounding_noise_gets_zero_field(self, n):
+        # the lift family's pullback is rounding noise, not 0.0; it gets
+        # the zero field instead of a solve whose relative figures
+        # measure noise, and the report says all of G is left over
+        from hopflift.pullback import pullback_area_form
+        from hopflift.testmaps import gen_lift_family
+        grid = make_grid(n)
+        _, u, _ = gen_lift_family(grid, np.pi / 4, (1, 0, 0), (0, 1, 0))
+        g_form = pullback_area_form(u)
+        assert 0.0 < l2_norm(g_form) <= hodge._NOISE_FLOOR
+        a, rep = canonical_gauge(g_form)
+        assert not a.values.any()
+        got = rep.to_dict()
+        assert got.pop("curl_residual_rel") == 1.0
+        assert set(got.values()) == {0}
+
+    def test_floor_is_the_only_break_in_scaling(self):
+        # scaling G by a power of two scales every step of the solve
+        # exactly, so the gauge of c G is c times that of G just above
+        # the floor, and the zero field just below it
+        n = 17
+        grid = make_grid(n)
+        _, g_form = manufactured_pair(grid)
+        a, rep = canonical_gauge(g_form)
+        w = grid.node_weights()[..., None]
+        g_norm = float(np.sqrt((g_form.values ** 2 * w).sum()))
+        k = int(np.ceil(np.log2(hodge._NOISE_FLOOR / g_norm)))
+        above = VecField(grid, 2, 2.0 ** k * g_form.values)
+        below = VecField(grid, 2, 2.0 ** (k - 1) * g_form.values)
+        assert l2_norm(below) < hodge._NOISE_FLOOR < l2_norm(above)
+        a_above, rep_above = canonical_gauge(above)
+        assert np.array_equal(a_above.values, 2.0 ** k * a.values)
+        assert rep_above.iterations == rep.iterations > 0
+        assert rep_above.curl_residual_rel == rep.curl_residual_rel
+        a_below, rep_below = canonical_gauge(below)
+        assert not a_below.values.any()
+        assert rep_below.iterations == 0
+        assert rep_below.curl_residual_rel == 1.0
+
+    def test_bump_input_is_solved_as_before(self):
+        # the floor leaves real data to CG: the field is the solver's
+        # own solution, bit for bit
+        n = 17
+        _, g_form = manufactured_pair(make_grid(n))
+        a, rep = canonical_gauge(g_form)
+        rhs = solvers.block_adjoint(solvers.CURL, g_form.values).ravel()
+        x, iters, _, _ = solvers.conjugate_gradient(
+            hodge._normal_matrix(n), rhs, 1e-8, 20 * n)
+        assert rep.iterations == iters > 0
+        assert np.array_equal(
+            a.values, np.moveaxis(x.reshape(3, n, n, n), 0, -1))
+
     def test_manufactured_recovery(self):
         grid = make_grid(33)
         a0, g_form = manufactured_pair(grid)

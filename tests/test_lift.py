@@ -185,6 +185,16 @@ class TestVerify:
         assert ver.gauge_error == rep.gauge_error
         assert ver.energy_defect == rep.energy_defect
 
+    def test_lift_reports_without_verify_lift(self, monkeypatch):
+        # tracers wrap the public name to time verification, so the
+        # lift's own report must not go through it
+        def refuse(*args):
+            raise AssertionError("lift called verify_lift")
+        monkeypatch.setattr(sys.modules["hopflift.lift"], "verify_lift",
+                            refuse)
+        _, u0, eta0 = family(make_grid(9))
+        lift(u0, eta0)
+
     def test_generating_lift_passes(self):
         grid = make_grid(33)
         uhat0, u0, eta0 = family(grid)

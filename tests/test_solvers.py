@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hopflift import solvers
 from hopflift.errors import SolverDiverged
 from hopflift.fields import (ScalarField, VecField, _node_weights, curl, div,
-                             grad, make_grid)
+                             face_trace, grad, make_grid)
 from hopflift.solvers import (CURL, GRAD, block_adjoint,
                               boundary_normal_operator, conjugate_gradient,
                               curl_matrix, div_matrix, gauge_normal_matrix,
@@ -102,6 +102,16 @@ class TestOperatorMatrices:
         assert op.shape == (6 * n * n, 3 * n ** 3)
         # per-face trapezoid weights integrate to the face area 4
         assert wb[:n * n].sum() == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_boundary_operator_is_the_face_trace(self, n):
+        # N @ v picks face_trace's entries in its order, bit for bit,
+        # with its weights
+        v = np.random.default_rng(n).normal(size=(n, n, n, 3))
+        trace, area = face_trace(v)
+        op, wb = boundary_normal_operator(n)
+        assert np.array_equal(op @ flat_vector(v), trace)
+        assert np.array_equal(wb, area)
 
 
 class TestPhaseOperator:
