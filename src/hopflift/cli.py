@@ -62,8 +62,8 @@ def _parse_widths(text):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
-    if not np.all(np.isfinite(widths)):
-        raise argparse.ArgumentTypeError("widths must be finite")
+    if not all(0.0 < w < np.inf for w in widths):
+        raise argparse.ArgumentTypeError("widths must be finite and positive")
     if any(b >= a for a, b in zip(widths, widths[1:])):
         raise argparse.ArgumentTypeError("widths must be strictly decreasing")
     return widths
@@ -88,6 +88,13 @@ def _positive_int(text):
     value = int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
     return value
 
 
@@ -171,7 +178,7 @@ def build_parser():
     p = sub.add_parser("approx", help="one constraint-preserving smoothing step")
     p.add_argument("--u", required=True)
     p.add_argument("--eta", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_positive_float, required=True)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--report")
 
@@ -184,7 +191,7 @@ def build_parser():
 
     p = sub.add_parser("frame-check", help="pointwise frame identities")
     p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=_nonnegative_int, default=11)
     p.add_argument("--report")
 
     p = sub.add_parser("selftest", help="deterministic invariant suite")

@@ -29,6 +29,8 @@ UNIT_TOL = 1e-12
 class Grid3:
     """Uniform node grid on [-1,1]^3 with an inscribed-ball mask.
 
+    Of the grid's arrays only the 1-d axis and the node weights are cached.
+
     Attributes
     ----------
     n : int
@@ -62,12 +64,17 @@ class Grid3:
         return _axis(self.n)
 
     def coords(self):
-        """Three (n,n,n) arrays of node coordinates, 'ij' indexing."""
-        return _coords(self.n)
+        """Three (n,n,n) node coordinates, 'ij' indexing: read-only
+        broadcast views of ``axis()``, so they take no memory of size n^3."""
+        x = self.axis()
+        return np.meshgrid(x, x, x, indexing="ij", copy=False)
 
     def radii(self):
-        """(n,n,n) array of Euclidean node distances from the origin."""
-        return _radii(self.n)
+        """(n,n,n) Euclidean node distances from the origin: the squares of
+        the axis summed in the order of the dense coordinates, same bits."""
+        sq = self.axis() * self.axis()
+        r = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+        return np.sqrt(r, out=r)
 
     def ball_mask(self):
         """Boolean mask of ball-interior nodes (|x| <= 1 - ball_margin)."""
@@ -107,22 +114,6 @@ def _axis(n):
     x = np.linspace(-1.0, 1.0, n)
     x.setflags(write=False)
     return x
-
-
-@lru_cache(maxsize=8)
-def _coords(n):
-    out = np.meshgrid(_axis(n), _axis(n), _axis(n), indexing="ij")
-    for a in out:
-        a.setflags(write=False)
-    return tuple(out)
-
-
-@lru_cache(maxsize=8)
-def _radii(n):
-    x1, x2, x3 = _coords(n)
-    r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    r.setflags(write=False)
-    return r
 
 
 def _trapezoid(n):

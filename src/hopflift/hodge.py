@@ -10,8 +10,9 @@ weighted.  On a simply connected domain the penalties pin the minimizer
 uniquely; the defining property is weak, orthogonality to every gradient,
 which is what the report measures.  It takes each pairing with a gradient
 by parts, <a, grad psi> = psi . (G^T W a), and contracts that one axis at
-a time against the separable trial functions, so no trial psi or gradient
-is kept.
+a time against the separable trial functions; each ||grad psi||^2 is a
+sum of products of 1-d weighted sums.  No trial psi or gradient is
+formed, and only the normal matrix is kept between calls.
 Pointwise normals are ambiguous on cube edges, so the penalty is applied
 facewise and the weak form is the test that matters.
 """
@@ -22,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotConverged
-from .fields import (ScalarField, VecField, curl, div, face_trace, grad,
-                     l1_norm, l2_inner, l2_norm, lp_norm)
+from .fields import (VecField, _trapezoid, curl, div, face_trace, l1_norm,
+                     l2_norm, lp_norm, stencil_partial)
 from . import solvers
 
 #: weighted L^2 norm of a G that ``canonical_gauge`` takes for noise: an
@@ -87,37 +88,17 @@ def _trial_draws(trials, seed):
     return lin, k, phase, amp
 
 
-def _trial_function(grid, lin, k, phase, amp):
-    """One test function on the grid from its row of ``_trial_draws``."""
-    x1, x2, x3 = grid.coords()
-    psi = lin[0] * x1 + lin[1] * x2 + lin[2] * x3
-    for kw, pw, aw in zip(k, phase, amp):
-        psi = psi + aw * np.cos(kw[0] * x1 + kw[1] * x2 + kw[2] * x3 + pw)
-    return psi
-
-
 def random_test_functions(grid, trials, seed):
     """Smooth scalar test functions: a linear ramp plus a few cosine
     plane waves with full 3-vector frequencies."""
-    return [_trial_function(grid, *row)
-            for row in zip(*_trial_draws(trials, seed))]
-
-
-@lru_cache(maxsize=2)
-def _trial_set(grid, trials, seed):
-    """(``_trial_draws(trials, seed)``, (||grad psi||^2, ...)), cached per
-    (grid, trials, seed).  Each psi is formed once, while the cache
-    fills, so the norms are those of ``random_test_functions`` bit for
-    bit; neither psi nor its gradient is kept."""
-    draws = _trial_draws(trials, seed)
-    norms = []
-    for row in zip(*draws):
-        gpsi = grad(ScalarField(grid, _trial_function(grid, *row)))
-        norms.append(l2_inner(gpsi, gpsi))
-        del gpsi
-    for arr in draws:
-        arr.setflags(write=False)
-    return draws, tuple(norms)
+    x1, x2, x3 = grid.coords()
+    out = []
+    for lin, k, phase, amp in zip(*_trial_draws(trials, seed)):
+        psi = lin[0] * x1 + lin[1] * x2 + lin[2] * x3
+        for kw, pw, aw in zip(k, phase, amp):
+            psi = psi + aw * np.cos(kw[0] * x1 + kw[1] * x2 + kw[2] * x3 + pw)
+        out.append(psi)
+    return out
 
 
 def _separable_pairings(s, x, draws):
@@ -154,18 +135,50 @@ def _separable_pairings(s, x, draws):
     return ramp + wave.reshape(trials, waves).sum(axis=1)
 
 
+def _gradient_norms(x, draws):
+    """||grad psi||^2 of each trial psi of ``draws``, trapezoid-weighted,
+    in closed form from the node coordinates x of one axis.
+
+    psi is a sum of terms Re prod_d f_d(x_d), one per ramp component and
+    one per wave, so its stencil partial d_j psi is too, with D f_j in
+    place of f_j.  As (Re z)^2 = Re(z z + z conj(z)) / 2 and the weights
+    are a product of 1-d trapezoid factors, the weighted sum of
+    (d_j psi)^2 is a sum over pairs of terms of products of three 1-d
+    weighted sums, taken in numpy's own einsum loops.
+    """
+    lin, k, phase, amp = draws
+    trials, waves = amp.shape
+    n = x.size
+    h = 2.0 / (n - 1)
+    # f[t, d, s]: factor along axis d of term s (ramp x1, x2, x3, waves)
+    f = np.ones((trials, 3, 3 + waves, n), complex)
+    f[:, range(3), range(3)] = lin[..., None] * x
+    f[:, :, 3:] = np.moveaxis(np.exp(1j * np.multiply.outer(k, x)), 2, 1)
+    f[:, 0, 3:] *= (amp * np.exp(1j * phase))[..., None]
+    df = stencil_partial(f, h, 3, out=np.empty(f.shape, complex))
+    # terms[t, j, d, s]: factor along axis d of term s of d_j psi
+    terms = np.where(np.eye(3, dtype=bool)[:, :, None, None],
+                     df[:, :, None], f[:, None])
+    c = _trapezoid(n)
+    same = np.einsum("tjdsi,tjdui,i->tjdsu", terms, terms, c)
+    cross = np.einsum("tjdsi,tjdui,i->tjdsu", terms, terms.conj(), c)
+    pairs = same.prod(axis=2) + cross.prod(axis=2)
+    return 0.5 * h ** 3 * pairs.real.sum(axis=(1, 2, 3))
+
+
 def _gradient_pairings(a: VecField, trials, seed):
-    """(<a, grad psi>, ||grad psi||^2) for each cached trial psi.
+    """Arrays of <a, grad psi> and ||grad psi||^2 over the trial psi of
+    ``_trial_draws(trials, seed)``, neither psi nor its gradient formed.
 
     The pairing is taken by parts: the trapezoid-weighted sum of
     a . grad psi is psi . (G^T W a), with G the discrete gradient, so one
     adjoint serves every trial; ``_separable_pairings`` takes each psi .
-    (G^T W a) without forming psi.
+    (G^T W a) and ``_gradient_norms`` each ||grad psi||^2.
     """
-    draws, norms = _trial_set(a.grid, trials, seed)
+    draws = _trial_draws(trials, seed)
+    x = a.grid.axis()
     s = solvers.block_adjoint(solvers.GRAD, a.values)[0]
-    pairings = _separable_pairings(s, a.grid.axis(), draws)
-    return zip(pairings.tolist(), norms)
+    return _separable_pairings(s, x, draws), _gradient_norms(x, draws)
 
 
 def _weak_trace_defect(a: VecField, trials=20, seed=2024):
@@ -174,11 +187,9 @@ def _weak_trace_defect(a: VecField, trials=20, seed=2024):
     na = l2_norm(a)
     if na == 0.0:
         return 0.0
-    worst = 0.0
-    for pairing, ng_sq in _gradient_pairings(a, trials, seed):
-        ng = float(np.sqrt(max(ng_sq, 0.0)))
-        worst = max(worst, abs(pairing) / (na * ng))
-    return worst
+    pairing, ng_sq = _gradient_pairings(a, trials, seed)
+    ng = np.sqrt(np.maximum(ng_sq, 0.0))
+    return float(np.max(np.abs(pairing) / (na * ng)))
 
 
 def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
@@ -267,10 +278,7 @@ def gauge_minimality_check(a: VecField, trials=20, seed=7):
     na = l2_norm(a)
     if na == 0.0:
         return 0.0
-    worst = -np.inf
-    for pairing, ng_sq in _gradient_pairings(a, trials, seed):
-        if ng_sq == 0.0:
-            continue
-        best_sq = max(na * na - pairing * pairing / ng_sq, 0.0)
-        worst = max(worst, na - np.sqrt(best_sq))
-    return float(worst)
+    pairing, ng_sq = _gradient_pairings(a, trials, seed)
+    keep = ng_sq != 0.0
+    best_sq = np.maximum(na * na - pairing[keep] ** 2 / ng_sq[keep], 0.0)
+    return float(np.max(na - np.sqrt(best_sq), initial=-np.inf))

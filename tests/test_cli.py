@@ -254,6 +254,26 @@ def test_cli_import_loads_no_scipy():
      "argument --samples: must be positive"),
     (["frame-check", "--samples", "-1"], 64,
      "argument --samples: must be positive"),
+    (["frame-check", "--seed", "-1"], 64,
+     "argument --seed: must be non-negative, got -1"),
+    (["approx", "--u", "{u}", "--eta", "{eta}", "--eps", "nan",
+      "--out-prefix", "{out}"], 64,
+     "argument --eps: must be a positive finite number"),
+    (["approx", "--u", "{u}", "--eta", "{eta}", "--eps", "inf",
+      "--out-prefix", "{out}"], 64,
+     "argument --eps: must be a positive finite number"),
+    (["approx", "--u", "{u}", "--eta", "{eta}", "--eps", "0",
+      "--out-prefix", "{out}"], 64,
+     "argument --eps: must be a positive finite number"),
+    (["approx", "--u", "{u}", "--eta", "{eta}", "--eps", "-1",
+      "--out-prefix", "{out}"], 64,
+     "argument --eps: must be a positive finite number"),
+    (["sweep", "--u", "{u}", "--eta", "{eta}", "--csv", "{out}",
+      "--eps", "0.2,0"], 64,
+     "argument --eps: widths must be finite and positive"),
+    (["sweep", "--u", "{u}", "--eta", "{eta}", "--csv", "{out}",
+      "--eps", "-0.1"], 64,
+     "argument --eps: widths must be finite and positive"),
     (["gauge", "--in", "{Dplanar}", "--out", "{out}", "--iters", "1"], 3,
      "hopflift gauge: gauge solve stopped at 1 iterations"),
     (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
@@ -298,7 +318,9 @@ def test_cli_import_loads_no_scipy():
 ], ids=["eps-not-a-number", "eps-empty", "eps-increasing", "eps-nan",
         "tol-zero", "tol-two", "iters-zero", "gauge-degree-1",
         "lift-eta-degree-2", "lift-tol-two", "lift-iters-zero",
-        "samples-zero", "samples-negative", "gauge-budget", "lift-budget",
+        "samples-zero", "samples-negative", "seed-negative", "approx-eps-nan",
+        "approx-eps-inf", "approx-eps-zero", "approx-eps-negative",
+        "sweep-eps-zero", "sweep-eps-negative", "gauge-budget", "lift-budget",
         "nan-payload", "constant-zero", "liftfam-a-nan", "closed-tol-nan",
         "closed-tol-inf", "closed-tol-negative", "check-tol-nan",
         "check-tol-zero", "check-tol-negative", "gauge-overflow",

@@ -126,11 +126,21 @@ NUMBER = mostly(
 COUNT = mostly(st.integers(1, 400).map(str),
                st.one_of(st.integers(-3, 0).map(str),
                          st.text(alphabet="0123456789.-e", max_size=3)))
+#: random seeds: any signed integer, the negative ones refused
+SEED = st.one_of(st.integers(-3, 3), st.integers()).map(str)
+
+
+def _positive_number(text):
+    try:
+        return 0.0 < float(text) < float("inf")
+    except ValueError:
+        return False
 
 
 @FUZZ
 @given(data=st.data(),
-       command=st.sampled_from(["sweep", "gauge", "lift", "frame-check"]),
+       command=st.sampled_from(["sweep", "gauge", "lift", "approx",
+                                "frame-check"]),
        strict=st.booleans())
 def test_flag_values(files, data, command, strict):
     f = files
@@ -144,7 +154,16 @@ def test_flag_values(files, data, command, strict):
     elif command == "lift":
         argv = ["lift", "--u", f["u"], "--eta", f["eta"], "--out", f["out"],
                 "--tol", data.draw(NUMBER), "--iters", data.draw(COUNT)]
+    elif command == "approx":
+        eps = data.draw(NUMBER)
+        argv = ["approx", "--u", f["u"], "--eta", f["eta"],
+                "--out-prefix", f["out"], "--eps", eps]
     else:
-        argv = ["frame-check", "--samples", data.draw(COUNT)]
+        argv = ["frame-check", "--samples", data.draw(COUNT),
+                "--seed", data.draw(SEED)]
     argv = ["--strict", *argv] if strict else argv
-    assert_contract(*run_cli(argv))
+    code, err = run_cli(argv)
+    assert_contract(code, err)
+    if command == "approx" and not _positive_number(eps):
+        # refused at parse time, before any file is read or lift run
+        assert code == 64, err

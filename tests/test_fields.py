@@ -45,6 +45,27 @@ class TestGrid:
         for axis in range(3):
             assert np.array_equal(m, np.flip(m, axis=axis))
 
+    def test_coords_are_read_only_views_of_axis(self):
+        grid = make_grid(9)
+        coords = grid.coords()
+        assert len(coords) == 3
+        for c in coords:
+            assert c.shape == (9, 9, 9)
+            assert np.shares_memory(c, grid.axis())
+            with pytest.raises(ValueError):
+                c[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_radii_match_dense_coordinates(self, n):
+        # the squares of the 1-d axis summed in the dense order give the
+        # same bits; even n put ties around the origin for argmin to break
+        grid = make_grid(n)
+        x1, x2, x3 = np.meshgrid(*(np.linspace(-1.0, 1.0, n),) * 3,
+                                 indexing="ij")
+        dense = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+        assert np.array_equal(grid.radii(), dense)
+        assert grid.origin_index() == int(np.argmin(dense))
+
 
 class TestOperators:
     grid = make_grid(17)

@@ -7,11 +7,12 @@ import pytest
 
 import hopflift
 
-from hopflift import hodge, solvers
+from hopflift import hodge, solvers, testmaps
 from hopflift.errors import NotConverged
 from hopflift.fields import ScalarField, VecField, curl, grad, l2_inner, l2_norm, make_grid
 from hopflift.hodge import (GaugeSolveConfig, canonical_gauge,
                             gauge_minimality_check, random_test_functions)
+from hopflift.lift import lift
 
 
 def interior_bump(t, half=0.75):
@@ -220,12 +221,20 @@ class TestCanonicalGauge:
 
 def clear_gauge_caches():
     hodge._normal_matrix.cache_clear()
-    hodge._trial_set.cache_clear()
+
+
+def package_caches():
+    """{"module.name": function} for every lru_cache of hopflift, named
+    where it is defined."""
+    return {f"{fn.__module__}.{fn.__qualname__}": fn
+            for mod_name, mod in list(sys.modules.items())
+            if mod_name.startswith("hopflift.")
+            for fn in vars(mod).values() if hasattr(fn, "cache_info")}
 
 
 class TestGaugeCaches:
-    """The normal matrix and the trial norms are built once per grid;
-    a warm call must reproduce a cold one bit for bit."""
+    """The normal matrix is built once per n; a warm call must reproduce
+    a cold one bit for bit."""
 
     def test_warm_calls_match_cold_call(self):
         grid = make_grid(33)
@@ -241,9 +250,7 @@ class TestGaugeCaches:
 
     def test_cached_arrays_are_read_only(self):
         mat = hodge._normal_matrix(9)
-        cached = [mat.data, mat.indices, mat.indptr]
-        cached += list(hodge._trial_set(make_grid(9), 3, 7)[0])
-        for arr in cached:
+        for arr in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
 
@@ -259,36 +266,28 @@ class TestGaugeCaches:
         assert hodge._normal_matrix(9) is m9
         assert hodge._normal_matrix(5) is m5
 
-    def test_trial_cache_holds_no_grid_array(self):
-        n = 9
-        clear_gauge_caches()
-        draws, norms = hodge._trial_set(make_grid(n), 20, 2024)
-        assert len(norms) == 20
-        for arr in draws:
-            assert arr.size < n ** 3
-        assert all(isinstance(ng_sq, float) for ng_sq in norms)
-
-    def test_trial_norms_exact(self):
-        grid = make_grid(9)
-        clear_gauge_caches()
-        _, norms = hodge._trial_set(grid, 20, 2024)
-        refs = random_test_functions(grid, 20, 2024)
-        assert len(refs) == len(norms)
-        for ng_sq, ref in zip(norms, refs):
-            gpsi = grad(ScalarField(grid, ref))
-            assert ng_sq == l2_inner(gpsi, gpsi)
-
-    def test_trial_cache_reused(self):
-        grid = make_grid(9)
-        clear_gauge_caches()
-        cached = hodge._trial_set(grid, 20, 2024)
-        assert hodge._trial_set(make_grid(9), 20, 2024) is cached
-        assert hodge._trial_set(grid, 20, 7) is not cached
+    def test_only_grid_caches_stay_filled(self):
+        # what stays between calls: the 1-d axis, the node weights and
+        # the gauge's normal matrix; no coordinate, radius or trial cache
+        grid = make_grid(17)
+        _, u, eta = testmaps.gen_lift_family(grid, 0.8, (1.0, 0.5, 0.0),
+                                             (0.0, 1.0, 0.3))
+        _, g_form = manufactured_pair(grid)
+        for fn in package_caches().values():
+            fn.cache_clear()
+        lift(u, eta)
+        a, _ = canonical_gauge(g_form)
+        gauge_minimality_check(a)
+        filled = {name for name, fn in package_caches().items()
+                  if fn.cache_info().currsize}
+        assert filled == {"hopflift.fields._axis",
+                          "hopflift.fields._node_weights",
+                          "hopflift.hodge._normal_matrix"}
 
     def test_checks_match_uncached_loops(self):
         # the loops as they read when every gradient was formed: the
-        # pairings by parts round differently, so the checks agree to
-        # rounding, the weak defect being already relative
+        # pairings by parts and the closed-form norms round differently,
+        # so the checks agree to rounding, the weak defect being relative
         grid = make_grid(17)
         _, g_form = manufactured_pair(grid)
         a, _ = canonical_gauge(g_form)
@@ -347,8 +346,23 @@ def test_separable_pairing_matches_dense(n):
         assert abs(pairing - dense) <= bound
 
 
+@pytest.mark.parametrize("n", [3, 4, 9, 33])
+def test_separable_norms_match_dense(n):
+    # the closed-form ||grad psi||^2 equals the weighted norm of the
+    # gradient of every psi formed on the grid
+    grid = make_grid(n)
+    got = hodge._gradient_norms(grid.axis(), hodge._trial_draws(20, 2024))
+    psis = random_test_functions(grid, 20, 2024)
+    assert len(got) == len(psis)
+    for ng_sq, psi in zip(got, psis):
+        gpsi = grad(ScalarField(grid, psi))
+        dense = l2_inner(gpsi, gpsi)
+        assert abs(ng_sq - dense) <= 1e-13 * dense
+
+
 def test_checks_independent_of_blas_threads(tmp_path):
-    # the pairings' dot products run in numpy's own loop, not in BLAS
+    # the pairings' and the norms' contractions run in numpy's own
+    # einsum loops, not in BLAS
     grid = make_grid(33)
     _, g_form = manufactured_pair(grid)
     a, _ = canonical_gauge(g_form)
@@ -383,8 +397,8 @@ class TestGaugeMemory:
     def test_peak_allocation_bounded(self):
         # the normal matrix is assembled straight into CSR arrays: no
         # Kronecker factors and no sparse-product temporaries; the peak is
-        # the matrix and the CG vectors, and the trial cache holds no
-        # grid array (measured 65.2 n^3)
+        # the matrix and the CG vectors, and no trial psi is formed
+        # (measured 63.5 n^3)
         import tracemalloc
         import scipy.sparse  # noqa: F401  (imports are not the gauge's)
         from scipy.sparse import _sparsetools  # noqa: F401

@@ -153,7 +153,7 @@ class TestLiftMemory:
         # report's partials are taken one slab of rows at a time and the
         # pole scan keeps a running max: no Kronecker factors stay cached,
         # no (n,n,n,3,c) tensor and no nodes-by-candidates matrix is built
-        # (measured 23.6 n^3)
+        # (measured 23.5 n^3)
         import tracemalloc
         import scipy.sparse  # noqa: F401  (imports are not the lift's)
         from scipy.sparse import _sparsetools  # noqa: F401
