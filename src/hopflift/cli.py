@@ -76,6 +76,13 @@ def _rel_tol(text):
     return tol
 
 
+def _ball_margin(text):
+    value = float(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return value
+
+
 def _positive_float(text):
     value = float(text)
     if not (np.isfinite(value) and value > 0.0):
@@ -117,7 +124,7 @@ def build_parser():
                                  "on the cube grid")
     parser.add_argument("--strict", action="store_true",
                         help="halve every tolerance")
-    parser.add_argument("--ball-margin", type=float,
+    parser.add_argument("--ball-margin", type=_ball_margin,
                         default=DEFAULT_BALL_MARGIN,
                         help="radius shrink of the ball mask used for norms")
     sub = parser.add_subparsers(dest="command", required=True)

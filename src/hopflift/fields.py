@@ -261,14 +261,10 @@ def axis_partials(values, h):
     return out
 
 
-#: x1-rows per slab of ``energy_density`` in ``energy_identity_defect``
-_SLAB_ROWS = 8
-
-
-def energy_density(values, h, lo=0, hi=None):
-    """|grad v|^2 per node on the x1-rows lo..hi-1 of a (n,n,n) or
-    (n,n,n,c) array v: ``np.einsum("...jc,...jc->...", d, d)`` for
-    d = ``component_partials(values, h)[lo:hi]``, bit for bit.
+def energy_density(values, h):
+    """|grad v|^2 per node of a (n,n,n) or (n,n,n,c) array v:
+    ``np.einsum("...jc,...jc->...", d, d)`` for
+    d = ``component_partials(values, h)``, bit for bit.
 
     einsum reduces each node's 3c products with fused multiply-adds in
     an order no sum of planes reproduces, so the stack is kept, but for
@@ -277,16 +273,15 @@ def energy_density(values, h, lo=0, hi=None):
     on row r.
     """
     n = values.shape[0]
-    hi = n if hi is None else hi
     v = _flat_values(values)
-    out = np.empty((hi - lo,) + v.shape[1:3])
+    out = np.empty(v.shape[:3])
     d = np.empty(v.shape[1:3] + (3, v.shape[-1]))
-    for r in range(lo, hi):
+    for r in range(n):
         s = max(0, min(r - 1, n - 3))
         d[..., 0, :] = stencil_partial(v[s:s + 3], h, 0)[r - s]
         stencil_partial(v[r], h, 0, out=d[..., 1, :])
         stencil_partial(v[r], h, 1, out=d[..., 2, :])
-        np.einsum("...jc,...jc->...", d, d, out=out[r - lo])
+        np.einsum("...jc,...jc->...", d, d, out=out[r])
     return out
 
 
@@ -399,7 +394,6 @@ def l1_norm(a, region="cube"):
 # mollification
 
 
-@lru_cache(maxsize=32)
 def _gaussian_kernel(eps, h):
     """Truncated Gaussian (std eps, support radius 3*eps) sampled on node
     offsets, weights normalized to sum to 1."""
@@ -410,7 +404,6 @@ def _gaussian_kernel(eps, h):
     ker = np.exp(-0.5 * r2 / (eps * eps))
     ker[r2 > (3.0 * eps) ** 2] = 0.0
     ker /= ker.sum()
-    ker.setflags(write=False)
     return ker
 
 

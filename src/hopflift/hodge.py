@@ -31,6 +31,9 @@ from . import solvers
 #: absolute floor, far above the 1e-16 rounding of a unit map's pullback
 _NOISE_FLOOR = 1e-12
 
+#: trial count and seed of the test gradients behind ``weak_trace_defect``
+_WEAK_TRIALS, _WEAK_SEED = 20, 2024
+
 
 @dataclass
 class GaugeSolveConfig:
@@ -61,10 +64,8 @@ class GaugeReport:
 
 @lru_cache(maxsize=2)
 def _normal_matrix(n):
-    """The CSR normal matrix of the gauge functional (div penalty 1,
-    boundary penalty 10/h), cached read-only per n."""
-    h = 2.0 / (n - 1)
-    mat = solvers.gauge_normal_matrix(n, 1.0, 10.0 / h)
+    """``solvers.gauge_normal_matrix(n)``, cached read-only per n."""
+    mat = solvers.gauge_normal_matrix(n)
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.setflags(write=False)
     return mat
@@ -181,13 +182,13 @@ def _gradient_pairings(a: VecField, trials, seed):
     return _separable_pairings(s, x, draws), _gradient_norms(x, draws)
 
 
-def _weak_trace_defect(a: VecField, trials=20, seed=2024):
-    """Max over test gradients of the relative L^2 pairing with a, each
-    pairing taken by parts (``_gradient_pairings``)."""
+def _weak_trace_defect(a: VecField):
+    """Max over the ``_WEAK_TRIALS`` test gradients of the relative L^2
+    pairing with a, each taken by parts (``_gradient_pairings``)."""
     na = l2_norm(a)
     if na == 0.0:
         return 0.0
-    pairing, ng_sq = _gradient_pairings(a, trials, seed)
+    pairing, ng_sq = _gradient_pairings(a, _WEAK_TRIALS, _WEAK_SEED)
     ng = np.sqrt(np.maximum(ng_sq, 0.0))
     return float(np.max(np.abs(pairing) / (na * ng)))
 
@@ -200,7 +201,7 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
     NotConverged (carrying the partial result) is raised when the
     iteration budget runs out first.  A G whose weighted L^2 norm is at
     most ``_NOISE_FLOOR`` gets the zero field without a solve, reported
-    with 0 iterations and a relative curl residual of 1: all of G.
+    with 0 iterations and a relative curl residual of 1 (0 when G = 0).
     """
     if g_form.degree != 2:
         raise ValueError("canonical_gauge expects a degree-2 field")

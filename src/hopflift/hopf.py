@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadLatitude, NotTangent, NotUnit, TooCloseToPole
-from .fields import (_SLAB_ROWS, LiftField, ScalarField, SphereMapField,
-                     VecField, component_planes, energy_density,
-                     stencil_partial)
+from .fields import (LiftField, ScalarField, SphereMapField, VecField,
+                     component_planes, energy_density, stencil_partial)
 
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
@@ -148,7 +147,7 @@ def gauge_of_lift(uhat: LiftField) -> VecField:
     return VecField(uhat.grid, 1, out)
 
 
-def stereo_section(p, pole=DEFAULT_POLE, min_angle=DEFAULT_POLE_ANGLE):
+def stereo_section(p, pole=DEFAULT_POLE):
     """A smooth right inverse of h on S^2 minus a cone around ``pole``.
 
     Works on one point or an (..., 3) array.  The section is the
@@ -156,7 +155,7 @@ def stereo_section(p, pole=DEFAULT_POLE, min_angle=DEFAULT_POLE_ANGLE):
     conjugating i to the pure quaternion paired with p, routed through a
     fixed intermediate axis so the cut sits exactly at the pole.  The
     roundtrip h(s(p)) = p holds to rounding; TooCloseToPole is raised
-    when any input is within ``min_angle`` radians of the pole.
+    when any input is within ``DEFAULT_POLE_ANGLE`` radians of the pole.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
@@ -167,7 +166,7 @@ def stereo_section(p, pole=DEFAULT_POLE, min_angle=DEFAULT_POLE_ANGLE):
     pole = np.asarray(pole, dtype=np.float64)
     pole = pole / np.linalg.norm(pole)
     ang = np.arccos(np.clip(pts @ pole, -1.0, 1.0))
-    if ang.min() < min_angle:
+    if ang.min() < DEFAULT_POLE_ANGLE:
         raise TooCloseToPole(
             f"point within {ang.min():.4f} rad of the section pole")
 
@@ -192,10 +191,9 @@ def stereo_section(p, pole=DEFAULT_POLE, min_angle=DEFAULT_POLE_ANGLE):
     return q[0] if single else q
 
 
-def section_of_map(u: SphereMapField, pole=DEFAULT_POLE,
-                   min_angle=DEFAULT_POLE_ANGLE) -> LiftField:
+def section_of_map(u: SphereMapField, pole=DEFAULT_POLE) -> LiftField:
     """Compose the section with a sphere-valued field nodewise."""
-    vals = stereo_section(u.values.reshape(-1, 3), pole, min_angle)
+    vals = stereo_section(u.values.reshape(-1, 3), pole)
     return LiftField(u.grid, vals.reshape(u.values.shape[:-1] + (4,)))
 
 
@@ -317,17 +315,12 @@ def energy_identity_defect(uhat: LiftField, u: SphereMapField,
     """Nodewise |d uhat|^2 - |eta|^2/4 - |du|^2/4 from central
     differences; vanishes to O(h^2) whenever eta is the gauge of uhat.
 
-    The densities are taken one slab of x1-rows at a time
-    (``energy_density``), so no full set of partials is held."""
+    Each density is one whole-cube ``energy_density``, which takes the
+    partials one x1-row at a time, so no full set of partials is held."""
     if not (uhat.grid == u.grid == eta.grid):
         raise ValueError("fields live on different grids")
     h = uhat.grid.h
-    n = uhat.grid.n
-    out = np.empty((n, n, n))
-    for lo in range(0, n, _SLAB_ROWS):
-        hi = min(lo + _SLAB_ROWS, n)
-        v = eta.values[lo:hi]
-        out[lo:hi] = (energy_density(uhat.values, h, lo, hi)
-                      - 0.25 * np.einsum("...c,...c->...", v, v)
-                      - 0.25 * energy_density(u.values, h, lo, hi))
+    out = energy_density(uhat.values, h)
+    out -= 0.25 * np.einsum("...c,...c->...", eta.values, eta.values)
+    out -= 0.25 * energy_density(u.values, h)
     return ScalarField(uhat.grid, out)

@@ -55,12 +55,12 @@ def _min_angles(pts, cands):
     return np.arccos(np.clip(top, -1.0, 1.0))
 
 
-def select_pole(u: SphereMapField, candidates=None, min_angle=DEFAULT_POLE_ANGLE):
+def select_pole(u: SphereMapField, candidates=None):
     """Pick the candidate direction farthest (in min angle) from the
     range of u; first in candidate order on ties.
 
-    Raises ChartExhausted when no candidate clears ``min_angle``: the
-    range of u is too dense on the sphere for a single chart.
+    Raises ChartExhausted when no candidate clears ``DEFAULT_POLE_ANGLE``:
+    the range of u is too dense on the sphere for a single chart.
     """
     cands = default_pole_candidates() if candidates is None else np.asarray(
         candidates, dtype=np.float64)
@@ -68,10 +68,10 @@ def select_pole(u: SphereMapField, candidates=None, min_angle=DEFAULT_POLE_ANGLE
         raise ValueError("empty candidate list")
     min_angles = _min_angles(u.values.reshape(-1, 3), cands)
     best = int(np.argmax(min_angles))
-    if min_angles[best] < min_angle:
+    if min_angles[best] < DEFAULT_POLE_ANGLE:
         raise ChartExhausted(
-            f"range of u is {min_angle}-dense on S^2; best candidate only "
-            f"{min_angles[best]:.4f} rad clear")
+            f"range of u is {DEFAULT_POLE_ANGLE}-dense on S^2; best "
+            f"candidate only {min_angles[best]:.4f} rad clear")
     return cands[best]
 
 

@@ -152,17 +152,17 @@ def _trilinear(values, points, grid):
     return out
 
 
-def sphere_flux(d_field: VecField, radius, npts=FLUX_POINTS):
+def sphere_flux(d_field: VecField, radius):
     """Outward flux of a degree-2 field through the sphere |x| = radius,
     by Fibonacci-point quadrature with trilinear interpolation."""
     grid = d_field.grid
     if not 0.0 < radius < 1.0 - 3.0 * grid.h:
         raise RadiusOutOfRange(
             f"flux radius must lie in (0, 1 - 3h) = (0, {1 - 3 * grid.h:.4f})")
-    normals = _fibonacci_sphere(npts)
+    normals = _fibonacci_sphere(FLUX_POINTS)
     vals = _trilinear(d_field.values, radius * normals, grid)
     integrand = np.einsum("ij,ij->i", vals, normals)
-    return float(4.0 * np.pi * radius * radius / npts * integrand.sum())
+    return float(4.0 * np.pi * radius * radius / FLUX_POINTS * integrand.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,19 @@ straight into CSR arrays from the 1-d stencil (``_normal_tables``,
 ``_csr_from_tables``) and their right-hand sides A^T W v are slice-wise
 adjoints (``block_adjoint``); both are bit-identical to the sparse
 products of the Kronecker matrices they replace, storage order included.
-No solver path builds those matrices any more: ``partial_matrices``,
+No solver path builds those matrices: ``partial_matrices``,
 ``grad_matrix``, ``curl_matrix``, ``div_matrix`` and
-``boundary_normal_operator`` remain as references for the tests and for
-the benchmark tracer's lookups by name.  Because the three partials are
-Kronecker products over disjoint slots they commute exactly, which makes
-curl@grad and div@curl vanish identically as sparse matrices.
-``scipy.sparse`` is imported by the builders on first use, so importing
-this module costs numpy only.
+``boundary_normal_operator`` remain, uncached, as references for the
+tests and for the benchmark tracer's lookups by name.  Because the three
+partials are Kronecker products over disjoint slots they commute
+exactly, which makes curl@grad and div@curl vanish identically as sparse
+matrices.  ``scipy.sparse`` is imported by the builders on first use,
+so importing this module costs numpy only.
 """
 
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,15 +49,6 @@ def _d1_rows(n, h):
     return rows
 
 
-@lru_cache(maxsize=8)
-def _d1(n, h):
-    import scipy.sparse as sp
-    entries = [(r, col, coef) for r, row in enumerate(_d1_rows(n, h))
-               for col, coef in row]
-    rows, cols, data = zip(*entries)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def _column_runs(n, h):
     """The 1-d matrix by columns: [lo, hi, terms] for each run of
     consecutive columns i whose entries, as (source row - i, coefficient)
@@ -76,12 +66,13 @@ def _column_runs(n, h):
     return runs
 
 
-@lru_cache(maxsize=8)
 def partial_matrices(n):
     """(P1, P2, P3): flat-index partial-derivative operators on scalars."""
     import scipy.sparse as sp
-    h = 2.0 / (n - 1)
-    d = _d1(n, h)
+    rows, cols, data = zip(*[
+        (r, col, coef) for r, row in enumerate(_d1_rows(n, 2.0 / (n - 1)))
+        for col, coef in row])
+    d = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     eye = sp.identity(n, format="csr")
     p1 = sp.kron(sp.kron(d, eye), eye, format="csr")
     p2 = sp.kron(sp.kron(eye, d), eye, format="csr")
@@ -89,14 +80,12 @@ def partial_matrices(n):
     return p1, p2, p3
 
 
-@lru_cache(maxsize=8)
 def grad_matrix(n):
     import scipy.sparse as sp
     p1, p2, p3 = partial_matrices(n)
     return sp.vstack([p1, p2, p3], format="csr")
 
 
-@lru_cache(maxsize=8)
 def curl_matrix(n):
     import scipy.sparse as sp
     p1, p2, p3 = partial_matrices(n)
@@ -104,14 +93,12 @@ def curl_matrix(n):
                    format="csr")
 
 
-@lru_cache(maxsize=8)
 def div_matrix(n):
     import scipy.sparse as sp
     p1, p2, p3 = partial_matrices(n)
     return sp.hstack([p1, p2, p3], format="csr")
 
 
-@lru_cache(maxsize=8)
 def boundary_normal_operator(n):
     """(N, wb): rows of N pick the face-normal vector component at every
     node of each cube face; wb holds the matching 2-d trapezoid area
@@ -123,7 +110,6 @@ def boundary_normal_operator(n):
     cols, wb = face_trace(flat)
     m = cols.size
     op = sp.csr_matrix((np.ones(m), (np.arange(m), cols)), shape=(m, flat.size))
-    wb.setflags(write=False)
     return op, wb
 
 
@@ -321,31 +307,26 @@ def phase_normal_matrix(n):
     return _csr_from_tables(_normal_tables(GRAD, n), n, 1)
 
 
-def gauge_normal_matrix(n, div_penalty, boundary_penalty):
-    """C^T W C + div_penalty D^T w D + boundary_penalty N^T wb N as CSR,
-    with C = curl_matrix(n), D = div_matrix(n), (N, wb) =
-    boundary_normal_operator(n) and W, w the node weights.
+def gauge_normal_matrix(n):
+    """The gauge functional's normal matrix C^T W C + D^T w D +
+    (10/h) N^T wb N as CSR, with C = curl_matrix(n), D = div_matrix(n),
+    (N, wb) = boundary_normal_operator(n) and W, w the node weights.
 
     Bit-identical to the sum of the three sparse products, storage order
-    included: the penalties scale the finished products, and each sum
-    drops the entries that cancel to exactly 0.0, as the mixed-component
-    terms of C^T W C and D^T w D do inside the cube when div_penalty is 1.
-    N^T wb N is diagonal: the face area weight at every face node of the
-    face-normal component.
+    included: 10/h scales the finished product, and each sum drops the
+    entries that cancel to exactly 0.0, as the mixed-component terms of
+    C^T W C and D^T w D do inside the cube.  N^T wb N is diagonal: the
+    face area weight at every face node of the face-normal component.
     """
     h = 2.0 / (n - 1)
     c = _trapezoid(n)
     curl_t = _normal_tables(CURL, n)
     div_t = _normal_tables(DIV, n)
-    tables = {}
-    for key in curl_t.keys() | div_t.keys():
-        scaled = div_t.get(key)
-        if scaled is not None:
-            scaled = div_penalty * scaled
-        tables[key] = _add(curl_t.get(key), scaled, c)
+    tables = {key: _add(curl_t.get(key), div_t.get(key), c)
+              for key in curl_t.keys() | div_t.keys()}
     del curl_t, div_t
     face = np.zeros(n)
-    face[0] = face[-1] = boundary_penalty * (h * h)
+    face[0] = face[-1] = (10.0 / h) * (h * h)
     for b in range(3):
         key = (b, b, (0, 0, 0))
         tables[key] = _add(tables[key], _on_axes(face, (b,)), c)

@@ -8,8 +8,8 @@ import pytest
 
 import hopflift
 from hopflift.cli import run
-from hopflift.fileio import read_h3f
-from hopflift.fields import LiftField, SphereMapField, VecField
+from hopflift.fileio import read_h3f, write_h3f
+from hopflift.fields import LiftField, SphereMapField, VecField, make_grid
 
 
 def gen_family(tmp_path, n=17, a="1,0,0", b="0,1,0"):
@@ -123,13 +123,26 @@ def test_gauge_of_rounding_noise_is_zero(tmp_path, n):
     assert not read_h3f(out).values.any()
 
 
+def test_gauge_of_zero_field(tmp_path):
+    # G = 0 exactly: the zero field matches all of it, so the relative
+    # curl residual is 0, not the 1 of a nonzero G under the noise floor
+    g_path, out = str(tmp_path / "G.h3f"), str(tmp_path / "a.h3f")
+    rep = str(tmp_path / "gauge.json")
+    write_h3f(g_path, VecField(make_grid(9), 2, np.zeros((9, 9, 9, 3))))
+    assert run(["gauge", "--in", g_path, "--out", out, "--report", rep]) == 0
+    payload = json.loads(open(rep).read())
+    assert payload["converged"] is True
+    assert payload["iterations"] == 0
+    assert payload["curl_residual_rel"] == 0.0
+    assert not read_h3f(out).values.any()
+
+
 def test_lift_refuses_hedgehog(tmp_path):
     prefix = str(tmp_path / "hog_")
     assert run(["gen", "--map", "hedgehog", "--n", "33",
                 "--out-prefix", prefix]) == 0
     zero = str(tmp_path / "zero.h3f")
     grid_u = read_h3f(prefix + "u.h3f")
-    from hopflift.fileio import write_h3f
     write_h3f(zero, VecField(grid_u.grid, 1, np.zeros(grid_u.values.shape)))
     code = run(["lift", "--u", prefix + "u.h3f", "--eta", zero,
                 "--out", str(tmp_path / "uhat.h3f")])
@@ -315,6 +328,17 @@ def test_cli_import_loads_no_scipy():
     # the allocation fails before any memory is touched
     (["gen", "--map", "constant", "--n", "40000", "--out-prefix", "{out}"],
      2, "hopflift gen: out of memory: "),
+    # refused at parse time, before check reads its file
+    (["--ball-margin", "nan", "check", "--in", "{u}"], 64,
+     "argument --ball-margin: must lie in [0, 1), got nan"),
+    (["--ball-margin", "inf", "gauge", "--in", "{D}", "--out", "{out}"], 64,
+     "argument --ball-margin: must lie in [0, 1), got inf"),
+    (["--ball-margin", "2", "gen", "--map", "constant", "--n", "5",
+      "--out-prefix", "{out}"], 64,
+     "argument --ball-margin: must lie in [0, 1), got 2"),
+    (["--ball-margin=-1", "lift", "--u", "{u}", "--eta", "{eta}",
+      "--out", "{out}"], 64,
+     "argument --ball-margin: must lie in [0, 1), got -1"),
 ], ids=["eps-not-a-number", "eps-empty", "eps-increasing", "eps-nan",
         "tol-zero", "tol-two", "iters-zero", "gauge-degree-1",
         "lift-eta-degree-2", "lift-tol-two", "lift-iters-zero",
@@ -325,7 +349,8 @@ def test_cli_import_loads_no_scipy():
         "closed-tol-inf", "closed-tol-negative", "check-tol-nan",
         "check-tol-zero", "check-tol-negative", "gauge-overflow",
         "lift-mixed-grids", "sweep-mixed-grids", "approx-mixed-grids",
-        "verify-mixed-grids", "gen-out-of-memory"])
+        "verify-mixed-grids", "gen-out-of-memory", "ball-margin-nan",
+        "ball-margin-inf", "ball-margin-two", "ball-margin-negative"])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
     prefix = gen_family(tmp_path, n=9)
     (tmp_path / "n11").mkdir()

@@ -137,6 +137,13 @@ def _positive_number(text):
         return False
 
 
+def _margin(text):
+    try:
+        return 0.0 <= float(text) < 1.0
+    except ValueError:
+        return False
+
+
 @FUZZ
 @given(data=st.data(),
        command=st.sampled_from(["sweep", "gauge", "lift", "approx",
@@ -162,8 +169,13 @@ def test_flag_values(files, data, command, strict):
         argv = ["frame-check", "--samples", data.draw(COUNT),
                 "--seed", data.draw(SEED)]
     argv = ["--strict", *argv] if strict else argv
+    margin = data.draw(st.one_of(st.none(), NUMBER))
+    if margin is not None:
+        argv = [f"--ball-margin={margin}", *argv]
     code, err = run_cli(argv)
     assert_contract(code, err)
     if command == "approx" and not _positive_number(eps):
         # refused at parse time, before any file is read or lift run
+        assert code == 64, err
+    if margin is not None and not _margin(margin):
         assert code == 64, err

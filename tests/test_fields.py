@@ -206,13 +206,10 @@ class TestStencilMatchesNpGradient:
             assert np.array_equal(energy_density(vals, h),
                                   np.einsum("...jc,...jc->...", ref, ref))
 
-    def test_sum_of_squares_slabs(self, monkeypatch):
-        # energy_identity_defect summed slab by slab, for slabs of one
-        # row, of rows that do not divide n and of the whole cube, gives
-        # the same bits as the np.gradient tensors
-        import importlib
-        # the package's ``hopf`` attribute is the map, not the module
-        hopf_mod = importlib.import_module("hopflift.hopf")
+    def test_sum_of_squares_slabs(self):
+        # energy_identity_defect, one whole-cube energy_density per map,
+        # gives the same bits as the np.gradient tensors
+        from hopflift.hopf import energy_identity_defect
         n = 11
         grid = make_grid(n)
         rng = np.random.default_rng(7)
@@ -226,45 +223,42 @@ class TestStencilMatchesNpGradient:
         want = (np.einsum("...jc,...jc->...", dq, dq)
                 - 0.25 * np.einsum("...c,...c->...", eta, eta)
                 - 0.25 * np.einsum("...jc,...jc->...", ds, ds))
-        for rows in (1, 4, n):
-            monkeypatch.setattr(hopf_mod, "_SLAB_ROWS", rows)
-            got = hopf_mod.energy_identity_defect(
-                LiftField(grid, q), SphereMapField(grid, s),
-                VecField(grid, 1, eta))
-            assert np.array_equal(got.values, want)
+        got = energy_identity_defect(LiftField(grid, q),
+                                     SphereMapField(grid, s),
+                                     VecField(grid, 1, eta))
+        assert np.array_equal(got.values, want)
 
     def test_slab_partials_match_whole_cube(self):
-        # every row range, faces and one-row ranges included, gives the
-        # rows of the whole-cube einsum bit for bit
+        # the row-by-row buffer gives the whole-cube einsum bit for bit,
+        # face rows and grids of three rows included
         for n in (3, 4, 11):
             h = 2.0 / (n - 1)
             rng = np.random.default_rng(n)
             for shape in ((n, n, n), (n, n, n, 3), (n, n, n, 4)):
                 vals = rng.normal(size=shape)
                 d = component_partials(vals, h)
-                want = np.einsum("...jc,...jc->...", d, d)
-                for lo in range(n):
-                    for hi in range(lo + 1, n + 1):
-                        assert np.array_equal(
-                            energy_density(vals, h, lo, hi), want[lo:hi])
+                assert np.array_equal(energy_density(vals, h),
+                                      np.einsum("...jc,...jc->...", d, d))
 
     def test_sum_of_squares_buffer_sized_from_slab(self):
-        # a call for two x1-rows holds at most the stacked buffer of
-        # those rows, twice over
+        # a whole 4-channel call holds its n^3 output and a few (n,n,3,4)
+        # row buffers, not the stacked tensor of 12 n^3 doubles
+        # (measured 136 KB at n=17 and 622 KB at n=33)
         import tracemalloc
-        n = 17
-        h = 2.0 / (n - 1)
-        vals = np.random.default_rng(3).normal(size=(n, n, n, 4))
-        d = component_partials(vals, h)[5:7]
-        want = np.einsum("...jc,...jc->...", d, d)
-        tracemalloc.start()
-        try:
-            got = energy_density(vals, h, 5, 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, want)
-        assert peak <= 2 * 8 * 2 * n * n * 3 * 4
+        for n in (17, 33):
+            h = 2.0 / (n - 1)
+            vals = np.random.default_rng(3).normal(size=(n, n, n, 4))
+            d = component_partials(vals, h)
+            want = np.einsum("...jc,...jc->...", d, d)
+            del d
+            tracemalloc.start()
+            try:
+                got = energy_density(vals, h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            assert peak <= 8 * n ** 3 + 4 * (8 * n * n * 3 * 4)
 
 
 class TestNormsAndInner:

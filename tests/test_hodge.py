@@ -9,7 +9,8 @@ import hopflift
 
 from hopflift import hodge, solvers, testmaps
 from hopflift.errors import NotConverged
-from hopflift.fields import ScalarField, VecField, curl, grad, l2_inner, l2_norm, make_grid
+from hopflift.fields import (ScalarField, VecField, curl, grad, l2_inner,
+                             l2_norm, make_grid, mollify)
 from hopflift.hodge import (GaugeSolveConfig, canonical_gauge,
                             gauge_minimality_check, random_test_functions)
 from hopflift.lift import lift
@@ -257,7 +258,7 @@ class TestGaugeCaches:
     def test_cache_keyed_on_n(self):
         clear_gauge_caches()
         m9 = hodge._normal_matrix(9)
-        ref = solvers.gauge_normal_matrix(9, 1.0, 10.0 / make_grid(9).h)
+        ref = solvers.gauge_normal_matrix(9)
         for got, want in ((m9.data, ref.data), (m9.indices, ref.indices),
                           (m9.indptr, ref.indptr)):
             assert np.array_equal(got, want)
@@ -267,8 +268,9 @@ class TestGaugeCaches:
         assert hodge._normal_matrix(5) is m5
 
     def test_only_grid_caches_stay_filled(self):
-        # what stays between calls: the 1-d axis, the node weights and
-        # the gauge's normal matrix; no coordinate, radius or trial cache
+        # what stays between calls: the 1-d axis, the node weights, the
+        # gauge's normal matrix and the mollifier's kernel spectra; no
+        # coordinate, radius, trial, kernel or Kronecker cache
         grid = make_grid(17)
         _, u, eta = testmaps.gen_lift_family(grid, 0.8, (1.0, 0.5, 0.0),
                                              (0.0, 1.0, 0.3))
@@ -278,10 +280,12 @@ class TestGaugeCaches:
         lift(u, eta)
         a, _ = canonical_gauge(g_form)
         gauge_minimality_check(a)
+        mollify(a, 2.0 * grid.h)
         filled = {name for name, fn in package_caches().items()
                   if fn.cache_info().currsize}
         assert filled == {"hopflift.fields._axis",
                           "hopflift.fields._node_weights",
+                          "hopflift.fields._kernel_spectrum",
                           "hopflift.hodge._normal_matrix"}
 
     def test_checks_match_uncached_loops(self):

@@ -150,9 +150,9 @@ class TestLift:
 class TestLiftMemory:
     def test_peak_allocation_bounded(self):
         # the phase operator is assembled straight into CSR arrays, the
-        # report's partials are taken one slab of rows at a time and the
-        # pole scan keeps a running max: no Kronecker factors stay cached,
-        # no (n,n,n,3,c) tensor and no nodes-by-candidates matrix is built
+        # report's partials are taken one x1-row at a time and the pole
+        # scan keeps a running max: no Kronecker factor, no (n,n,n,3,c)
+        # tensor and no nodes-by-candidates matrix is built
         # (measured 23.5 n^3)
         import tracemalloc
         import scipy.sparse  # noqa: F401  (imports are not the lift's)
