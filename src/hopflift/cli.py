@@ -21,7 +21,7 @@ from .hopf import frame_sweep, gauge_of_lift, project_to_sphere
 from .lift import LiftConfig
 from .lift import lift as build_lift
 from .lift import verify_lift
-from .pullback import exactness_defect, pullback_area_form
+from .pullback import exactness_defect, exactness_tol, pullback_area_form
 
 SCHEMA = "hopflift-report@1"
 EXIT_USAGE = 64
@@ -156,7 +156,8 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--tol", type=_rel_tol, default=1e-8)
+    p.add_argument("--tol", type=_rel_tol,
+                   default=hodge.GaugeSolveConfig.rel_tol)
     p.add_argument("--iters", type=_positive_int)
 
     p = sub.add_parser("lift", help="construct the circle-bundle lift")
@@ -164,7 +165,7 @@ def build_parser():
     p.add_argument("--eta", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--tol", type=_rel_tol, default=1e-8)
+    p.add_argument("--tol", type=_rel_tol, default=LiftConfig.rel_tol)
     p.add_argument("--iters", type=_positive_int)
     p.add_argument("--closed-tol", type=_positive_float)
 
@@ -246,9 +247,7 @@ def _map_command(kind, fn):
 
 def _cmd_check(args):
     u = _read(args, args.infile, "--in", SphereMapField)
-    tol = args.tol
-    if tol is None:
-        tol = 10.0 * u.grid.h ** 2
+    tol = exactness_tol(u.grid) if args.tol is None else args.tol
     if args.strict:
         tol *= 0.5
     report = exactness_defect(u, tol)

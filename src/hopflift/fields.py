@@ -12,7 +12,7 @@ as the inscribed-ball node mask of the cube grid, used only to restrict
 norms.  The cube carries the stencils and boundary conditions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -407,7 +407,6 @@ def _gaussian_kernel(eps, h):
     return ker
 
 
-@lru_cache(maxsize=8)
 def _kernel_spectrum(eps, h, n):
     """Real FFT of the mollifier kernel, zero-padded to the shape that
     ``scipy.signal.fftconvolve`` picks for an n^3 grid, so
@@ -417,17 +416,15 @@ def _kernel_spectrum(eps, h, n):
     ker = _gaussian_kernel(eps, h)
     k = ker.shape[0]
     fshape = (sp_fft.next_fast_len(n + k - 1, True),) * 3
-    spec = sp_fft.rfftn(ker, fshape, axes=(0, 1, 2))
-    spec.setflags(write=False)
-    return spec, fshape, (k - 1) // 2
+    return sp_fft.rfftn(ker, fshape, axes=(0, 1, 2)), fshape, (k - 1) // 2
 
 
-def _convolve_same(values, eps, h):
+def _convolve_same(values, spectrum):
     """``fftconvolve(values, _gaussian_kernel(eps, h), mode="same")`` for
-    an (n,n,n) array, on the cached kernel spectrum."""
+    an (n,n,n) array, given ``spectrum = _kernel_spectrum(eps, h, n)``."""
     from scipy import fft as sp_fft
     n = values.shape[0]
-    spec, fshape, lo = _kernel_spectrum(eps, h, n)
+    spec, fshape, lo = spectrum
     padded = sp_fft.rfftn(values, fshape, axes=(0, 1, 2))
     conv = sp_fft.irfftn(padded * spec, fshape, axes=(0, 1, 2))
     return conv[lo:lo + n, lo:lo + n, lo:lo + n]
@@ -451,15 +448,19 @@ def mollify_components(grid, values, eps):
 
     Convolution with the truncated Gaussian is applied at nodes at
     distance >= 3*eps from the cube boundary; outside that shrunken
-    region input values are copied unchanged.
+    region input values are copied unchanged.  A width that is not finite
+    or is below the grid spacing raises WidthTooSmall.
     """
+    if not np.isfinite(eps):
+        raise WidthTooSmall(f"eps={eps} is not a finite width")
     if eps < grid.h:
         raise WidthTooSmall(f"eps={eps} below grid spacing h={grid.h}")
     region = mollify_region_mask(grid, eps)
+    spectrum = _kernel_spectrum(float(eps), grid.h, grid.n)
     vals = values if values.ndim == 4 else values[..., None]
     out = vals.copy()
     for c in range(vals.shape[-1]):
-        conv = _convolve_same(vals[..., c], float(eps), grid.h)
+        conv = _convolve_same(vals[..., c], spectrum)
         out[..., c] = np.where(region, conv, vals[..., c])
     return out if values.ndim == 4 else out[..., 0]
 
@@ -471,9 +472,7 @@ def mollify(field, eps):
     their unit-norm invariant intact; smooth those through
     ``mollify_components`` and renormalize explicitly.
     """
-    if isinstance(field, ScalarField):
-        return ScalarField(field.grid, mollify_components(field.grid, field.values, eps))
-    if isinstance(field, VecField):
-        return VecField(field.grid, field.degree,
-                        mollify_components(field.grid, field.values, eps))
-    raise TypeError("mollify handles ScalarField and VecField")
+    if not isinstance(field, (ScalarField, VecField)):
+        raise TypeError("mollify handles ScalarField and VecField")
+    return replace(field,
+                   values=mollify_components(field.grid, field.values, eps))

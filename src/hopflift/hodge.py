@@ -31,8 +31,8 @@ from . import solvers
 #: absolute floor, far above the 1e-16 rounding of a unit map's pullback
 _NOISE_FLOOR = 1e-12
 
-#: trial count and seed of the test gradients behind ``weak_trace_defect``
-_WEAK_TRIALS, _WEAK_SEED = 20, 2024
+#: trial count of the test gradients, and their seeds in the two checks
+_TRIALS, _WEAK_SEED, _MINIMALITY_SEED = 20, 2024, 7
 
 
 @dataclass
@@ -167,28 +167,28 @@ def _gradient_norms(x, draws):
     return 0.5 * h ** 3 * pairs.real.sum(axis=(1, 2, 3))
 
 
-def _gradient_pairings(a: VecField, trials, seed):
+def _gradient_pairings(a: VecField, seed):
     """Arrays of <a, grad psi> and ||grad psi||^2 over the trial psi of
-    ``_trial_draws(trials, seed)``, neither psi nor its gradient formed.
+    ``_trial_draws(_TRIALS, seed)``, neither psi nor its gradient formed.
 
     The pairing is taken by parts: the trapezoid-weighted sum of
     a . grad psi is psi . (G^T W a), with G the discrete gradient, so one
     adjoint serves every trial; ``_separable_pairings`` takes each psi .
     (G^T W a) and ``_gradient_norms`` each ||grad psi||^2.
     """
-    draws = _trial_draws(trials, seed)
+    draws = _trial_draws(_TRIALS, seed)
     x = a.grid.axis()
     s = solvers.block_adjoint(solvers.GRAD, a.values)[0]
     return _separable_pairings(s, x, draws), _gradient_norms(x, draws)
 
 
 def _weak_trace_defect(a: VecField):
-    """Max over the ``_WEAK_TRIALS`` test gradients of the relative L^2
+    """Max over the ``_TRIALS`` test gradients of the relative L^2
     pairing with a, each taken by parts (``_gradient_pairings``)."""
     na = l2_norm(a)
     if na == 0.0:
         return 0.0
-    pairing, ng_sq = _gradient_pairings(a, _WEAK_TRIALS, _WEAK_SEED)
+    pairing, ng_sq = _gradient_pairings(a, _WEAK_SEED)
     ng = np.sqrt(np.maximum(ng_sq, 0.0))
     return float(np.max(np.abs(pairing) / (na * ng)))
 
@@ -267,9 +267,10 @@ def _gauge_report(a, g_form, iters, g_norm):
     )
 
 
-def gauge_minimality_check(a: VecField, trials=20, seed=7):
+def gauge_minimality_check(a: VecField):
     """Best norm reduction ||a|| - min_c ||a + c grad psi|| over random
-    smooth trial directions psi, the scale c minimized in closed form.
+    smooth trial directions psi (``_TRIALS`` of ``_MINIMALITY_SEED``),
+    the scale c minimized in closed form.
 
     At most solver tolerance exactly when a is L^2-orthogonal to
     gradients (the weak form of the canonical conditions); any leftover
@@ -279,7 +280,7 @@ def gauge_minimality_check(a: VecField, trials=20, seed=7):
     na = l2_norm(a)
     if na == 0.0:
         return 0.0
-    pairing, ng_sq = _gradient_pairings(a, trials, seed)
+    pairing, ng_sq = _gradient_pairings(a, _MINIMALITY_SEED)
     keep = ng_sq != 0.0
     best_sq = np.maximum(na * na - pairing[keep] ** 2 / ng_sq[keep], 0.0)
     return float(np.max(na - np.sqrt(best_sq), initial=-np.inf))

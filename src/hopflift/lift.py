@@ -55,24 +55,22 @@ def _min_angles(pts, cands):
     return np.arccos(np.clip(top, -1.0, 1.0))
 
 
-def select_pole(u: SphereMapField, candidates=None):
-    """Pick the candidate direction farthest (in min angle) from the
-    range of u; first in candidate order on ties.
+def select_pole(u: SphereMapField):
+    """(pole, clearance): the ``default_pole_candidates()`` direction
+    farthest from the range of u, first in candidate order on ties, and
+    its min angle to u in radians, the arccos of the largest u . pole.
 
     Raises ChartExhausted when no candidate clears ``DEFAULT_POLE_ANGLE``:
     the range of u is too dense on the sphere for a single chart.
     """
-    cands = default_pole_candidates() if candidates is None else np.asarray(
-        candidates, dtype=np.float64)
-    if cands.size == 0:
-        raise ValueError("empty candidate list")
+    cands = default_pole_candidates()
     min_angles = _min_angles(u.values.reshape(-1, 3), cands)
     best = int(np.argmax(min_angles))
     if min_angles[best] < DEFAULT_POLE_ANGLE:
         raise ChartExhausted(
             f"range of u is {DEFAULT_POLE_ANGLE}-dense on S^2; best "
             f"candidate only {min_angles[best]:.4f} rad clear")
-    return cands[best]
+    return cands[best], float(min_angles[best])
 
 
 @dataclass
@@ -170,10 +168,7 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     grid = u.grid
     closed_tol, rel_tol, max_iters = cfg.resolved(grid)
 
-    pole = select_pole(u)
-    pts = u.values.reshape(-1, 3)
-    min_dist = float(np.arccos(np.clip(pts @ pole, -1.0, 1.0)).min())
-
+    pole, min_dist = select_pole(u)
     section = section_of_map(u, pole)
     section_gauge = gauge_of_lift(section)
     alpha = VecField(grid, 1,

@@ -188,6 +188,11 @@ class ExactnessReport:
         }
 
 
+def exactness_tol(grid):
+    """Default tolerance of ``exactness_defect``: 10 h^2, the stencil order."""
+    return 10.0 * grid.h ** 2
+
+
 def exactness_defect(u: SphereMapField, tol=None) -> ExactnessReport:
     """Test weak exactness of the pullback form of u.
 
@@ -195,8 +200,8 @@ def exactness_defect(u: SphereMapField, tol=None) -> ExactnessReport:
     (those within 2h of the origin excluded); the distributional part
     probes the flux of D(u) through the spheres of radius 0.25, 0.5 and
     0.75.  ``exact`` needs both small; consistent large fluxes mean
-    ``singular``; anything else is ``inconclusive``.  Default tolerance
-    is 10 h^2, matching the stencil order.  Grids with no room for a
+    ``singular``; anything else is ``inconclusive``.  The default
+    tolerance is ``exactness_tol(grid)``.  Grids with no room for a
     probe sphere inside |x| < 1 - 3h (``sphere_flux``), n < 8, raise
     InvalidResolution.
     """
@@ -205,8 +210,7 @@ def exactness_defect(u: SphereMapField, tol=None) -> ExactnessReport:
     if margin <= 0.0:
         raise InvalidResolution(
             f"the flux probes need 1 - 3h > 0, that is n >= 8; got n={grid.n}")
-    if tol is None:
-        tol = 10.0 * grid.h ** 2
+    tol = exactness_tol(grid) if tol is None else tol
     d_field = pullback_area_form(u)
     defect = div(d_field)
     mask = grid.cube_interior_mask() & beyond_origin(

@@ -41,6 +41,14 @@ def gen_hedgehog(grid: Grid3) -> SphereMapField:
     return SphereMapField(grid, vals)
 
 
+def _family_parameters(t0, a, b):
+    """(t0, a, b) as f64; BadLatitude unless t0 lies in (0, pi/2)."""
+    t0 = float(t0)
+    if not 0.0 < t0 < np.pi / 2:
+        raise BadLatitude(f"latitude must lie in (0, pi/2), got {t0}")
+    return t0, np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+
+
 def gen_lift_family(grid: Grid3, t0, a, b):
     """Constant-latitude lift with linear phases.
 
@@ -48,11 +56,7 @@ def gen_lift_family(grid: Grid3, t0, a, b):
     u = h(uhat) and its gauge eta = 2(sin^2 t0 a + cos^2 t0 b).dx, all
     from closed forms with no differencing.  Returns (uhat, u, eta).
     """
-    t0 = float(t0)
-    if not 0.0 < t0 < np.pi / 2:
-        raise BadLatitude(f"latitude must lie in (0, pi/2), got {t0}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    t0, a, b = _family_parameters(t0, a, b)
     x1, x2, x3 = grid.coords()
     phi1 = a[0] * x1 + a[1] * x2 + a[2] * x3
     phi2 = b[0] * x1 + b[1] * x2 + b[2] * x3
@@ -73,11 +77,7 @@ def gen_lift_family(grid: Grid3, t0, a, b):
 
 def lift_family_oracle(t0, a, b):
     """Closed-form scalars of the family, for use as test oracles."""
-    t0 = float(t0)
-    if not 0.0 < t0 < np.pi / 2:
-        raise BadLatitude(f"latitude must lie in (0, pi/2), got {t0}")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    t0, a, b = _family_parameters(t0, a, b)
     st2 = np.sin(t0) ** 2
     ct2 = np.cos(t0) ** 2
     eta = 2.0 * (st2 * a + ct2 * b)

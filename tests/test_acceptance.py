@@ -121,7 +121,7 @@ def test_criterion_4_canonical_gauge():
         gpsi = hl.grad(hl.ScalarField(grid, psi_t))
         ortho = max(ortho, abs(hl.l2_inner(a, gpsi))
                     / (na * hl.l2_norm(gpsi)))
-    minimality = hl.gauge_minimality_check(a, trials=20)
+    minimality = hl.gauge_minimality_check(a)
     elapsed = time.time() - t0
     ok = (recovery <= 1e-3 and ortho <= 1e-6 and minimality <= 1e-6
           and elapsed < 120.0)

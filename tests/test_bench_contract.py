@@ -1,5 +1,7 @@
-"""The benchmark tracer wraps hopflift functions by name; a name it lists
-that the library no longer has would crash every traced run."""
+"""The benchmark reaches hopflift by name: the tracer wraps the functions
+it lists, and the worker and its inputs call the library through
+``hl.<name>`` and ``from hopflift... import`` names.  A name that the
+library no longer has would crash every benchmark run."""
 
 import ast
 import importlib
@@ -7,8 +9,9 @@ import os
 
 import pytest
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                      "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "perfbench")
+TRACER = os.path.join(PERFBENCH, "tracer.py")
 
 
 def traced_names():
@@ -34,6 +37,46 @@ def test_every_traced_name_resolves():
         modname, fname = qual.split(".")
         mod = importlib.import_module(f"hopflift.{modname}")
         assert callable(getattr(mod, fname, None)), qual
+
+
+def library_references(path):
+    """(module, [attribute, ...]) for every attribute chain of ``path``
+    rooted at ``hl`` (the worker's name for the package), for every name
+    taken in by ``from hopflift... import``, and for the chains rooted at
+    those names."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    roots = {"hl": ("hopflift", [])}
+    refs = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "hopflift"):
+            for alias in node.names:
+                roots[alias.asname or alias.name] = (node.module, [alias.name])
+                refs.append((node.module, [alias.name]))
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in roots:
+            module, head = roots[node.id]
+            refs.append((module, head + attrs))
+    return refs
+
+
+@pytest.mark.skipif(not os.path.isdir(PERFBENCH),
+                    reason="perfbench/ is absent")
+@pytest.mark.parametrize("script", ["worker.py", "inputs.py"])
+def test_benchmark_library_calls_resolve(script):
+    import hopflift  # noqa: F401  (loads every submodule)
+    refs = library_references(os.path.join(PERFBENCH, script))
+    assert refs
+    for module, attrs in refs:
+        obj = importlib.import_module(module)
+        for name in attrs:
+            assert hasattr(obj, name), ".".join([module] + attrs)
+            obj = getattr(obj, name)
 
 
 def test_cg_receives_csr(monkeypatch):

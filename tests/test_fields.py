@@ -4,9 +4,10 @@ import pytest
 from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
 from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
                              VecField, _convolve_same, _gaussian_kernel,
-                             axis_partials, component_partials, curl, div,
-                             energy_density, grad, l1_norm, l2_inner, l2_norm,
-                             lp_norm, make_grid, mollify, mollify_components,
+                             _kernel_spectrum, axis_partials,
+                             component_partials, curl, div, energy_density,
+                             grad, l1_norm, l2_inner, l2_norm, lp_norm,
+                             make_grid, mollify, mollify_components,
                              mollify_region_mask, stencil_partial)
 
 
@@ -361,6 +362,13 @@ class TestMollify:
         with pytest.raises(WidthTooSmall):
             mollify(f, self.grid.h / 2.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_width_rejected(self, eps):
+        f = ScalarField(self.grid, np.zeros((33,) * 3))
+        with pytest.raises(WidthTooSmall, match=f"eps={eps} is not a finite"):
+            mollify(f, eps)
+
     def test_max_norm_contraction(self):
         rng = np.random.default_rng(1)
         f = ScalarField(self.grid, rng.normal(size=(33,) * 3))
@@ -414,7 +422,8 @@ class TestMollifyMatchesFftconvolve:
         vals = np.random.default_rng(3).normal(size=(9, 9, 9, 4))
         # the smoothing region is empty here, so compare the "same" slice
         # of the convolution itself as well
-        assert np.array_equal(_convolve_same(vals[..., 0], eps, grid.h),
+        spectrum = _kernel_spectrum(eps, grid.h, grid.n)
+        assert np.array_equal(_convolve_same(vals[..., 0], spectrum),
                               fftconvolve(vals[..., 0], ker, mode="same"))
         assert np.array_equal(mollify_components(grid, vals, eps),
                               fftconvolve_mollify(grid, vals, eps))

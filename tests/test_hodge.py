@@ -10,7 +10,7 @@ import hopflift
 from hopflift import hodge, solvers, testmaps
 from hopflift.errors import NotConverged
 from hopflift.fields import (ScalarField, VecField, curl, grad, l2_inner,
-                             l2_norm, make_grid, mollify)
+                             l2_norm, make_grid, mollify, mollify_components)
 from hopflift.hodge import (GaugeSolveConfig, canonical_gauge,
                             gauge_minimality_check, random_test_functions)
 from hopflift.lift import lift
@@ -147,7 +147,7 @@ class TestCanonicalGauge:
         grid = make_grid(33)
         _, g_form = manufactured_pair(grid)
         a, _ = canonical_gauge(g_form)
-        assert gauge_minimality_check(a, trials=20) <= 1e-6
+        assert gauge_minimality_check(a) <= 1e-6
 
     def test_minimality_inversion(self):
         # adding a gradient hands the check an improvement to find
@@ -157,7 +157,7 @@ class TestCanonicalGauge:
         x1, x2, _ = grid.coords()
         shifted = VecField(
             grid, 1, a.values + grad(ScalarField(grid, x1 * x2)).values)
-        assert gauge_minimality_check(shifted, trials=20) > 1e-4
+        assert gauge_minimality_check(shifted) > 1e-4
 
     def test_linearity(self):
         grid = make_grid(17)
@@ -268,9 +268,9 @@ class TestGaugeCaches:
         assert hodge._normal_matrix(5) is m5
 
     def test_only_grid_caches_stay_filled(self):
-        # what stays between calls: the 1-d axis, the node weights, the
-        # gauge's normal matrix and the mollifier's kernel spectra; no
-        # coordinate, radius, trial, kernel or Kronecker cache
+        # what stays between calls: the 1-d axis, the node weights and the
+        # gauge's normal matrix; no coordinate, radius, trial, kernel,
+        # kernel spectrum or Kronecker cache
         grid = make_grid(17)
         _, u, eta = testmaps.gen_lift_family(grid, 0.8, (1.0, 0.5, 0.0),
                                              (0.0, 1.0, 0.3))
@@ -285,8 +285,21 @@ class TestGaugeCaches:
                   if fn.cache_info().currsize}
         assert filled == {"hopflift.fields._axis",
                           "hopflift.fields._node_weights",
-                          "hopflift.fields._kernel_spectrum",
                           "hopflift.hodge._normal_matrix"}
+
+    def test_mollify_keeps_no_spectrum(self):
+        # the kernel spectrum lives for one call: two calls at one width
+        # fill no cache but the grid's axis, and give the same bits
+        grid = make_grid(17)
+        vals = np.random.default_rng(5).normal(size=(17, 17, 17, 4))
+        for fn in package_caches().values():
+            fn.cache_clear()
+        first = mollify_components(grid, vals, 2.0 * grid.h)
+        second = mollify_components(grid, vals, 2.0 * grid.h)
+        filled = {name for name, fn in package_caches().items()
+                  if fn.cache_info().currsize}
+        assert filled == {"hopflift.fields._axis"}
+        assert np.array_equal(first, second)
 
     def test_checks_match_uncached_loops(self):
         # the loops as they read when every gradient was formed: the

@@ -19,12 +19,12 @@ class TestSelectPole:
     def test_constant_map_gets_antipode(self):
         grid = make_grid(9)
         u = testmaps.gen_constant(grid, (0, 0, 1))
-        assert np.allclose(select_pole(u), (0, 0, -1))
+        assert np.allclose(select_pole(u)[0], (0, 0, -1))
 
     def test_upper_hemisphere_range_gets_lower_pole(self):
         grid = make_grid(17)
         u = testmaps.gen_planar(grid, "gaussian-bump")
-        pole = select_pole(u)
+        pole, _ = select_pole(u)
         assert pole[2] < 0.0
 
     def test_candidates_are_unit(self):
@@ -37,11 +37,15 @@ class TestSelectPole:
         with pytest.raises(ChartExhausted):
             select_pole(testmaps.gen_hedgehog(grid))
 
-    def test_tie_break_first_in_order(self):
+    def test_tie_break_first_in_order(self, monkeypatch):
         grid = make_grid(9)
         u = testmaps.gen_constant(grid, (0, 0, 1))
-        cands = [(1.0, 0, 0), (-1.0, 0, 0)]
-        assert np.allclose(select_pole(u, candidates=cands), (1, 0, 0))
+        cands = np.array([(1.0, 0, 0), (-1.0, 0, 0)])
+        monkeypatch.setattr(sys.modules["hopflift.lift"],
+                            "default_pole_candidates", lambda: cands)
+        pole, clearance = select_pole(u)
+        assert np.allclose(pole, (1, 0, 0))
+        assert clearance == np.arccos(0.0)
 
 
 @pytest.mark.parametrize("nodes", [5, 1 << 14])
@@ -53,12 +57,37 @@ def test_blocked_pole_scan_matches_one_shot(n, nodes, monkeypatch):
     monkeypatch.setattr(lift_mod, "_POLE_NODES", nodes)
     u = testmaps.gen_planar(make_grid(n), "gaussian-bump")
     cands = np.concatenate([default_pole_candidates()] * 2)
+    monkeypatch.setattr(lift_mod, "default_pole_candidates", lambda: cands)
     pts = u.values.reshape(-1, 3)
     want = np.arccos(np.clip((pts @ cands.T).max(axis=0), -1.0, 1.0))
     assert np.array_equal(lift_mod._min_angles(pts, cands), want)
     best = int(np.argmax(want))
     assert best < 18
-    assert np.array_equal(select_pole(u, candidates=cands), cands[best])
+    pole, clearance = select_pole(u)
+    assert np.array_equal(pole, cands[best])
+    assert clearance == want[best]
+
+
+@pytest.mark.parametrize("n", [9, 17, 33])
+@pytest.mark.parametrize("which", ["liftfam", "bump", "winding", "constant"])
+def test_min_pole_distance_is_the_dense_min(which, n):
+    # the clearance of select_pole's blocked scan is the dense min angle
+    # between u and the chosen pole, to the bit; closed_tol is lifted so
+    # that a zero eta is accepted for the maps with no closed-form gauge
+    grid = make_grid(n)
+    eta = VecField(grid, 1, np.zeros((n, n, n, 3)))
+    if which == "liftfam":
+        _, u, eta = testmaps.gen_lift_family(grid, 0.8, (1.0, 0.5, 0.0),
+                                             (0.0, 1.0, 0.3))
+    elif which == "constant":
+        u = testmaps.gen_constant(grid, (0.6, 0.0, 0.8))
+    else:
+        kind = "gaussian-bump" if which == "bump" else "linear-winding"
+        u = testmaps.gen_planar(grid, kind)
+    _, rep = lift(u, eta, LiftConfig(closed_tol=1e9))
+    pts = u.values.reshape(-1, 3)
+    dense = np.arccos(np.clip(pts @ np.asarray(rep.pole_used), -1.0, 1.0))
+    assert rep.min_pole_distance == float(dense.min())
 
 
 class TestLift:
