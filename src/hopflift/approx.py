@@ -3,9 +3,10 @@
 The pipeline smooths the lift, not the map: mollify uhat componentwise,
 renormalize, project down, and take the gauge of the smoothed lift.  The
 smoothed pair then satisfies the exactness constraint by construction, up
-to the closed remainder eta - 2 uhat*theta, which is mollified and added
-back.  Widths too coarse for the map's oscillation collapse the
-mollified modulus and are rejected rather than renormalized through zero.
+to the closed remainder eta - 2 uhat*theta, which is mollified in the
+same pass as the lift and added back.  Widths too coarse for the map's
+oscillation collapse the mollified modulus and are rejected rather than
+renormalized through zero.
 """
 
 import csv
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectionDegenerate
-from .fields import (LiftField, SphereMapField, VecField, box_mask, curl,
-                     energy_density, integrate, l2_norm, mollify_components,
-                     mollify_region_mask)
+from .fields import (LiftField, SphereMapField, VecField, box_mask,
+                     check_width, curl, energy_density, integrate, l2_norm,
+                     mollify_components, mollify_region_mask)
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
 from .pullback import pullback_area_form
@@ -56,20 +57,28 @@ def _w12_distance(grid, diff, region):
 def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
     """One smoothing step at width eps.
 
-    Returns (u_eps, eta_eps, ApproxReport).  Raises ProjectionDegenerate
-    when the mollified lift modulus falls below 1/2 anywhere, or when
-    3*eps exceeds the domain half-width so that no node gets mollified at
-    all; lift errors propagate.
+    Returns (u_eps, eta_eps, ApproxReport).  Before the lift it raises
+    ProjectionDegenerate when 3*eps exceeds the domain half-width, then
+    ``mollify_components``' WidthTooSmall; after it, ProjectionDegenerate
+    when the mollified lift modulus falls below 1/2 anywhere.  Lift
+    errors propagate.
     """
     grid = u.grid
-    uhat, lift_report = lift(u, eta, cfg)
-
-    region = mollify_region_mask(grid, eps)
-    if not region.any():
+    if not mollify_region_mask(grid, eps).any():
         raise ProjectionDegenerate(
             f"mollification window 3*eps = {3 * eps:.3f} exceeds the domain "
             "half-width; no node is smoothed")
-    smoothed = mollify_components(grid, uhat.values, eps)
+    check_width(grid, eps)
+    uhat, lift_report = lift(u, eta, cfg)
+
+    remainder = VecField(grid, 1, eta.values - gauge_of_lift(uhat).values)
+    curl_remainder = l2_norm(curl(remainder))
+    # one pass, one kernel spectrum, for lift channels 0-3 and remainder
+    # 4-6; their inputs are dropped first to keep the peak memory down
+    channels = np.concatenate([uhat.values, remainder.values], axis=-1)
+    del uhat, remainder
+    channels = mollify_components(grid, channels, eps)
+    smoothed, zeta_tilde = channels[..., :4], channels[..., 4:]
     moduli = np.sqrt(np.einsum("...c,...c->...", smoothed, smoothed))
     min_modulus = float(moduli.min())
     if min_modulus < MODULUS_FLOOR:
@@ -79,10 +88,6 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
     uhat_eps = LiftField(grid, smoothed / moduli[..., None])
     u_eps = SphereMapField(grid, hopf(uhat_eps.values))
     zeta = gauge_of_lift(uhat_eps)
-
-    remainder = VecField(grid, 1, eta.values - gauge_of_lift(uhat).values)
-    curl_remainder = l2_norm(curl(remainder))
-    zeta_tilde = mollify_components(grid, remainder.values, eps)
     eta_eps = VecField(grid, 1, zeta.values + zeta_tilde)
 
     # constraint residual where the smoothing is exact convolution and

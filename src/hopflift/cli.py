@@ -69,40 +69,34 @@ def _parse_widths(text):
     return widths
 
 
-def _rel_tol(text):
-    tol = float(text)
-    if not 0.0 < tol < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return tol
+def _number_flag(name, convert, test, rule):
+    """The argparse type ``name`` (argparse reports a failed ``convert`` by
+    it): "must <rule>, got <text>" unless ``test`` holds for the value."""
+    def parse(text):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _ball_margin(text):
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
-    return value
+_rel_tol = _number_flag("_rel_tol", float, lambda v: 0.0 < v < 1.0,
+                        "lie in (0, 1)")
+_ball_margin = _number_flag("_ball_margin", float, lambda v: 0.0 <= v < 1.0,
+                            "lie in [0, 1)")
+_positive_float = _number_flag(
+    "_positive_float", float, lambda v: np.isfinite(v) and v > 0.0,
+    "be a positive finite number")
+_positive_int = _number_flag("_positive_int", int, lambda v: v > 0,
+                             "be positive")
+_nonnegative_int = _number_flag("_nonnegative_int", int, lambda v: v >= 0,
+                                "be non-negative")
 
 
-def _positive_float(text):
-    value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text}")
-    return value
-
-
-def _positive_int(text):
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
-
-
-def _nonnegative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
-    return value
+def _strict(args, tol):
+    """``tol``, halved under --strict."""
+    return tol * 0.5 if args.strict else tol
 
 
 def _read(args, path, flag, kind, degree=None):
@@ -248,9 +242,7 @@ def _map_command(kind, fn):
 def _cmd_check(args):
     u = _read(args, args.infile, "--in", SphereMapField)
     tol = exactness_tol(u.grid) if args.tol is None else args.tol
-    if args.strict:
-        tol *= 0.5
-    report = exactness_defect(u, tol)
+    report = exactness_defect(u, _strict(args, tol))
     _write_report(args.report, report.to_dict())
     if args.vtk:
         export_vtk(report.div_defect, args.vtk, name="div_defect")
@@ -278,8 +270,7 @@ def _solve_and_write(args, solve, *inputs):
 
 def _cmd_gauge(args):
     g = _read(args, args.infile, "--in", VecField, degree=2)
-    tol = args.tol * 0.5 if args.strict else args.tol
-    cfg = hodge.GaugeSolveConfig(max_iters=args.iters, rel_tol=tol)
+    cfg = hodge.GaugeSolveConfig(args.iters, _strict(args, args.tol))
     report = _solve_and_write(args, hodge.canonical_gauge, g, cfg)
     print(f"gauge: curl residual {report.curl_residual_rel:.3e} in "
           f"{report.iterations} iterations")
@@ -308,9 +299,7 @@ def _lift_config(args, grid):
         closed_tol=getattr(args, "closed_tol", None),
         rel_tol=getattr(args, "tol", LiftConfig.rel_tol),
         max_iters=getattr(args, "iters", None)).resolved(grid)
-    if args.strict:
-        closed, tol = closed * 0.5, tol * 0.5
-    return LiftConfig(closed_tol=closed, rel_tol=tol, max_iters=iters)
+    return LiftConfig(_strict(args, closed), _strict(args, tol), iters)
 
 
 def _cmd_lift(args):
@@ -358,7 +347,7 @@ def _cmd_sweep(args):
 
 def _cmd_frame_check(args):
     worst = frame_sweep(args.samples, seed=args.seed)
-    tol = 1e-9 * (0.5 if args.strict else 1.0)
+    tol = _strict(args, 1e-9)
     _write_report(args.report, {"samples": args.samples, "max_defect": worst,
                                 "tol": tol, "passed": worst <= tol})
     print(f"frame-check: max defect {worst:.3e} over {args.samples} samples")

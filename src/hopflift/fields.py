@@ -212,8 +212,8 @@ class LiftField:
         _check_unit(self.values, "LiftField")
 
 
-def _same_grid(a, b):
-    if a.grid != b.grid:
+def _same_grid(*fields):
+    if any(f.grid != fields[0].grid for f in fields[1:]):
         raise ValueError("fields live on different grids")
 
 
@@ -243,10 +243,8 @@ def stencil_partial(f, h, axis, out=None):
 def component_planes(values):
     """Contiguous (n,n,n) copies of the components of a (n,n,n) or
     (n,n,n,c) array, so each stencil pass runs on unit strides."""
-    if values.ndim == 3:
-        return [np.ascontiguousarray(values)]
-    return [np.ascontiguousarray(values[..., c])
-            for c in range(values.shape[-1])]
+    v = _flat_values(values)
+    return [np.ascontiguousarray(v[..., c]) for c in range(v.shape[-1])]
 
 
 def axis_partials(values, h):
@@ -443,26 +441,33 @@ def mollify_region_mask(grid, eps):
     return box_mask(grid, 1.0 - 3.0 * eps + 1e-12)
 
 
+def check_width(grid, eps):
+    """WidthTooSmall unless eps is finite and at least the grid spacing."""
+    if not np.isfinite(eps):
+        raise WidthTooSmall(f"eps={eps} is not a finite width")
+    if eps < grid.h:
+        raise WidthTooSmall(f"eps={eps} below grid spacing h={grid.h}")
+
+
 def mollify_components(grid, values, eps):
     """Mollify a raw (n,n,n) or (n,n,n,c) array of node values.
 
     Convolution with the truncated Gaussian is applied at nodes at
     distance >= 3*eps from the cube boundary; outside that shrunken
     region input values are copied unchanged.  A width that is not finite
-    or is below the grid spacing raises WidthTooSmall.
+    or is below the grid spacing raises WidthTooSmall.  When the region
+    is empty no kernel is built and a copy of the input is returned.
     """
-    if not np.isfinite(eps):
-        raise WidthTooSmall(f"eps={eps} is not a finite width")
-    if eps < grid.h:
-        raise WidthTooSmall(f"eps={eps} below grid spacing h={grid.h}")
+    check_width(grid, eps)
     region = mollify_region_mask(grid, eps)
-    spectrum = _kernel_spectrum(float(eps), grid.h, grid.n)
-    vals = values if values.ndim == 4 else values[..., None]
+    vals = _flat_values(values)
     out = vals.copy()
-    for c in range(vals.shape[-1]):
-        conv = _convolve_same(vals[..., c], spectrum)
-        out[..., c] = np.where(region, conv, vals[..., c])
-    return out if values.ndim == 4 else out[..., 0]
+    if region.any():
+        spectrum = _kernel_spectrum(float(eps), grid.h, grid.n)
+        for c in range(vals.shape[-1]):
+            conv = _convolve_same(vals[..., c], spectrum)
+            out[..., c] = np.where(region, conv, vals[..., c])
+    return out.reshape(values.shape)
 
 
 def mollify(field, eps):

@@ -12,31 +12,28 @@ import numpy as np
 
 from .errors import IoError
 from .fields import (DEFAULT_BALL_MARGIN, Grid3, LiftField, ScalarField,
-                     SphereMapField, VecField)
+                     SphereMapField, VecField, _flat_values)
 
-_TAG_NCOMP = {"SCAL": 1, "VEC1": 3, "VEC2": 3, "S2": 3, "S3": 4}
+#: tag -> (field type, VecField degree or None, components per node)
+_TAGS = {"SCAL": (ScalarField, None, 1), "VEC1": (VecField, 1, 3),
+         "VEC2": (VecField, 2, 3), "S2": (SphereMapField, None, 3),
+         "S3": (LiftField, None, 4)}
 
 #: Longest header line read_h3f accepts, newline included.
 _MAX_HEADER = 64
 
 
 def field_tag(field):
-    if isinstance(field, ScalarField):
-        return "SCAL"
-    if isinstance(field, SphereMapField):
-        return "S2"
-    if isinstance(field, LiftField):
-        return "S3"
-    if isinstance(field, VecField):
-        return "VEC1" if field.degree == 1 else "VEC2"
+    for tag, (kind, deg, _) in _TAGS.items():
+        if isinstance(field, kind) and getattr(field, "degree", None) == deg:
+            return tag
     raise TypeError(f"not a field: {type(field).__name__}")
 
 
 def _payload(field):
-    v = field.values
-    vals = v[..., None] if v.ndim == 3 else v
     # [i,j,k,c] in memory -> file order [k,j,i,c]
-    return np.ascontiguousarray(vals.transpose(2, 1, 0, 3), dtype="<f8")
+    vals = _flat_values(field.values).transpose(2, 1, 0, 3)
+    return np.ascontiguousarray(vals, dtype="<f8")
 
 
 def write_h3f(path, field):
@@ -44,7 +41,7 @@ def write_h3f(path, field):
     if not path:
         raise IoError("empty output path")
     tag = field_tag(field)
-    ncomp = _TAG_NCOMP[tag]
+    ncomp = _TAGS[tag][2]
     try:
         with open(path, "wb") as fh:
             fh.write(f"H3F1 {field.grid.n} {ncomp} {tag}\n".encode("ascii"))
@@ -77,10 +74,11 @@ def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):
             n, ncomp, tag = int(header[1]), int(header[2]), header[3]
             if n < 3:
                 raise IoError(f"{path}: need n >= 3 nodes per axis, got {n}")
-            if tag not in _TAG_NCOMP:
+            if tag not in _TAGS:
                 raise IoError(f"{path}: unknown tag {tag!r}")
-            if _TAG_NCOMP[tag] != ncomp:
-                raise IoError(f"{path}: tag {tag} expects {_TAG_NCOMP[tag]} "
+            kind, degree, tag_ncomp = _TAGS[tag]
+            if tag_ncomp != ncomp:
+                raise IoError(f"{path}: tag {tag} expects {tag_ncomp} "
                               f"components, header says {ncomp}")
             nbytes = 8 * n ** 3 * ncomp
             extra = os.fstat(fh.fileno()).st_size - len(line) - nbytes
@@ -96,16 +94,9 @@ def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):
     vals = np.frombuffer(raw, dtype="<f8").reshape(n, n, n, ncomp)
     vals = np.ascontiguousarray(vals.transpose(2, 1, 0, 3))
     grid = Grid3(n, ball_margin)
+    head = (grid,) if degree is None else (grid, degree)
     try:
-        if tag == "SCAL":
-            return ScalarField(grid, vals[..., 0])
-        if tag == "VEC1":
-            return VecField(grid, 1, vals)
-        if tag == "VEC2":
-            return VecField(grid, 2, vals)
-        if tag == "S2":
-            return SphereMapField(grid, vals)
-        return LiftField(grid, vals)
+        return kind(*head, vals[..., 0] if ncomp == 1 else vals)
     except ValueError as exc:  # a non-finite payload value
         raise IoError(f"{path}: {exc}") from exc
 
@@ -128,8 +119,7 @@ def export_vtk(field, path, name="field"):
         raise IoError("empty output path")
     grid = field.grid
     n = grid.n
-    v = field.values
-    vals = v[..., None] if v.ndim == 3 else v
+    vals = _flat_values(field.values)
     ncomp = vals.shape[-1]
     try:
         with open(path, "w", encoding="ascii") as fh:

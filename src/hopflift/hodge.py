@@ -43,10 +43,7 @@ class GaugeSolveConfig:
     rel_tol: float = 1e-8
 
     def resolved(self, grid):
-        max_iters = 20 * grid.n if self.max_iters is None else self.max_iters
-        if max_iters <= 0 or not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("bad solver configuration")
-        return max_iters, self.rel_tol
+        return solvers.solve_budget(grid.n, self.max_iters, self.rel_tol)
 
 
 @dataclass

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import BadLatitude, NotTangent, NotUnit, TooCloseToPole
 from .fields import (LiftField, ScalarField, SphereMapField, VecField,
-                     component_planes, energy_density, stencil_partial)
+                     _same_grid, component_planes, energy_density,
+                     stencil_partial)
 
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
@@ -317,8 +318,7 @@ def energy_identity_defect(uhat: LiftField, u: SphereMapField,
 
     Each density is one whole-cube ``energy_density``, which takes the
     partials one x1-row at a time, so no full set of partials is held."""
-    if not (uhat.grid == u.grid == eta.grid):
-        raise ValueError("fields live on different grids")
+    _same_grid(uhat, u, eta)
     h = uhat.grid.h
     out = energy_density(uhat.values, h)
     out -= 0.25 * np.einsum("...c,...c->...", eta.values, eta.values)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartExhausted, NotClosed, NotConverged
-from .fields import LiftField, SphereMapField, VecField, curl, l2_norm
+from .fields import (LiftField, SphereMapField, VecField, _same_grid, curl,
+                     l2_norm)
 from .hopf import (DEFAULT_POLE_ANGLE, energy_identity_defect, gauge_of_lift,
                    hopf, section_of_map)
 from . import solvers
@@ -84,13 +85,11 @@ class LiftConfig:
 
     def resolved(self, grid):
         closed = 50.0 * grid.h ** 2 if self.closed_tol is None else self.closed_tol
-        iters = 20 * grid.n if self.max_iters is None else self.max_iters
-        if iters <= 0 or not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("bad solver configuration")
+        iters, tol = solvers.solve_budget(grid.n, self.max_iters, self.rel_tol)
         if not (np.isfinite(closed) and closed > 0.0):
             raise ValueError(
                 f"closed_tol must be a positive finite number, got {closed}")
-        return closed, self.rel_tol, iters
+        return closed, tol, iters
 
 
 @dataclass
@@ -160,8 +159,7 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     size (the supplied eta cannot match the pullback of u), and
     NotConverged from the phase solve.
     """
-    if u.grid != eta.grid:
-        raise ValueError("fields live on different grids")
+    _same_grid(u, eta)
     if eta.degree != 1:
         raise ValueError("eta must be a degree-1 field")
     cfg = cfg or LiftConfig()
@@ -213,8 +211,7 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
 def verify_lift(u: SphereMapField, eta: VecField, uhat: LiftField) -> LiftReport:
     """Recompute the lift diagnostics from scratch, independent of how
     uhat was produced.  Pure: repeated calls agree bit-exactly."""
-    if not (u.grid == eta.grid == uhat.grid):
-        raise ValueError("fields live on different grids")
+    _same_grid(u, eta, uhat)
     return _report(u, eta, uhat, pole_used=None,
                    min_pole_distance=float("nan"),
                    alpha_closedness=float("nan"))

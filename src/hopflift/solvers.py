@@ -394,6 +394,14 @@ def _dot(u, v, part):
     return float(np.sum(part))
 
 
+def solve_budget(n, max_iters, rel_tol):
+    """(max_iters, rel_tol) of a CG solve on n^3 nodes; None picks 20 n."""
+    max_iters = 20 * n if max_iters is None else max_iters
+    if max_iters <= 0 or not 0.0 < rel_tol < 1.0:
+        raise ValueError("bad solver configuration")
+    return max_iters, rel_tol
+
+
 def conjugate_gradient(mat, b, rel_tol, max_iters):
     """Plain CG on a symmetric positive semi-definite CSR matrix.
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,25 @@ class TestApproximate:
         _, u0, eta0 = family(grid)
         with pytest.raises(WidthTooSmall):
             approximate(u0, eta0, grid.h / 2.0)
+
+    @pytest.mark.parametrize("eps, error, message", [
+        (0.0625, WidthTooSmall, "eps=0.0625 below grid spacing h=0.125"),
+        (0.5, ProjectionDegenerate, "window 3*eps = 1.500 exceeds"),
+        (float("nan"), ProjectionDegenerate, "window 3*eps = nan exceeds"),
+    ], ids=["below-spacing", "window-too-wide", "nan"])
+    def test_width_refused_before_lift(self, monkeypatch, eps, error,
+                                       message):
+        # the window check, then the mollifier's width checks, all
+        # before any lift work
+        grid = make_grid(17)
+        _, u0, eta0 = family(grid)
+
+        def no_lift(*args):
+            raise AssertionError("lift reached")
+
+        monkeypatch.setattr(approx, "lift", no_lift)
+        with pytest.raises(error, match=re.escape(message)):
+            approximate(u0, eta0, eps)
 
 
 class TestSweep:

@@ -1,7 +1,9 @@
 """The benchmark reaches hopflift by name: the tracer wraps the functions
 it lists, and the worker and its inputs call the library through
 ``hl.<name>`` and ``from hopflift... import`` names.  A name that the
-library no longer has would crash every benchmark run."""
+library no longer has would crash every benchmark run.  The benchmark's
+own tests also pin how often one sweep pass calls the lift, the smoother
+and CG; a library change that moves those counts fails them."""
 
 import ast
 import importlib
@@ -12,19 +14,25 @@ import pytest
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                          "perfbench")
 TRACER = os.path.join(PERFBENCH, "tracer.py")
+BENCH_TESTS = os.path.join(PERFBENCH, "test_perfbench.py")
 
 
-def traced_names():
-    """The TRACED tuple of perfbench/tracer.py, read from its source
-    without importing it."""
-    with open(TRACER, encoding="utf-8") as fh:
+def module_constant(path, name):
+    """The literal assigned to ``name`` at the top level of ``path``, read
+    from its source without importing it."""
+    with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "TRACED"
+                and any(getattr(t, "id", None) == name
                         for t in node.targets)):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/tracer.py defines no TRACED")
+    raise AssertionError(f"{path} defines no {name}")
+
+
+def traced_names():
+    """The TRACED tuple of perfbench/tracer.py."""
+    return module_constant(TRACER, "TRACED")
 
 
 @pytest.mark.skipif(not os.path.exists(TRACER),
@@ -109,3 +117,48 @@ def test_cg_receives_csr(monkeypatch):
         assert sp.issparse(mat) and mat.format == "csr"
         assert mat.data.size == mat.indices.size == mat.nnz
         assert mat.indptr.size == mat.shape[0] + 1
+
+
+def count_calls(monkeypatch, qual):
+    """A list that grows by one per call of ``hopflift.<qual>``, counted
+    through every module binding of the function, as the tracer wraps it."""
+    import sys
+    modname, fname = qual.split(".")
+    orig = getattr(importlib.import_module(f"hopflift.{modname}"), fname)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(qual)
+        return orig(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "hopflift" or name.startswith("hopflift."):
+            for attr, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+#: the per-layer counters of the sweep workload's smoke pins, by function
+SWEEP_COUNTERS = {"lift.calls": "lift.lift",
+                  "solvers.cg_solves": "solvers.conjugate_gradient",
+                  "approx.approximate_calls": "approx.approximate"}
+
+
+@pytest.mark.skipif(not os.path.exists(BENCH_TESTS),
+                    reason="perfbench/ is absent")
+def test_sweep_pass_call_counts_match_benchmark_pins(monkeypatch):
+    # one lift plus a 3-width sweep through the package names, as a
+    # lift-sweep-n65 pass runs them, at n = 17 with widths whose windows
+    # fit the cube
+    import hopflift as hl
+    pins = module_constant(BENCH_TESTS, "SMOKE_LAYERS")["lift-sweep-n65"]
+    assert set(pins) == set(SWEEP_COUNTERS)
+    calls = {key: count_calls(monkeypatch, qual)
+             for key, qual in SWEEP_COUNTERS.items()}
+    grid = hl.make_grid(17)
+    _, u, eta = hl.testmaps.gen_lift_family(grid, 0.8, (1.0, 0.0, 0.0),
+                                            (0.0, 1.0, 0.0))
+    hl.lift(u, eta)
+    hl.convergence_sweep(u, eta, [2 * grid.h, 1.5 * grid.h, grid.h])
+    assert {key: len(c) for key, c in calls.items()} == pins

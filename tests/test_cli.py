@@ -339,6 +339,14 @@ def test_cli_import_loads_no_scipy():
     (["--ball-margin=-1", "lift", "--u", "{u}", "--eta", "{eta}",
       "--out", "{out}"], 64,
      "argument --ball-margin: must lie in [0, 1), got -1"),
+    # argparse names the type function when the text is no number
+    (["gauge", "--in", "{D}", "--out", "{out}", "--tol", "abc"], 64,
+     "argument --tol: invalid _rel_tol value: 'abc'"),
+    (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
+      "--iters", "2.5"], 64,
+     "argument --iters: invalid _positive_int value: '2.5'"),
+    (["--ball-margin", "zz", "check", "--in", "{u}"], 64,
+     "argument --ball-margin: invalid _ball_margin value: 'zz'"),
 ], ids=["eps-not-a-number", "eps-empty", "eps-increasing", "eps-nan",
         "tol-zero", "tol-two", "iters-zero", "gauge-degree-1",
         "lift-eta-degree-2", "lift-tol-two", "lift-iters-zero",
@@ -350,7 +358,9 @@ def test_cli_import_loads_no_scipy():
         "check-tol-zero", "check-tol-negative", "gauge-overflow",
         "lift-mixed-grids", "sweep-mixed-grids", "approx-mixed-grids",
         "verify-mixed-grids", "gen-out-of-memory", "ball-margin-nan",
-        "ball-margin-inf", "ball-margin-two", "ball-margin-negative"])
+        "ball-margin-inf", "ball-margin-two", "ball-margin-negative",
+        "tol-not-a-number", "iters-not-an-integer",
+        "ball-margin-not-a-number"])
 def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
     prefix = gen_family(tmp_path, n=9)
     (tmp_path / "n11").mkdir()
@@ -483,6 +493,22 @@ def test_strict_halves_every_lift_tolerance(argv):
         assert closed == scale * 50.0 * grid.h ** 2
         assert tol == scale * 1e-8
         assert iters == 20 * grid.n
+
+
+@pytest.mark.parametrize("command", ["check", "frame-check"])
+def test_strict_halves_report_tol(tmp_path, command):
+    from hopflift.pullback import exactness_tol
+    argv = [command, "--samples", "20"]
+    default = 1e-9
+    if command == "check":
+        argv = [command, "--in", gen_family(tmp_path, n=9) + "u.h3f"]
+        default = exactness_tol(make_grid(9))
+    tols = []
+    for strict in (False, True):
+        rep = str(tmp_path / f"{command}{strict}.json")
+        assert run(["--strict"] * strict + argv + ["--report", rep]) == 0
+        tols.append(json.loads(open(rep).read())["tol"])
+    assert tols == [default, 0.5 * default]
 
 
 def test_readme_synopsis_parses():

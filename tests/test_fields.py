@@ -362,6 +362,25 @@ class TestMollify:
         with pytest.raises(WidthTooSmall):
             mollify(f, self.grid.h / 2.0)
 
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_empty_window_builds_no_kernel(self, monkeypatch, kind):
+        # 3 eps = 30 exceeds the half-width 1: no node is smoothed, and a
+        # kernel of 2*floor(30/h)+1 nodes a side is never built
+        from hopflift import fields
+
+        def no_kernel(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(fields, "_gaussian_kernel", no_kernel)
+        grid = make_grid(17)
+        rng = np.random.default_rng(3)
+        f = (ScalarField(grid, rng.normal(size=(17,) * 3)) if kind == "scalar"
+             else VecField(grid, 1, rng.normal(size=(17,) * 3 + (3,))))
+        out = mollify(f, 10.0)
+        assert type(out) is type(f)
+        assert out.values.tobytes() == f.values.tobytes()
+        assert not np.shares_memory(out.values, f.values)
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf"),
                                      float("-inf")])
     def test_non_finite_width_rejected(self, eps):

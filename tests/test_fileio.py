@@ -5,7 +5,7 @@ from hopflift.cli import run
 from hopflift.errors import IoError
 from hopflift.fields import (LiftField, ScalarField, SphereMapField, VecField,
                              make_grid)
-from hopflift.fileio import export_vtk, read_h3f, write_h3f
+from hopflift.fileio import export_vtk, field_tag, read_h3f, write_h3f
 from hopflift import testmaps
 
 GRID = make_grid(9, 0.1)
@@ -68,6 +68,11 @@ def test_linear_index_order(tmp_path):
     n = GRID.n
     i, j, k = 3, 5, 2
     assert flat[(k * n + j) * n + i] == field.values[i, j, k]
+
+
+def test_field_tag_rejects_non_field():
+    with pytest.raises(TypeError, match="not a field: ndarray"):
+        field_tag(np.zeros((9, 9, 9)))
 
 
 def test_empty_path_rejected():

@@ -203,6 +203,18 @@ class TestCanonicalGauge:
             residual = exc.result[1].curl_residual_rel
         assert residual > 0.5
 
+    @pytest.mark.parametrize("cfg", [
+        GaugeSolveConfig(rel_tol=2.0), GaugeSolveConfig(rel_tol=0.0),
+        GaugeSolveConfig(rel_tol=float("nan")),
+        GaugeSolveConfig(max_iters=0), GaugeSolveConfig(max_iters=-5)])
+    def test_bad_solver_configuration_rejected(self, cfg):
+        grid = make_grid(9)
+        _, g_form = manufactured_pair(grid)
+        with pytest.raises(ValueError, match="bad solver configuration"):
+            cfg.resolved(grid)
+        with pytest.raises(ValueError, match="bad solver configuration"):
+            canonical_gauge(g_form, cfg)
+
     def test_iteration_budget_raises_with_partial_result(self):
         grid = make_grid(17)
         _, g_form = manufactured_pair(grid)
