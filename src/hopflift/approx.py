@@ -58,18 +58,18 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
     """One smoothing step at width eps.
 
     Returns (u_eps, eta_eps, ApproxReport).  Before the lift it raises
-    ProjectionDegenerate when 3*eps exceeds the domain half-width, then
-    ``mollify_components``' WidthTooSmall; after it, ProjectionDegenerate
-    when the mollified lift modulus falls below 1/2 anywhere.  Lift
-    errors propagate.
+    ``check_width``'s WidthTooSmall.  Lift errors propagate.  After the
+    lift it raises ProjectionDegenerate when 3*eps exceeds the domain
+    half-width so that no node gets mollified at all, or when the
+    mollified lift modulus falls below 1/2 anywhere.
     """
     grid = u.grid
+    check_width(grid, eps)
+    uhat, lift_report = lift(u, eta, cfg)
     if not mollify_region_mask(grid, eps).any():
         raise ProjectionDegenerate(
             f"mollification window 3*eps = {3 * eps:.3f} exceeds the domain "
             "half-width; no node is smoothed")
-    check_width(grid, eps)
-    uhat, lift_report = lift(u, eta, cfg)
 
     remainder = VecField(grid, 1, eta.values - gauge_of_lift(uhat).values)
     curl_remainder = l2_norm(curl(remainder))
