@@ -19,6 +19,7 @@ from .errors import ProjectionDegenerate
 from .fields import (LiftField, SphereMapField, VecField, box_mask,
                      check_width, curl, energy_density, integrate, l2_norm,
                      mollify_components, mollify_region_mask)
+from .fileio import open_output
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
 from .pullback import pullback_area_form
@@ -132,7 +133,7 @@ def convergence_sweep(u: SphereMapField, eta: VecField, eps_list,
 
 
 def write_sweep_csv(reports, path):
-    with open(path, "w", newline="", encoding="ascii") as fh:
+    with open_output(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["eps", "dist_u_w12", "dist_eta_l2",
                          "constraint_residual"])

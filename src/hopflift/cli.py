@@ -16,7 +16,7 @@ from . import approx, hodge, selftest, testmaps
 from .errors import HopfliftError, IoError, NotConverged
 from .fields import (DEFAULT_BALL_MARGIN, LiftField, SphereMapField, VecField,
                      make_grid)
-from .fileio import export_vtk, read_h3f, write_h3f
+from .fileio import export_vtk, open_output, read_h3f, write_h3f
 from .hopf import frame_sweep, gauge_of_lift, project_to_sphere
 from .lift import LiftConfig
 from .lift import lift as build_lift
@@ -34,17 +34,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, at any depth, as None,
+    which JSON writes as null: strict parsers reject NaN and Infinity."""
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_report(path, payload):
-    payload = {"schema": SCHEMA, **payload}
+    """The JSON report to ``path``, or to stdout when ``path`` is None."""
+    payload = _finite_or_null({"schema": SCHEMA, **payload})
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if path:
-        try:
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
-    else:
+    if path is None:
         print(text)
+        return
+    with open_output(path, "w", encoding="ascii") as fh:
+        fh.write(text + "\n")
 
 
 def _parse_vec(text):
@@ -316,8 +326,7 @@ def _cmd_verify(args):
     uhat = _read(args, args.uhat, "--uhat", LiftField)
     _same_grid(uhat, "--uhat", u, "--u")
     report = verify_lift(u, eta, uhat)
-    _write_report(args.report, {**report.to_dict(), "min_pole_distance": None,
-                                "alpha_closedness": None})
+    _write_report(args.report, report.to_dict())
     print(f"verify: projection error {report.projection_error:.3e}, gauge "
           f"error {report.gauge_error:.3e}, energy defect "
           f"{report.energy_defect:.3e}")

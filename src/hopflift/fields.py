@@ -55,10 +55,6 @@ class Grid3:
         """Node spacing 2/(n-1)."""
         return 2.0 / (self.n - 1)
 
-    @property
-    def num_nodes(self):
-        return self.n ** 3
-
     def axis(self):
         """Node coordinates along one axis; endpoints are exactly +-1."""
         return _axis(self.n)
@@ -82,9 +78,7 @@ class Grid3:
 
     def cube_interior_mask(self):
         """Nodes not on the cube boundary (central stencils only)."""
-        m = np.zeros((self.n,) * 3, dtype=bool)
-        m[1:-1, 1:-1, 1:-1] = True
-        return m
+        return box_mask(self, 1.0 - 0.5 * self.h)
 
     def node_weights(self):
         """Trapezoidal quadrature weights, (n,n,n): h^3 times 1/2 per
@@ -178,10 +172,11 @@ class VecField:
         self.values = _check_values(self.values, (n, n, n, 3), "VecField")
 
 
-def _check_unit(values, what):
+def _check_unit(values, what, tol):
+    """NotUnit unless every (..., c) value's norm lies within tol of 1."""
     norms = np.sqrt(np.einsum("...c,...c->...", values, values))
     drift = np.abs(norms - 1.0).max()
-    if drift > UNIT_TOL:
+    if drift > tol:
         raise NotUnit(f"{what}: |value| off the unit sphere by {drift:.3e}")
 
 
@@ -195,7 +190,7 @@ class SphereMapField:
     def __post_init__(self):
         n = self.grid.n
         self.values = _check_values(self.values, (n, n, n, 3), "SphereMapField")
-        _check_unit(self.values, "SphereMapField")
+        _check_unit(self.values, "SphereMapField", UNIT_TOL)
 
 
 @dataclass
@@ -209,7 +204,7 @@ class LiftField:
     def __post_init__(self):
         n = self.grid.n
         self.values = _check_values(self.values, (n, n, n, 4), "LiftField")
-        _check_unit(self.values, "LiftField")
+        _check_unit(self.values, "LiftField", UNIT_TOL)
 
 
 def _same_grid(*fields):
@@ -294,11 +289,8 @@ def component_partials(values, h):
 
 def grad(f: ScalarField) -> VecField:
     """Discrete gradient of a 0-form; exact on polynomials of degree <= 2."""
-    plane = np.ascontiguousarray(f.values)
-    g = np.empty(plane.shape + (3,))
-    for j in range(3):
-        stencil_partial(plane, f.grid.h, j, out=g[..., j])
-    return VecField(f.grid, 1, g)
+    return VecField(f.grid, 1,
+                    np.concatenate(axis_partials(f.values, f.grid.h), axis=-1))
 
 
 def curl(a: VecField) -> VecField:
@@ -371,17 +363,13 @@ def l2_norm(a, region="cube"):
     return float(np.sqrt(max(l2_inner(a, a, region), 0.0)))
 
 
-def pointwise_magnitude(a):
-    """Euclidean magnitude per node, as an (n,n,n) array."""
-    v = _flat_values(a.values)
-    return np.sqrt(np.einsum("...c,...c->...", v, v))
-
-
 def lp_norm(a, p, region="cube"):
-    """(integral of |a|^p)^(1/p) with trapezoid weights."""
+    """(integral of |a|^p)^(1/p) with trapezoid weights, |a| per node."""
     if p <= 0:
         raise ValueError("p must be positive")
-    return integrate(a.grid, pointwise_magnitude(a) ** p, region) ** (1.0 / p)
+    v = _flat_values(a.values)
+    magnitude = np.sqrt(np.einsum("...c,...c->...", v, v))
+    return integrate(a.grid, magnitude ** p, region) ** (1.0 / p)
 
 
 def l1_norm(a, region="cube"):

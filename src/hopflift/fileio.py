@@ -7,6 +7,7 @@ i, then j, then k.
 """
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,20 +37,27 @@ def _payload(field):
     return np.ascontiguousarray(vals, dtype="<f8")
 
 
-def write_h3f(path, field):
-    """Write a field; the payload roundtrips bit-exactly."""
+@contextmanager
+def open_output(path, mode, **kwargs):
+    """``open(path, mode, **kwargs)``; IoError on an empty path or OSError."""
     if not path:
         raise IoError("empty output path")
-    tag = field_tag(field)
-    ncomp = _TAGS[tag][2]
     try:
-        with open(path, "wb") as fh:
-            fh.write(f"H3F1 {field.grid.n} {ncomp} {tag}\n".encode("ascii"))
-            # the contiguous payload goes out through its buffer, not a
-            # bytes copy of it
-            fh.write(memoryview(_payload(field)))
+        with open(path, mode, **kwargs) as fh:
+            yield fh
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_h3f(path, field):
+    """Write a field; the payload roundtrips bit-exactly."""
+    tag = field_tag(field)
+    ncomp = _TAGS[tag][2]
+    with open_output(path, "wb") as fh:
+        fh.write(f"H3F1 {field.grid.n} {ncomp} {tag}\n".encode("ascii"))
+        # the contiguous payload goes out through its buffer, not a bytes
+        # copy of it
+        fh.write(memoryview(_payload(field)))
 
 
 def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):
@@ -115,28 +123,23 @@ def _vtk_lines(values):
 def export_vtk(field, path, name="field"):
     """Write a legacy-ASCII STRUCTURED_POINTS file with one scalar array
     per component, for external viewers only."""
-    if not path:
-        raise IoError("empty output path")
     grid = field.grid
     n = grid.n
     vals = _flat_values(field.values)
     ncomp = vals.shape[-1]
-    try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("# vtk DataFile Version 3.0\n")
-            fh.write(f"hopflift {field_tag(field)} field\n")
-            fh.write("ASCII\n")
-            fh.write("DATASET STRUCTURED_POINTS\n")
-            fh.write(f"DIMENSIONS {n} {n} {n}\n")
-            fh.write("ORIGIN -1.0 -1.0 -1.0\n")
-            fh.write(f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\n")
-            fh.write(f"POINT_DATA {n ** 3}\n")
-            for c in range(ncomp):
-                fh.write(f"SCALARS {name}_{c} double 1\n")
-                fh.write("LOOKUP_TABLE default\n")
-                # VTK iterates x fastest, matching the H3F1 file order
-                flat = vals[..., c].transpose(2, 1, 0).ravel()
-                for lo in range(0, flat.size, _VTK_BLOCK):
-                    fh.write(_vtk_lines(flat[lo:lo + _VTK_BLOCK]))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with open_output(path, "w", encoding="ascii") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"hopflift {field_tag(field)} field\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET STRUCTURED_POINTS\n")
+        fh.write(f"DIMENSIONS {n} {n} {n}\n")
+        fh.write("ORIGIN -1.0 -1.0 -1.0\n")
+        fh.write(f"SPACING {grid.h!r} {grid.h!r} {grid.h!r}\n")
+        fh.write(f"POINT_DATA {n ** 3}\n")
+        for c in range(ncomp):
+            fh.write(f"SCALARS {name}_{c} double 1\n")
+            fh.write("LOOKUP_TABLE default\n")
+            # VTK iterates x fastest, matching the H3F1 file order
+            flat = vals[..., c].transpose(2, 1, 0).ravel()
+            for lo in range(0, flat.size, _VTK_BLOCK):
+                fh.write(_vtk_lines(flat[lo:lo + _VTK_BLOCK]))

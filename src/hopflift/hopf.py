@@ -24,13 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLatitude, NotTangent, NotUnit, TooCloseToPole
+from .errors import BadLatitude, NotTangent, TooCloseToPole
 from .fields import (LiftField, ScalarField, SphereMapField, VecField,
-                     _same_grid, component_planes, energy_density,
-                     stencil_partial)
+                     _check_unit, _same_grid, component_planes,
+                     energy_density, stencil_partial)
 
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
+
+#: how far a raw array given to this module may miss |q| = 1, and a
+#: tangent vector v miss q . v = 0 relative to |v|
+RAW_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +81,11 @@ def _pure_from_target(p):
 def hopf(q):
     """Apply the Hopf map to one unit 4-vector or an array of them.
 
-    Raises NotUnit when the input norm is off 1 by more than 1e-9; the
-    output is renormalized wherever its norm drifts beyond 1e-14.
+    Raises NotUnit when the input norm is off 1 by more than ``RAW_TOL``;
+    the output is renormalized wherever its norm drifts beyond 1e-14.
     """
     q = np.asarray(q, dtype=np.float64)
-    norms = np.sqrt(np.einsum("...c,...c->...", q, q))
-    if np.abs(norms - 1.0).max() > 1e-9:
-        raise NotUnit("hopf input off S^3 by more than 1e-9")
+    _check_unit(q, "hopf input", RAW_TOL)
     x1, x2, x3, x4 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     u = np.stack([
         2.0 * (x1 * x3 + x2 * x4),
@@ -118,9 +120,8 @@ def theta_at(q, v):
     the vertical direction iq."""
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if abs(np.linalg.norm(q) - 1.0) > 1e-9:
-        raise NotUnit("theta_at base point off S^3")
-    if abs(float(q @ v)) > 1e-9 * max(1.0, float(np.linalg.norm(v))):
+    _check_unit(q, "theta_at base point", RAW_TOL)
+    if abs(float(q @ v)) > RAW_TOL * max(1.0, float(np.linalg.norm(v))):
         raise NotTangent("theta_at argument is not tangent at q")
     return float(-q[1] * v[0] + q[0] * v[1] - q[3] * v[2] + q[2] * v[3])
 
@@ -156,20 +157,19 @@ def stereo_section(p, pole=DEFAULT_POLE):
     conjugating i to the pure quaternion paired with p, routed through a
     fixed intermediate axis so the cut sits exactly at the pole.  The
     roundtrip h(s(p)) = p holds to rounding; TooCloseToPole is raised
-    when any input is within ``DEFAULT_POLE_ANGLE`` radians of the pole.
+    when the clearance, the arccos of the largest p . pole as in
+    ``lift.select_pole``, is below ``DEFAULT_POLE_ANGLE`` radians.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
     pts = p[None, :] if single else p
-    norms = np.linalg.norm(pts, axis=-1)
-    if np.abs(norms - 1.0).max() > 1e-9:
-        raise NotUnit("stereo_section input off S^2")
+    _check_unit(pts, "stereo_section input", RAW_TOL)
     pole = np.asarray(pole, dtype=np.float64)
     pole = pole / np.linalg.norm(pole)
-    ang = np.arccos(np.clip(pts @ pole, -1.0, 1.0))
-    if ang.min() < DEFAULT_POLE_ANGLE:
+    clearance = np.arccos(np.clip((pts @ pole).max(), -1.0, 1.0))
+    if clearance < DEFAULT_POLE_ANGLE:
         raise TooCloseToPole(
-            f"point within {ang.min():.4f} rad of the section pole")
+            f"point within {clearance:.4f} rad of the section pole")
 
     m = -_pure_from_target(pole)          # cut sits where v(p) = -m
     iq = np.zeros(4)
@@ -222,11 +222,6 @@ class FrameReport:
             self.frame_orthonormality, self.frame_tangency, self.dh_tau1,
             self.dh_tau2_norm, self.dh_tau3_norm, self.dh_image_orthogonality,
             self.pullback_two_form, self.theta_tau1, self.theta_tau23)
-
-    def to_dict(self):
-        d = dict(self.__dict__)
-        d["max_defect"] = self.max_defect()
-        return d
 
 
 def _torus_point(t, phi1, phi2):

@@ -78,9 +78,6 @@ class PointwiseReport:
     norm_identity_defect: float   # | |D|^2 - sum |d_j u x d_l u|^2 |
     amgm_violation: float         # max(0, |D| - |du|^2 / 2)
 
-    def to_dict(self):
-        return dict(self.__dict__)
-
 
 def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseReport:
     """Check the pointwise norm identity and the two-form bound.

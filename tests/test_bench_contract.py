@@ -51,10 +51,12 @@ def library_references(path):
     """(module, [attribute, ...]) for every attribute chain of ``path``
     rooted at ``hl`` (the worker's name for the package), for every name
     taken in by ``from hopflift... import``, and for the chains rooted at
-    those names."""
+    those names.  After ``import hopflift.<module>``, a chain
+    ``hopflift.<module>.<name>`` resolves in that module, imported first."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     roots = {"hl": ("hopflift", [])}
+    submodules = set()
     refs = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.ImportFrom) and node.module
@@ -62,20 +64,29 @@ def library_references(path):
             for alias in node.names:
                 roots[alias.asname or alias.name] = (node.module, [alias.name])
                 refs.append((node.module, [alias.name]))
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("hopflift.") and not alias.asname:
+                    roots["hopflift"] = ("hopflift", [])
+                    submodules.add(alias.name)
+                    refs.append((alias.name, []))
     for node in ast.walk(tree):
         attrs = []
         while isinstance(node, ast.Attribute):
             attrs.insert(0, node.attr)
             node = node.value
         if attrs and isinstance(node, ast.Name) and node.id in roots:
-            module, head = roots[node.id]
-            refs.append((module, head + attrs))
+            module, chain = roots[node.id]
+            chain = chain + attrs
+            while chain and f"{module}.{chain[0]}" in submodules:
+                module, chain = f"{module}.{chain[0]}", chain[1:]
+            refs.append((module, chain))
     return refs
 
 
 @pytest.mark.skipif(not os.path.isdir(PERFBENCH),
                     reason="perfbench/ is absent")
-@pytest.mark.parametrize("script", ["worker.py", "inputs.py"])
+@pytest.mark.parametrize("script", ["worker.py", "inputs.py", "launch.py"])
 def test_benchmark_library_calls_resolve(script):
     import hopflift  # noqa: F401  (loads every submodule)
     refs = library_references(os.path.join(PERFBENCH, script))

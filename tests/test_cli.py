@@ -398,6 +398,59 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--u", "{u}", "--eta", "{eta}", "--eps", "0.25",
+     "--csv", "{tmp}/no/such/dir/s.csv"],
+    ["sweep", "--u", "{u}", "--eta", "{eta}", "--eps", "0.25", "--csv", ""],
+    ["frame-check", "--samples", "10", "--report", ""],
+], ids=["sweep-csv-missing-dir", "sweep-csv-empty", "frame-check-report-empty"])
+def test_output_path_errors_exit_two(tmp_path, capsys, argv):
+    # an output path that cannot be written fails the command like an
+    # unreadable input: exit 2, one stderr line, and no report on stdout
+    # in place of the file
+    prefix = gen_family(tmp_path)
+    capsys.readouterr()
+    got = run([a.format(u=prefix + "u.h3f", eta=prefix + "eta.h3f",
+                        tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert got == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"hopflift {argv[0]}: ")
+
+
+def refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_write_report_nulls_non_finite_floats(tmp_path):
+    from hopflift.cli import _write_report
+    path = tmp_path / "r.json"
+    _write_report(str(path), {
+        "nan": float("nan"), "np_nan": np.float64("nan"), "third": 1 / 3,
+        "deep": [1.5, float("inf"), {"neg": -float("inf"), "sum": 0.1 + 0.2}],
+        "pair": (float("nan"), 3)})
+    text = path.read_text()
+    assert json.loads(text, parse_constant=refuse_constant) == {
+        "schema": "hopflift-report@1", "nan": None, "np_nan": None,
+        "third": 1 / 3, "deep": [1.5, None, {"neg": None, "sum": 0.1 + 0.2}],
+        "pair": [None, 3]}
+    assert f" {1 / 3!r}\n" in text and f" {0.1 + 0.2!r}\n" in text
+
+
+def test_approx_report_with_empty_deep_box_is_strict_json(tmp_path):
+    # at eps = 0.3 on n = 17 no node lies deep enough for the constraint
+    # residual, which is then NaN
+    prefix = gen_family(tmp_path, n=17)
+    rep = tmp_path / "approx.json"
+    assert run(["approx", "--u", prefix + "u.h3f", "--eta", prefix + "eta.h3f",
+                "--eps", "0.3", "--out-prefix", str(tmp_path / "ap_"),
+                "--report", str(rep)]) == 0
+    payload = json.loads(rep.read_text(), parse_constant=refuse_constant)
+    assert payload["constraint_residual"] is None
+
+
 @pytest.mark.parametrize("argv", [["check", "--in", "{u}"],
                                   ["selftest", "--n", "{n}"]],
                          ids=["check", "selftest"])

@@ -25,7 +25,7 @@ class TestGrid:
         # origin plus the six face centers
         grid = make_grid(3, 0.0)
         assert grid.h == 1.0
-        assert grid.num_nodes == 27
+        assert grid.radii().size == 27
         assert int(grid.ball_mask().sum()) == 7
 
     def test_spacing(self):

@@ -84,6 +84,22 @@ class TestTheta:
             theta_at((1, 0, 0, 0), (1, 0, 0, 0))
 
 
+#: a call of each raw-array unit check, on a point whose norm is ``s``
+UNIT_CHECKS = {
+    "hopf": lambda s: hopf((s, 0.0, 0.0, 0.0)),
+    "theta_at": lambda s: theta_at((s, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)),
+    "stereo_section": lambda s: stereo_section((0.0, 0.0, s)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_CHECKS))
+def test_raw_unit_tolerance(name):
+    UNIT_CHECKS[name](1.0 + 0.9e-9)
+    UNIT_CHECKS[name](1.0 - 0.9e-9)
+    with pytest.raises(NotUnit, match=f"^{name} .*off the unit sphere by 1.1"):
+        UNIT_CHECKS[name](1.0 + 1.1e-9)
+
+
 class TestSection:
     def test_north_pole_roundtrip(self):
         s = stereo_section((0.0, 0.0, 1.0))
@@ -114,6 +130,17 @@ class TestSection:
     def test_at_pole_rejected(self):
         with pytest.raises(TooCloseToPole):
             stereo_section((0.0, 0.0, -1.0))
+
+    def test_pole_message_names_the_nearest_point(self):
+        angles = np.array([0.3, 0.049, 0.1, 0.0491])
+        pts = np.stack([np.sin(angles), np.zeros(4), -np.cos(angles)], axis=-1)
+        # the angle of every point to the pole, the nearest taken
+        dense = np.arccos(np.clip(pts @ (0.0, 0.0, -1.0), -1.0, 1.0)).min()
+        assert f"{dense:.4f}" == "0.0490"
+        with pytest.raises(TooCloseToPole) as info:
+            stereo_section(pts)
+        assert str(info.value) == (
+            f"point within {dense:.4f} rad of the section pole")
 
     def test_smoothness_near_cut_boundary(self):
         # values at nearby admissible points stay close: no hidden branch
