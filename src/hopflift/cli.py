@@ -35,8 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_or_null(value):
-    """``value`` with every non-finite float in it, at any depth, as None,
-    which JSON writes as null: strict parsers reject NaN and Infinity."""
+    """``value`` with each non-finite float, at any depth, as None (null)."""
     if isinstance(value, float):
         return value if np.isfinite(value) else None
     if isinstance(value, dict):

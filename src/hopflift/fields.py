@@ -412,7 +412,8 @@ def _convolve_same(values, spectrum):
     n = values.shape[0]
     spec, fshape, lo = spectrum
     padded = sp_fft.rfftn(values, fshape, axes=(0, 1, 2))
-    conv = sp_fft.irfftn(padded * spec, fshape, axes=(0, 1, 2))
+    padded *= spec
+    conv = sp_fft.irfftn(padded, fshape, axes=(0, 1, 2))
     return conv[lo:lo + n, lo:lo + n, lo:lo + n]
 
 

@@ -32,8 +32,7 @@ from .fields import (LiftField, ScalarField, SphereMapField, VecField,
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
 
-#: how far a raw array given to this module may miss |q| = 1, and a
-#: tangent vector v miss q . v = 0 relative to |v|
+#: tolerance of the raw-array checks: on |q| - 1, and on q . v relative to |v|
 RAW_TOL = 1e-9
 
 
@@ -166,7 +165,8 @@ def stereo_section(p, pole=DEFAULT_POLE):
     _check_unit(pts, "stereo_section input", RAW_TOL)
     pole = np.asarray(pole, dtype=np.float64)
     pole = pole / np.linalg.norm(pole)
-    clearance = np.arccos(np.clip((pts @ pole).max(), -1.0, 1.0))
+    dots = pts @ pole
+    clearance = np.arccos(np.clip(dots.max(), -1.0, 1.0))
     if clearance < DEFAULT_POLE_ANGLE:
         raise TooCloseToPole(
             f"point within {clearance:.4f} rad of the section pole")

@@ -171,6 +171,8 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     section_gauge = gauge_of_lift(section)
     alpha = VecField(grid, 1,
                      0.5 * (eta.values - section_gauge.values))
+    # formed before the closedness temporaries, so it cannot pin their heap
+    rhs = solvers.block_adjoint(solvers.GRAD, alpha.values).ravel()
     curl_alpha = curl(alpha)
     # curl alpha is measured against the problem scale, not just ||alpha||:
     # a bare ratio misfires in both directions, blowing up when eta already
@@ -189,8 +191,6 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
             f"the closedness tolerance {closed_tol:.3e}; eta does not "
             f"match the pullback of u")
 
-    # only the right-hand side of the phase solve is needed from here on
-    rhs = solvers.block_adjoint(solvers.GRAD, alpha.values).ravel()
     del section_gauge, curl_alpha, alpha
     phi, iters, converged, achieved = _solve_phase(
         grid, rhs, rel_tol, max_iters)
