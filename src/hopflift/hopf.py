@@ -165,7 +165,7 @@ def stereo_section(p, pole=DEFAULT_POLE):
     _check_unit(pts, "stereo_section input", RAW_TOL)
     pole = np.asarray(pole, dtype=np.float64)
     pole = pole / np.linalg.norm(pole)
-    dots = pts @ pole
+    dots = pts @ pole  # held to the end: freed early, it fragments the heap
     clearance = np.arccos(np.clip(dots.max(), -1.0, 1.0))
     if clearance < DEFAULT_POLE_ANGLE:
         raise TooCloseToPole(
