@@ -253,7 +253,7 @@ def _cmd_check(args):
     tol = exactness_tol(u.grid) if args.tol is None else args.tol
     report = exactness_defect(u, _strict(args, tol))
     _write_report(args.report, report.to_dict())
-    if args.vtk:
+    if args.vtk is not None:
         export_vtk(report.div_defect, args.vtk, name="div_defect")
     print(f"check: verdict {report.verdict}, max interior div "
           f"{report.max_interior_div:.3e}")

@@ -403,8 +403,9 @@ def test_bad_input_exit_codes(tmp_path, capsys, argv, code, message):
      "--csv", "{tmp}/no/such/dir/s.csv"],
     ["sweep", "--u", "{u}", "--eta", "{eta}", "--eps", "0.25", "--csv", ""],
     ["frame-check", "--samples", "10", "--report", ""],
+    ["check", "--in", "{u}", "--report", "{tmp}/check.json", "--vtk", ""],
 ], ids=["sweep-csv-missing-dir", "sweep-csv-empty",
-        "frame-check-report-empty"])
+        "frame-check-report-empty", "check-vtk-empty"])
 def test_output_path_errors_exit_two(tmp_path, capsys, argv):
     # an output path that cannot be written fails the command like an
     # unreadable input: exit 2, one stderr line, and no report on stdout
