@@ -16,7 +16,8 @@ from . import approx, hodge, selftest, testmaps
 from .errors import HopfliftError, IoError, NotConverged
 from .fields import (DEFAULT_BALL_MARGIN, LiftField, SphereMapField, VecField,
                      make_grid)
-from .fileio import export_vtk, open_output, read_h3f, write_h3f
+from .fileio import (check_output_path, export_vtk, open_output,
+                     read_h3f, write_h3f)
 from .hopf import frame_sweep, gauge_of_lift, project_to_sphere
 from .lift import LiftConfig
 from .lift import lift as build_lift
@@ -387,11 +388,24 @@ _COMMANDS = {
 }
 
 
+def _check_outputs(args):
+    """IoError for an output that cannot be written, before any input is
+    read; an --out-prefix is checked by the first file it names."""
+    for flag in ("out", "report", "csv", "vtk"):
+        path = getattr(args, flag, None)
+        if path is not None:
+            check_output_path(path)
+    prefix = getattr(args, "out_prefix", None)
+    if prefix is not None:
+        check_output_path(prefix + "u.h3f")
+
+
 def run(argv):
     """Execute one subcommand; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except HopfliftError as exc:
         print(f"hopflift {args.command}: {exc}", file=sys.stderr)

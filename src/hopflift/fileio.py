@@ -37,11 +37,26 @@ def _payload(field):
     return np.ascontiguousarray(vals, dtype="<f8")
 
 
-@contextmanager
-def open_output(path, mode, **kwargs):
-    """``open(path, mode, **kwargs)``; IoError on an empty path or OSError."""
+def check_output_path(path):
+    """IoError unless ``path`` is non-empty and its directory (the
+    current one when it names none) exists and may be written in.
+    ``open_output`` runs it first; a command runs it on its outputs
+    before its work, so that a bad path costs no work."""
     if not path:
         raise IoError("empty output path")
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise IoError(f"cannot write {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise IoError(f"cannot write {path}: directory {folder} is not "
+                      "writable")
+
+
+@contextmanager
+def open_output(path, mode, **kwargs):
+    """``open(path, mode, **kwargs)``; IoError where
+    ``check_output_path`` refuses the path, or on OSError."""
+    check_output_path(path)
     try:
         with open(path, mode, **kwargs) as fh:
             yield fh

@@ -12,7 +12,9 @@ which is what the report measures.  It takes each pairing with a gradient
 by parts, <a, grad psi> = psi . (G^T W a), and contracts that one axis at
 a time against the separable trial functions; each ||grad psi||^2 is a
 sum of products of 1-d weighted sums.  No trial psi or gradient is
-formed, and only the normal matrix is kept between calls.
+formed, and only the normal matrix is kept between calls, in two parts
+(``solvers.gauge_normal_matrix``): the rows within 3 nodes of a face as
+CSR arrays, and the one 7-point stencil that every other row is.
 Pointwise normals are ambiguous on cube edges, so the penalty is applied
 facewise and the weak form is the test that matters.
 """
@@ -61,11 +63,15 @@ class GaugeReport:
 
 @lru_cache(maxsize=2)
 def _normal_matrix(n):
-    """``solvers.gauge_normal_matrix(n)``, cached read-only per n."""
-    mat = solvers.gauge_normal_matrix(n)
-    for arr in (mat.data, mat.indices, mat.indptr):
+    """``solvers.gauge_normal_matrix(n)``, (shell, stencil), cached
+    read-only per n."""
+    mat, stencil = solvers.gauge_normal_matrix(n)
+    arrays = [mat.data, mat.indices, mat.indptr]
+    if stencil is not None:
+        arrays += [stencil.offsets, stencil.values]
+    for arr in arrays:
         arr.setflags(write=False)
-    return mat
+    return mat, stencil
 
 
 def _trial_draws(trials, seed):
@@ -213,10 +219,10 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
         a = VecField(grid, 1, np.zeros(g_form.values.shape))
         return a, _gauge_report(a, g_form, 0, g_norm)
 
-    mat = _normal_matrix(n)
+    mat, stencil = _normal_matrix(n)
     rhs = solvers.block_adjoint(solvers.CURL, g_form.values).ravel()
     x, iters, achieved, converged = solvers.conjugate_gradient(
-        mat, rhs, rel_tol, max_iters)
+        mat, rhs, rel_tol, max_iters, stencil)
     del rhs
     a = VecField(grid, 1, np.moveaxis(x.reshape(3, n, n, n), 0, -1).copy())
     del x

@@ -125,9 +125,9 @@ def _solve_phase(grid, rhs, rel_tol, max_iters):
     the node nearest the origin; ``rhs`` is G^T W alpha, the flat
     right-hand side of the normal equations."""
     n = grid.n
-    mat = solvers.phase_normal_matrix(n)
+    mat, stencil = solvers.phase_normal_matrix(n)
     phi, iters, achieved, converged = solvers.conjugate_gradient(
-        mat, rhs, rel_tol, max_iters)
+        mat, rhs, rel_tol, max_iters, stencil)
     phi = phi - phi[grid.origin_index()]
     return phi.reshape(n, n, n), iters, converged, achieved
 

@@ -3,16 +3,24 @@ shared by the gauge and phase solvers.
 
 Both solvers minimize a weighted least-squares functional of a block
 operator A whose blocks are signed partials: grad for the lift's phase,
-curl and div for the gauge.  Their normal matrices A^T W A are assembled
-straight into CSR arrays from the 1-d stencil (``_normal_tables``,
-``_csr_from_tables``) and their right-hand sides A^T W v are slice-wise
-adjoints (``block_adjoint``); both are bit-identical to the sparse
-products of the Kronecker matrices they replace, storage order included.
-No solver path builds those matrices: ``partial_matrices``,
-``grad_matrix``, ``curl_matrix``, ``div_matrix`` and
-``boundary_normal_operator`` remain, uncached, as references for the
-tests and for the benchmark tracer's lookups by name.  Because the three
-partials are Kronecker products over disjoint slots they commute
+curl and div for the gauge.  Their normal matrices A^T W A are built
+from the 1-d stencil (``_normal_tables``, ``_csr_from_tables``) in two
+parts.  At every node at least 3 from each face, every row is one
+7-point stencil, offsets 0, +-2, +-2n and +-2n^2 within its component
+block; those rows are kept as the 7 offsets and values
+(``Stencil``), checked against the tables on every such row.  The other
+rows, the shell, are assembled straight into CSR arrays of the full
+shape with the box rows left empty.  Both parts are bit-identical to the
+sparse products of the Kronecker matrices they replace, and the shell
+keeps their storage order.  CG applies the pair chunk by chunk with
+scipy's compiled ``dia_matvec`` and ``csr_matvec`` (``block_matvec``),
+with the products of each row added in the order of the full matrix's.
+The right-hand sides A^T W v are slice-wise adjoints
+(``block_adjoint``).  No solver path builds the Kronecker matrices:
+``partial_matrices``, ``grad_matrix``, ``curl_matrix``, ``div_matrix``
+and ``boundary_normal_operator`` remain, uncached, as references for
+the tests and for the benchmark tracer's lookups by name.  Because the
+three partials are Kronecker products over disjoint slots they commute
 exactly, which makes curl@grad and div@curl vanish identically as sparse
 matrices.  ``scipy.sparse`` is imported by the builders on first use,
 so importing this module costs numpy only.
@@ -21,6 +29,7 @@ so importing this module costs numpy only.
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -258,17 +267,88 @@ def _normal_tables(blocks, n):
     return tables
 
 
+#: nodes with an index closer than this to a face see the one-sided rows
+#: of the 1-d stencil (they reach columns 0, 1, 2 and n-3, n-2, n-1), a
+#: half trapezoid weight or the face penalty; every other row of a normal
+#: matrix is one stencil (``_csr_from_tables`` checks that it is)
+_SHELL = 3
+
+
+class Stencil(NamedTuple):
+    """The rows of a blocks * n^3 square normal matrix at the nodes of the
+    box [_SHELL, n-1-_SHELL]^3, in every block: the row of node i holds
+    ``values[k]`` in column i + ``offsets[k]``, the offsets ascending, and
+    nothing else."""
+
+    n: int
+    blocks: int
+    offsets: np.ndarray
+    values: np.ndarray
+
+
+def _shell_mask(n):
+    """(n,n,n) bool: True at the nodes outside the stencil's box."""
+    shell = np.ones((n, n, n), dtype=bool)
+    box = slice(_SHELL, n - _SHELL)
+    shell[box, box, box] = False
+    return shell
+
+
+def _at_nodes(t, at, c):
+    """The entries of table t at the nodes whose indices on the three axes
+    are the arrays ``at``."""
+    vals = t[tuple(i if m > 1 else 0 for i, m in zip(at, t.shape))]
+    for axis in range(3):
+        if t.shape[axis] == 1:
+            vals = vals * c[at[axis]]
+    return vals
+
+
+def _box_stencil(tables, n, blocks):
+    """The ``Stencil`` of ``_normal_tables``-style tables, None when the
+    box is empty.  Every table must be one value on the whole box (the
+    trapezoid factors are 1 there), 0.0 unless its column block is its
+    row block, and every block must see the same nonzero values."""
+    if n <= 2 * _SHELL:
+        return None
+    box = slice(_SHELL, n - _SHELL)
+    rows = [{} for _ in range(blocks)]
+    for (b, b2, o), t in tables.items():
+        inner = t[tuple(box if m > 1 else slice(None) for m in t.shape)]
+        value = inner.flat[0]
+        if (inner != value).any() or (value != 0.0 and b2 != b):
+            raise RuntimeError(
+                f"normal matrix entry {(b, b2, o)} is not one stencil "
+                "value inside the box")
+        if value != 0.0:
+            rows[b][(o[0] * n + o[1]) * n + o[2]] = value
+    if any(row != rows[0] for row in rows[1:]):
+        raise RuntimeError("the blocks of a normal matrix have different "
+                           "stencils inside the box")
+    offsets = sorted(rows[0])
+    return Stencil(n, blocks, np.array(offsets, dtype=np.int64),
+                   np.array([rows[0][o] for o in offsets]))
+
+
 def _csr_from_tables(tables, n, blocks):
-    """The CSR matrix (blocks * n^3 square) of ``_normal_tables``-style
-    tables.  Each row holds its entries in ascending column and stores
-    only those that are not exactly 0.0, as scipy's sparse products and
-    sums do."""
+    """(shell, stencil): the normal matrix (blocks * n^3 square) of
+    ``_normal_tables``-style tables, split at the stencil's box.
+
+    The shell is a CSR matrix of the full shape that stores the rows of
+    the nodes outside the box and leaves the box rows empty; the
+    ``Stencil`` (None when the box is empty) holds the box rows.  Each
+    shell row holds its entries in ascending column and stores only
+    those that are not exactly 0.0, as scipy's sparse products and sums
+    do.  The box rows are never assembled.
+    """
     import scipy.sparse as sp
     n3 = n ** 3
     c = _trapezoid(n)
+    shell = _shell_mask(n)
     counts = np.zeros((blocks, n, n, n), dtype=np.int32)
     for (b, _, _), t in tables.items():
         counts[b] += t != 0.0
+    counts *= shell
     nnz = int(counts.sum(dtype=np.int64))
     idx = np.int32 if max(nnz, blocks * n3) < 2 ** 31 else np.int64
     indptr = np.zeros(blocks * n3 + 1, dtype=idx)
@@ -276,47 +356,46 @@ def _csr_from_tables(tables, n, blocks):
     del counts
     data = np.empty(nnz)
     indices = np.empty(nnz, dtype=idx)
-    node = np.arange(n3, dtype=idx).reshape(n, n, n)
+    node = np.flatnonzero(shell)
+    at = np.unravel_index(node, shell.shape)
+    del shell
     for b in range(blocks):
-        pos = indptr[b * n3:(b + 1) * n3].astype(np.int64).reshape(n, n, n)
+        pos = indptr[b * n3 + node].astype(np.int64)
         for key in sorted(k for k in tables if k[0] == b):
             _, b2, o = key
-            t = tables[key]
-            axes = [a for a in range(3) if t.shape[a] > 1]
-            tt = t.reshape((n,) * len(axes))
-            sel = tt != 0.0
-            if sel.all():
-                sel = Ellipsis  # views instead of index arrays
-            vals = tt[sel]
-            if len(axes) < 3:
-                factor = c if len(axes) == 2 else np.multiply.outer(c, c)
-                vals = vals.reshape((-1,) + (1,) * factor.ndim) * factor
-            p_view = np.moveaxis(pos, axes, range(len(axes)))
-            p = p_view[sel]
-            data[p] = vals
-            indices[p] = (np.moveaxis(node, axes, range(len(axes)))[sel]
-                          + (b2 * n3 + (o[0] * n + o[1]) * n + o[2]))
-            p_view[sel] += 1
-    return sp.csr_matrix((data, indices, indptr), shape=(blocks * n3,) * 2)
+            vals = _at_nodes(tables[key], at, c)
+            sel = np.flatnonzero(vals != 0.0)
+            p = pos[sel]
+            data[p] = vals[sel]
+            indices[p] = node[sel] + (b2 * n3 + (o[0] * n + o[1]) * n + o[2])
+            pos[sel] += 1
+    shell_csr = sp.csr_matrix((data, indices, indptr),
+                              shape=(blocks * n3,) * 2)
+    return shell_csr, _box_stencil(tables, n, blocks)
 
 
 def phase_normal_matrix(n):
-    """G^T W G as CSR, with G = grad_matrix(n) and W the node weights on
-    each of its three blocks; bit-identical to
-    ``(G.T @ diags(w3) @ G).tocsr()``, storage order included."""
+    """G^T W G as (shell, stencil) (``_csr_from_tables``), with
+    G = grad_matrix(n) and W the node weights on each of its three
+    blocks.  The shell's rows are those of
+    ``(G.T @ diags(w3) @ G).tocsr()`` outside the box, bit for bit and
+    in storage order, and every row inside the box is the stencil."""
     return _csr_from_tables(_normal_tables(GRAD, n), n, 1)
 
 
 def gauge_normal_matrix(n):
     """The gauge functional's normal matrix C^T W C + D^T w D +
-    (10/h) N^T wb N as CSR, with C = curl_matrix(n), D = div_matrix(n),
+    (10/h) N^T wb N as (shell, stencil) (``_csr_from_tables``), with
+    C = curl_matrix(n), D = div_matrix(n),
     (N, wb) = boundary_normal_operator(n) and W, w the node weights.
 
     Bit-identical to the sum of the three sparse products, storage order
-    included: 10/h scales the finished product, and each sum drops the
-    entries that cancel to exactly 0.0, as the mixed-component terms of
-    C^T W C and D^T w D do inside the cube.  N^T wb N is diagonal: the
-    face area weight at every face node of the face-normal component.
+    included, outside the box; inside it, every row of each component
+    block is the stencil.  10/h scales the finished product, and each
+    sum drops the entries that cancel to exactly 0.0, as the
+    mixed-component terms of C^T W C and D^T w D do inside the cube.
+    N^T wb N is diagonal: the face area weight at every face node of the
+    face-normal component.
     """
     h = 2.0 / (n - 1)
     c = _trapezoid(n)
@@ -372,18 +451,84 @@ def cg_workers(rows):
     return worker_count(-(-rows // CHUNK))
 
 
-def block_matvec(mat, p, out, a, e):
-    """out[a:e] = (mat @ p)[a:e], by the routine and in the order that
-    ``mat @ p`` uses, so the bits match; the GIL is released meanwhile.
+#: rows per ``dia_matvec`` call; its table of stencil values is
+#: (k, _DIA_ROWS + 2m) for the margin m = 2n^2, which a smaller call
+#: keeps small at no measured cost
+_DIA_ROWS = 1 << 12
 
-    A public row slice ``mat[a:e]`` would not do: scipy copies any index
-    or data slice smaller than half its base array, tens of MB per call
-    on the gauge matrix.
+
+class _Split:
+    """A shell and its ``Stencil`` laid out for scipy's compiled loops.
+
+    For ``dia_matvec``: the stencil's offsets shifted by the margin
+    m = max |offset| onto a constant (k, _DIA_ROWS + 2m) table, so that
+    one call covers up to _DIA_ROWS rows.  For ``csr_matvec``: the shell
+    rows and their ``indptr`` entries with the empty box rows left out;
+    as those rows are empty, the entries stay consecutive, so any run of
+    shell rows is a CSR matrix of its own.
+    """
+
+    def __init__(self, mat, stencil):
+        shell = np.tile(_shell_mask(stencil.n).ravel(), stencil.blocks)
+        self.rows = np.flatnonzero(shell)
+        self.indptr = np.append(mat.indptr[self.rows], mat.indptr[-1])
+        self.margin = int(np.abs(stencil.offsets).max())
+        self.offsets = stencil.offsets + self.margin
+        self.table = np.repeat(stencil.values[:, None],
+                               _DIA_ROWS + 2 * self.margin, axis=1)
+        self._box = ~shell
+        self._spans = {}
+
+    def span(self, a, e):
+        """(s, t, k0, k1): rows s to t-1 run from the first to the last
+        box row of [a, e) (s = t when there is none), and the shell rows
+        of [a, e) are ``rows[k0:k1]``.  Kept per (a, e), as CG asks for
+        the same chunks on every iteration."""
+        span = self._spans.get((a, e))
+        if span is None:
+            box = self._box[a:e]
+            if box.any():
+                s, t = a + int(box.argmax()), e - int(box[::-1].argmax())
+            else:
+                s = t = a
+            k0, k1 = np.searchsorted(self.rows, (a, e))
+            span = self._spans[(a, e)] = (s, t, int(k0), int(k1))
+        return span
+
+
+def block_matvec(mat, p, out, a, e, split=None):
+    """out[a:e] = (A @ p)[a:e], with A the CSR matrix ``mat`` or, given
+    a ``_Split``, the shell ``mat`` plus the split's stencil rows.  Every
+    row adds its products in ascending column from +0.0, as ``A @ p``
+    does on the whole CSR matrix, so the bits match; the GIL is released
+    meanwhile.
+
+    With a split, the rows from the first to the last box row of [a, e)
+    get the stencil (scipy's ``dia_matvec``), and then ``csr_matvec`` on
+    the shell rows of [a, e) alone overwrites theirs.  A public row
+    slice ``mat[a:e]`` would not do: scipy copies any index or data
+    slice smaller than half its base array, tens of MB per call on the
+    gauge matrix.
     """
     from scipy.sparse import _sparsetools
-    out[a:e] = 0.0
-    _sparsetools.csr_matvec(e - a, mat.shape[1], mat.indptr[a:e + 1],
-                            mat.indices, mat.data, p, out[a:e])
+    if split is None:
+        out[a:e] = 0.0
+        _sparsetools.csr_matvec(e - a, mat.shape[1], mat.indptr[a:e + 1],
+                                mat.indices, mat.data, p, out[a:e])
+        return
+    s, t, k0, k1 = split.span(a, e)
+    out[s:t] = 0.0
+    m = split.margin
+    for lo in range(s, t, _DIA_ROWS):
+        hi = min(lo + _DIA_ROWS, t)
+        _sparsetools.dia_matvec(
+            hi - lo, hi - lo + 2 * m, split.offsets.size,
+            split.table.shape[1], split.offsets, split.table,
+            p[lo - m:hi + m], out[lo:hi])
+    rows = np.zeros(k1 - k0)
+    _sparsetools.csr_matvec(k1 - k0, mat.shape[1], split.indptr[k0:k1 + 1],
+                            mat.indices, mat.data, p, rows)
+    out[split.rows[k0:k1]] = rows
 
 
 def _dot(u, v, part):
@@ -402,8 +547,13 @@ def solve_budget(n, max_iters, rel_tol):
     return max_iters, rel_tol
 
 
-def conjugate_gradient(mat, b, rel_tol, max_iters):
-    """Plain CG on a symmetric positive semi-definite CSR matrix.
+def conjugate_gradient(mat, b, rel_tol, max_iters, stencil=None):
+    """Plain CG on a symmetric positive semi-definite matrix A: the CSR
+    matrix ``mat``, or, given a ``Stencil``, the shell ``mat`` of a
+    normal matrix with the stencil's rows in its empty box rows
+    (``_csr_from_tables``).  ``mat`` stays a scipy CSR matrix of A's
+    shape either way, and each product with A has the bits of the full
+    CSR matrix's (``block_matvec``).
 
     Starts from zero and stops when the residual (the functional's
     gradient, up to a factor 2) drops below rel_tol times its initial
@@ -434,6 +584,7 @@ def conjugate_gradient(mat, b, rel_tol, max_iters):
         return x, 0, 0.0, True
     p = r.copy()
     mp = np.empty_like(b)
+    split = None if stencil is None else _Split(mat, stencil)
     workers = cg_workers(rows)
     edges = [w * len(chunks) // workers for w in range(workers + 1)]
     scratch = np.empty((workers, min(rows, CHUNK)))
@@ -443,7 +594,7 @@ def conjugate_gradient(mat, b, rel_tol, max_iters):
     def curvature_step(w):
         for k in range(edges[w], edges[w + 1]):
             lo, hi = chunks[k]
-            block_matvec(mat, p, mp, lo, hi)
+            block_matvec(mat, p, mp, lo, hi, split)
             part[k] = np.einsum("i,i->", p[lo:hi], mp[lo:hi])
 
     def update_step(w, alpha):

@@ -101,8 +101,9 @@ def test_benchmark_library_calls_resolve(script):
 def test_cg_receives_csr(monkeypatch):
     # the benchmark's CG probe (worker._matrix_sizes) and span extras
     # (tracer.cg_extras) read the CSR arrays of every matrix handed to
-    # conjugate_gradient; a solve on another operator form must change
-    # the benchmark with it
+    # conjugate_gradient: the shell of a normal matrix, its stencil
+    # passed after it positionally, as this probe forwards no keywords;
+    # a solve on another operator form must change the benchmark with it
     import scipy.sparse as sp
     from hopflift import solvers, testmaps
     from hopflift.fields import make_grid

@@ -422,6 +422,51 @@ def test_output_path_errors_exit_two(tmp_path, capsys, argv):
     assert lines[0].startswith(f"hopflift {argv[0]}: ")
 
 
+def refuse_call(*args, **kwargs):
+    raise AssertionError("the command ran before its outputs were checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--u", "{u}", "--eta", "{eta}", "--eps", "0.25",
+     "--csv", "{tmp}/no/such/dir/s.csv"],
+    ["lift", "--u", "{u}", "--eta", "{eta}",
+     "--out", "{tmp}/no/such/dir/u.h3f"],
+    ["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{tmp}/uhat.h3f",
+     "--report", "{tmp}/no/such/dir/r.json"],
+    ["approx", "--u", "{u}", "--eta", "{eta}", "--eps", "0.25",
+     "--out-prefix", "{tmp}/no/such/dir/ap_"],
+    ["check", "--in", "{u}", "--vtk", "{tmp}/no/such/dir/d.vtk"],
+    ["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{u}/uhat.h3f"],
+], ids=["sweep-csv", "lift-out", "lift-report", "approx-prefix",
+        "check-vtk", "out-under-a-file"])
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys,
+                                                 monkeypatch, argv):
+    # the output directories are checked before any input is read, so
+    # no input is read and no lift or sweep runs
+    import hopflift.cli as cli
+    prefix = gen_family(tmp_path, n=9)
+    for module, name in ((cli, "read_h3f"), (cli, "build_lift"),
+                         (cli.approx, "convergence_sweep"),
+                         (cli.approx, "approximate")):
+        monkeypatch.setattr(module, name, refuse_call)
+    capsys.readouterr()
+    got = run([a.format(u=prefix + "u.h3f", eta=prefix + "eta.h3f",
+                        tmp=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert got == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"hopflift {argv[0]}: cannot write ")
+
+
+def test_empty_out_prefix_is_the_current_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--map", "constant", "--n", "5",
+                "--out-prefix", ""]) == 0
+    assert isinstance(read_h3f("u.h3f"), SphereMapField)
+
+
 def refuse_constant(token):
     raise ValueError(f"{token} is not JSON")
 

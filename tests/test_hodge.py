@@ -118,8 +118,9 @@ class TestCanonicalGauge:
         _, g_form = manufactured_pair(make_grid(n))
         a, rep = canonical_gauge(g_form)
         rhs = solvers.block_adjoint(solvers.CURL, g_form.values).ravel()
+        mat, stencil = hodge._normal_matrix(n)
         x, iters, _, _ = solvers.conjugate_gradient(
-            hodge._normal_matrix(n), rhs, 1e-8, 20 * n)
+            mat, rhs, 1e-8, 20 * n, stencil)
         assert rep.iterations == iters > 0
         assert np.array_equal(
             a.values, np.moveaxis(x.reshape(3, n, n, n), 0, -1))
@@ -262,20 +263,26 @@ class TestGaugeCaches:
         assert rep_warm == rep_cold == rep_again
 
     def test_cached_arrays_are_read_only(self):
-        mat = hodge._normal_matrix(9)
-        for arr in (mat.data, mat.indices, mat.indptr):
+        mat, stencil = hodge._normal_matrix(9)
+        for arr in (mat.data, mat.indices, mat.indptr, stencil.offsets,
+                    stencil.values):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1
 
     def test_cache_keyed_on_n(self):
         clear_gauge_caches()
         m9 = hodge._normal_matrix(9)
-        ref = solvers.gauge_normal_matrix(9)
-        for got, want in ((m9.data, ref.data), (m9.indices, ref.indices),
-                          (m9.indptr, ref.indptr)):
+        ref, ref_stencil = solvers.gauge_normal_matrix(9)
+        mat, stencil = m9
+        for got, want in ((mat.data, ref.data), (mat.indices, ref.indices),
+                          (mat.indptr, ref.indptr),
+                          (stencil.offsets, ref_stencil.offsets),
+                          (stencil.values, ref_stencil.values)):
             assert np.array_equal(got, want)
+        assert (stencil.n, stencil.blocks) == (9, 3)
         m5 = hodge._normal_matrix(5)
-        assert m5.shape == (3 * 5 ** 3,) * 2
+        # no node of an n=5 grid is 3 from every face: all shell
+        assert m5[0].shape == (3 * 5 ** 3,) * 2 and m5[1] is None
         assert hodge._normal_matrix(9) is m9
         assert hodge._normal_matrix(5) is m5
 

@@ -35,12 +35,50 @@ def unflat_vector(vec, n):
                      for c in range(3)], axis=-1)
 
 
-def assert_same_csr(mat, ref):
-    assert mat.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(mat, name), getattr(ref, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
+def box_rows(n, blocks):
+    """Bool over the rows of a blocks * n^3 normal matrix: True at the
+    nodes with every index in [3, n-4], whose rows are one stencil."""
+    i = np.arange(n)
+    inside = (i >= 3) & (i <= n - 4)
+    node = (inside[:, None, None] & inside[None, :, None]
+            & inside[None, None, :])
+    return np.tile(node.ravel(), blocks)
+
+
+def assert_split_is(shell, stencil, ref, blocks):
+    """(shell, stencil) is the CSR matrix ref: the shell holds ref's rows
+    outside the box in storage order, with the same index dtype, and no
+    entry in a box row; every box row of ref is the stencil exactly."""
+    n = round((ref.shape[0] // blocks) ** (1 / 3))
+    box = box_rows(n, blocks)
+    counts = np.diff(ref.indptr)
+    keep = np.repeat(~box, counts)
+    want_indptr = np.concatenate([[0], np.cumsum(np.where(box, 0, counts))])
+    assert shell.shape == ref.shape
+    assert shell.indptr.dtype == shell.indices.dtype == ref.indices.dtype
+    assert np.array_equal(shell.indptr, want_indptr)
+    assert np.array_equal(shell.indices, ref.indices[keep])
+    assert shell.data.tobytes() == ref.data[keep].tobytes()
+    if not box.any():
+        assert stencil is None
+        return
+    assert (stencil.n, stencil.blocks) == (n, blocks)
+    rows = np.flatnonzero(box)
+    k = stencil.offsets.size
+    assert np.all(counts[rows] == k)
+    at = ref.indptr[rows][:, None] + np.arange(k)
+    assert np.array_equal(ref.indices[at] - rows[:, None],
+                          np.broadcast_to(stencil.offsets, at.shape))
+    assert ref.data[at].tobytes() == np.broadcast_to(
+        stencil.values, at.shape).tobytes()
+
+
+def phase_reference(n):
+    """G^T W G from the Kronecker gradient."""
+    gm = grad_matrix(n)
+    w = flat_weights(n)
+    w3 = np.concatenate([w, w, w])
+    return (gm.T @ sp.diags(w3) @ gm).tocsr()
 
 
 class TestOperatorMatrices:
@@ -111,11 +149,7 @@ class TestPhaseOperator:
 
     @pytest.mark.parametrize("n", [3, 4, 9, 17, 33, 49, 65])
     def test_matrix_is_the_product(self, n):
-        gm = grad_matrix(n)
-        w = flat_weights(n)
-        w3 = np.concatenate([w, w, w])
-        ref = (gm.T @ sp.diags(w3) @ gm).tocsr()
-        assert_same_csr(phase_normal_matrix(n), ref)
+        assert_split_is(*phase_normal_matrix(n), phase_reference(n), 1)
 
     @pytest.mark.parametrize("n", [3, 9, 33, 49])
     def test_adjoint_is_the_transpose(self, n):
@@ -145,7 +179,7 @@ class TestGaugeOperator:
     def test_matrix_is_the_expression(self, n):
         # the gauge functional's penalties: 1 on div, 10/h on the faces
         ref = self.reference(n, 1.0, 10.0 / make_grid(n).h)
-        assert_same_csr(gauge_normal_matrix(n), ref)
+        assert_split_is(*gauge_normal_matrix(n), ref, 3)
         if n == 17:
             # the cancelled mixed-component entries are not stored
             assert ref.nnz == 178857
@@ -157,6 +191,16 @@ class TestGaugeOperator:
         v = np.random.default_rng(n).normal(size=(n, n, n, 3))
         ref = curl_matrix(n).T @ (w3 * flat_vector(v))
         assert np.array_equal(block_adjoint(CURL, v).ravel(), ref)
+
+
+@pytest.mark.parametrize("build, cap_mib", [(gauge_normal_matrix, 36),
+                                            (phase_normal_matrix, 10)])
+def test_operator_storage_at_n65(build, cap_mib):
+    # the shell and the stencil; the full CSR matrices were 82 and 24 MiB
+    mat, stencil = build(65)
+    arrays = (mat.data, mat.indices, mat.indptr, stencil.offsets,
+              stencil.values)
+    assert sum(a.nbytes for a in arrays) <= cap_mib * 2 ** 20
 
 
 class TestConjugateGradient:
@@ -199,14 +243,25 @@ class TestConjugateGradient:
             conjugate_gradient(mat, b, 1e-12, 100)
 
 
+def split_matvec(mat, stencil, p, edges):
+    """The split operator times p, by ``block_matvec`` over the chunks
+    between ``edges``."""
+    split = None if stencil is None else solvers._Split(mat, stencil)
+    out = np.full(p.size, np.nan)
+    for a, e in zip(edges[:-1], edges[1:]):
+        solvers.block_matvec(mat, p, out, a, e, split)
+    return out
+
+
 @pytest.fixture(scope="module")
 def gauge_system():
-    # the n=33 gauge normal matrix: 107811 rows, 4 chunks of CHUNK rows
+    # the n=33 gauge operator, shell and stencil: 107811 rows, 4 chunks
+    # of CHUNK rows
     from hopflift.hodge import _normal_matrix
     n = 33
-    mat = _normal_matrix(n)
-    b = mat @ np.random.default_rng(3).normal(size=mat.shape[0])
-    return mat, b
+    mat, stencil = _normal_matrix(n)
+    x = np.random.default_rng(3).normal(size=mat.shape[0])
+    return mat, stencil, split_matvec(mat, stencil, x, [0, x.size])
 
 
 def test_worker_count(monkeypatch):
@@ -244,15 +299,42 @@ class TestConjugateGradientKernel:
                     solvers.block_matvec(m, p, out, a, e)
                 assert np.array_equal(out, mat @ p)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 17, 33])
+    @pytest.mark.parametrize("kind", ["phase", "gauge"])
+    def test_split_matvec_matches_matmul(self, n, kind):
+        # guards the private scipy routine behind the stencil rows,
+        # dia_matvec: the bits of ref @ p for any chunk edges and index
+        # width, on a p with runs of signed zeros (rows whose products
+        # are all zeros sum to +0.0) and products that round
+        if kind == "phase":
+            mat, stencil = phase_normal_matrix(n)
+            ref = phase_reference(n)
+        else:
+            mat, stencil = gauge_normal_matrix(n)
+            ref = TestGaugeOperator.reference(n, 1.0, 10.0 / make_grid(n).h)
+        rows = mat.shape[0]
+        p = np.random.default_rng(n).normal(size=rows) / 3.0
+        p[:rows // 3] = np.where(np.arange(rows // 3) % 2, -0.0, 0.0)
+        p[rows // 3::5] = -0.0
+        want = (ref @ p).tobytes()
+        wide = mat.copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        for m in (mat, wide):
+            for edges in ([0, rows], list(range(rows + 1))):
+                assert split_matvec(m, stencil, p, edges).tobytes() == want
+
     def test_same_bits_for_any_worker_count(self, gauge_system, monkeypatch):
-        mat, b = gauge_system
+        mat, stencil, b = gauge_system
+        assert stencil is not None
         assert -(-b.size // solvers.CHUNK) >= 3
         # up to three workers with frequent thread switches: a lost or
         # crossed block update would change the bits
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            results = [_solve_with_workers(monkeypatch, w, mat, b, 1e-8, 660)
+            results = [_solve_with_workers(monkeypatch, w, mat, b, 1e-8, 660,
+                                           stencil)
                        for w in (1, 2, 3)]
         finally:
             sys.setswitchinterval(interval)
@@ -266,7 +348,7 @@ class TestConjugateGradientKernel:
 
         def solve():
             out["workers"] = solvers.cg_workers(b.size)
-            out["result"] = conjugate_gradient(mat, b, 1e-8, 660)
+            out["result"] = conjugate_gradient(mat, b, 1e-8, 660, stencil)
 
         thread = threading.Thread(target=solve)
         thread.start()
@@ -278,9 +360,9 @@ class TestConjugateGradientKernel:
 
     def test_budget_exhaustion_on_split_system(self, gauge_system,
                                                monkeypatch):
-        mat, b = gauge_system
+        mat, stencil, b = gauge_system
         x, iters, rel, converged = _solve_with_workers(
-            monkeypatch, 3, mat, b, 1e-14, 5)
+            monkeypatch, 3, mat, b, 1e-14, 5, stencil)
         assert not converged and iters == 5
 
     def test_indefinite_split_system_diverges(self, monkeypatch):
