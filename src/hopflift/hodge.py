@@ -63,15 +63,9 @@ class GaugeReport:
 
 @lru_cache(maxsize=2)
 def _normal_matrix(n):
-    """``solvers.gauge_normal_matrix(n)``, (shell, stencil), cached
-    read-only per n."""
-    mat, stencil = solvers.gauge_normal_matrix(n)
-    arrays = [mat.data, mat.indices, mat.indptr]
-    if stencil is not None:
-        arrays += [stencil.offsets, stencil.values]
-    for arr in arrays:
-        arr.setflags(write=False)
-    return mat, stencil
+    """``solvers.gauge_normal_matrix(n)``, (shell, stencil), cached per
+    n; its arrays are read-only as built."""
+    return solvers.gauge_normal_matrix(n)
 
 
 def _trial_draws(trials, seed):

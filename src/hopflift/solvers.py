@@ -3,27 +3,28 @@ shared by the gauge and phase solvers.
 
 Both solvers minimize a weighted least-squares functional of a block
 operator A whose blocks are signed partials: grad for the lift's phase,
-curl and div for the gauge.  Their normal matrices A^T W A are built
-from the 1-d stencil (``_normal_tables``, ``_csr_from_tables``) in two
-parts.  At every node at least 3 from each face, every row is one
-7-point stencil, offsets 0, +-2, +-2n and +-2n^2 within its component
-block; those rows are kept as the 7 offsets and values
-(``Stencil``), checked against the tables on every such row.  The other
-rows, the shell, are assembled straight into CSR arrays of the full
-shape with the box rows left empty.  Both parts are bit-identical to the
-sparse products of the Kronecker matrices they replace, and the shell
-keeps their storage order.  CG applies the pair chunk by chunk with
-scipy's compiled ``dia_matvec`` and ``csr_matvec`` (``block_matvec``),
-with the products of each row added in the order of the full matrix's.
-The right-hand sides A^T W v are slice-wise adjoints
-(``block_adjoint``).  No solver path builds the Kronecker matrices:
-``partial_matrices``, ``grad_matrix``, ``curl_matrix``, ``div_matrix``
-and ``boundary_normal_operator`` remain, uncached, as references for
-the tests and for the benchmark tracer's lookups by name.  Because the
-three partials are Kronecker products over disjoint slots they commute
-exactly, which makes curl@grad and div@curl vanish identically as sparse
-matrices.  ``scipy.sparse`` is imported by the builders on first use,
-so importing this module costs numpy only.
+curl and div for the gauge.  There is one 1-d stencil, the field
+operators' own: ``_d1`` is ``fields.stencil_partial`` of the identity.
+The normal matrices A^T W A are built from it (``_normal_tables``,
+``_csr_from_tables``) in two read-only parts.  At every node at least 3
+from each face, every row is one 7-point stencil, offsets 0, +-2, +-2n
+and +-2n^2 within its component block, kept as its offsets and values
+(``Stencil``) and checked against the tables on every such row.  The
+other rows, the shell, are CSR arrays of the full shape with the box
+rows left empty; for n <= 6 there is no box, every row is shell and the
+stencil has no offsets.  Both parts are bit-identical to the sparse
+products of the Kronecker matrices they replace, storage order included.
+CG has one operator path (``block_matvec``): chunk by chunk, scipy's
+compiled ``dia_matvec`` and ``csr_matvec`` add the products of each row
+in the full matrix's order.  The right-hand sides A^T W v are slice-wise
+adjoints (``block_adjoint``).  No solver path builds the Kronecker
+matrices: ``partial_matrices``, ``grad_matrix``, ``curl_matrix``,
+``div_matrix`` and ``boundary_normal_operator`` remain, uncached, as
+references for the tests and for the benchmark tracer's lookups by name.
+Because the three partials are Kronecker products over disjoint slots
+they commute exactly, which makes curl@grad and div@curl vanish
+identically as sparse matrices.  ``scipy.sparse`` is imported by the
+builders on first use, so importing this module costs numpy only.
 """
 
 import os
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SolverDiverged
-from .fields import _node_weights, _trapezoid, face_trace
+from .fields import _node_weights, _trapezoid, face_trace, stencil_partial
 
 #: block operators as row blocks of (column block, sign, axis) entries,
 #: each standing for sign times the partial along axis; the row blocks of
@@ -46,28 +47,19 @@ CURL = (((1, -1.0, 2), (2, 1.0, 1)),
 DIV = (((0, 1.0, 0), (1, 1.0, 1), (2, 1.0, 2)),)
 
 
-def _d1_rows(n, h):
-    """Rows of the 1-d differentiation matrix, each a list of (column,
-    coefficient): central differences inside, second-order one-sided
-    rows at both ends."""
-    inv2h = 0.5 / h
-    rows = [[(0, -3.0 * inv2h), (1, 4.0 * inv2h), (2, -1.0 * inv2h)]]
-    rows += [[(i - 1, -inv2h), (i + 1, inv2h)] for i in range(1, n - 1)]
-    rows.append([(n - 1, 3.0 * inv2h), (n - 2, -4.0 * inv2h),
-                 (n - 3, 1.0 * inv2h)])
-    return rows
+def _d1(n):
+    """The dense 1-d differentiation matrix, the field stencil's own."""
+    return stencil_partial(np.eye(n), 2.0 / (n - 1), 0)
 
 
-def _column_runs(n, h):
+def _column_runs(n):
     """The 1-d matrix by columns: [lo, hi, terms] for each run of
     consecutive columns i whose entries, as (source row - i, coefficient)
     in ascending source row, are the same list ``terms``."""
-    cols = [[] for _ in range(n)]
-    for r, row in enumerate(_d1_rows(n, h)):
-        for i, coef in row:
-            cols[i].append((r - i, coef))
+    d = _d1(n)
     runs = []
-    for i, terms in enumerate(cols):
+    for i in range(n):
+        terms = [(r - i, d[r, i]) for r in np.flatnonzero(d[:, i])]
         if runs and runs[-1][2] == terms:
             runs[-1][1] = i + 1
         else:
@@ -78,10 +70,7 @@ def _column_runs(n, h):
 def partial_matrices(n):
     """(P1, P2, P3): flat-index partial-derivative operators on scalars."""
     import scipy.sparse as sp
-    rows, cols, data = zip(*[
-        (r, col, coef) for r, row in enumerate(_d1_rows(n, 2.0 / (n - 1)))
-        for col, coef in row])
-    d = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    d = sp.csr_matrix(_d1(n))
     eye = sp.identity(n, format="csr")
     p1 = sp.kron(sp.kron(d, eye), eye, format="csr")
     p2 = sp.kron(sp.kron(eye, d), eye, format="csr")
@@ -134,9 +123,8 @@ def block_adjoint(blocks, values):
     bit.
     """
     n = values.shape[0]
-    h = 2.0 / (n - 1)
     w = _node_weights(n)
-    runs = _column_runs(n, h)
+    runs = _column_runs(n)
     out = np.zeros((1 + max(b for row in blocks for b, _, _ in row),
                     n, n, n))
     for k, row in enumerate(blocks):
@@ -196,18 +184,17 @@ def _stencil_terms(n):
     (d[i+oa,i] h^3 c_(i+oa)) d[k,k+ob] c_k at (i_a, k_b) = (i, k); only
     offsets with some term are kept.
     """
-    h = 2.0 / (n - 1)
-    h3 = h ** 3
+    h3 = (2.0 / (n - 1)) ** 3
     c = _trapezoid(n)
-    d = np.zeros((n, n))
+    d = _d1(n)
     terms = {}
-    for r, row in enumerate(_d1_rows(n, h)):
+    for r in range(n):
         wr = h3 * c[r]
-        for i, di in row:
-            d[r, i] = di
-            for ip, dip in row:
+        cols = np.flatnonzero(d[r])
+        for i in cols:
+            for ip in cols:
                 per_node = terms.setdefault(ip - i, [[] for _ in range(n)])
-                per_node[i].append((di * wr) * dip)
+                per_node[i].append((d[r, i] * wr) * d[r, ip])
     same = {}
     for o, per_node in terms.items():
         same[o] = np.zeros((max(map(len, per_node)), n))
@@ -305,12 +292,13 @@ def _at_nodes(t, at, c):
 
 
 def _box_stencil(tables, n, blocks):
-    """The ``Stencil`` of ``_normal_tables``-style tables, None when the
-    box is empty.  Every table must be one value on the whole box (the
-    trapezoid factors are 1 there), 0.0 unless its column block is its
-    row block, and every block must see the same nonzero values."""
+    """The ``Stencil`` of ``_normal_tables``-style tables, with no
+    offsets when the box is empty (n <= 6).  Every table must be one value
+    on the whole box (the trapezoid factors are 1 there), 0.0 unless its
+    column block is its row block, and every block must see the same
+    nonzero values."""
     if n <= 2 * _SHELL:
-        return None
+        return Stencil(n, blocks, np.zeros(0, dtype=np.int64), np.zeros(0))
     box = slice(_SHELL, n - _SHELL)
     rows = [{} for _ in range(blocks)]
     for (b, b2, o), t in tables.items():
@@ -336,10 +324,10 @@ def _csr_from_tables(tables, n, blocks):
 
     The shell is a CSR matrix of the full shape that stores the rows of
     the nodes outside the box and leaves the box rows empty; the
-    ``Stencil`` (None when the box is empty) holds the box rows.  Each
-    shell row holds its entries in ascending column and stores only
-    those that are not exactly 0.0, as scipy's sparse products and sums
-    do.  The box rows are never assembled.
+    ``Stencil`` holds the box rows.  Each shell row holds its entries in
+    ascending column and stores only those that are not exactly 0.0, as
+    scipy's sparse products and sums do.  The box rows are never
+    assembled.  All arrays of both parts are read-only.
     """
     import scipy.sparse as sp
     n3 = n ** 3
@@ -371,7 +359,11 @@ def _csr_from_tables(tables, n, blocks):
             pos[sel] += 1
     shell_csr = sp.csr_matrix((data, indices, indptr),
                               shape=(blocks * n3,) * 2)
-    return shell_csr, _box_stencil(tables, n, blocks)
+    stencil = _box_stencil(tables, n, blocks)
+    for arr in (shell_csr.data, shell_csr.indices, shell_csr.indptr,
+                stencil.offsets, stencil.values):
+        arr.setflags(write=False)
+    return shell_csr, stencil
 
 
 def phase_normal_matrix(n):
@@ -472,7 +464,7 @@ class _Split:
         shell = np.tile(_shell_mask(stencil.n).ravel(), stencil.blocks)
         self.rows = np.flatnonzero(shell)
         self.indptr = np.append(mat.indptr[self.rows], mat.indptr[-1])
-        self.margin = int(np.abs(stencil.offsets).max())
+        self.margin = int(np.abs(stencil.offsets).max(initial=0))
         self.offsets = stencil.offsets + self.margin
         self.table = np.repeat(stencil.values[:, None],
                                _DIA_ROWS + 2 * self.margin, axis=1)
@@ -496,26 +488,20 @@ class _Split:
         return span
 
 
-def block_matvec(mat, p, out, a, e, split=None):
-    """out[a:e] = (A @ p)[a:e], with A the CSR matrix ``mat`` or, given
-    a ``_Split``, the shell ``mat`` plus the split's stencil rows.  Every
-    row adds its products in ascending column from +0.0, as ``A @ p``
-    does on the whole CSR matrix, so the bits match; the GIL is released
-    meanwhile.
+def block_matvec(mat, p, out, a, e, split):
+    """out[a:e] = (A @ p)[a:e], with A the shell ``mat`` plus the stencil
+    rows of the ``_Split`` ``split``.  Every row adds its products in
+    ascending column from +0.0, as ``A @ p`` does on the full CSR matrix,
+    so the bits match; the GIL is released meanwhile.
 
-    With a split, the rows from the first to the last box row of [a, e)
-    get the stencil (scipy's ``dia_matvec``), and then ``csr_matvec`` on
-    the shell rows of [a, e) alone overwrites theirs.  A public row
-    slice ``mat[a:e]`` would not do: scipy copies any index or data
-    slice smaller than half its base array, tens of MB per call on the
-    gauge matrix.
+    The rows from the first to the last box row of [a, e) get the
+    stencil (scipy's ``dia_matvec``), and then ``csr_matvec`` on the
+    shell rows of [a, e) alone overwrites theirs.  When n <= 6 there is
+    no box row and every row is shell.  A public row slice ``mat[a:e]``
+    would not do: scipy copies any index or data slice smaller than half
+    its base array, tens of MB per call on the gauge matrix.
     """
     from scipy.sparse import _sparsetools
-    if split is None:
-        out[a:e] = 0.0
-        _sparsetools.csr_matvec(e - a, mat.shape[1], mat.indptr[a:e + 1],
-                                mat.indices, mat.data, p, out[a:e])
-        return
     s, t, k0, k1 = split.span(a, e)
     out[s:t] = 0.0
     m = split.margin
@@ -547,13 +533,13 @@ def solve_budget(n, max_iters, rel_tol):
     return max_iters, rel_tol
 
 
-def conjugate_gradient(mat, b, rel_tol, max_iters, stencil=None):
-    """Plain CG on a symmetric positive semi-definite matrix A: the CSR
-    matrix ``mat``, or, given a ``Stencil``, the shell ``mat`` of a
-    normal matrix with the stencil's rows in its empty box rows
-    (``_csr_from_tables``).  ``mat`` stays a scipy CSR matrix of A's
-    shape either way, and each product with A has the bits of the full
-    CSR matrix's (``block_matvec``).
+def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
+    """Plain CG on a symmetric positive semi-definite matrix A, given as
+    a normal matrix's two parts (``_csr_from_tables``): the shell ``mat``,
+    a scipy CSR matrix of A's shape, and the ``Stencil`` of its empty box
+    rows, which has no offsets when n <= 6 and every row is shell.  Each
+    product with A has the bits of the full CSR matrix's
+    (``block_matvec``).
 
     Starts from zero and stops when the residual (the functional's
     gradient, up to a factor 2) drops below rel_tol times its initial
@@ -584,7 +570,7 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil=None):
         return x, 0, 0.0, True
     p = r.copy()
     mp = np.empty_like(b)
-    split = None if stencil is None else _Split(mat, stencil)
+    split = _Split(mat, stencil)
     workers = cg_workers(rows)
     edges = [w * len(chunks) // workers for w in range(workers + 1)]
     scratch = np.empty((workers, min(rows, CHUNK)))

@@ -263,11 +263,14 @@ class TestGaugeCaches:
         assert rep_warm == rep_cold == rep_again
 
     def test_cached_arrays_are_read_only(self):
-        mat, stencil = hodge._normal_matrix(9)
-        for arr in (mat.data, mat.indices, mat.indptr, stencil.offsets,
-                    stencil.values):
-            with pytest.raises(ValueError):
-                arr.flat[0] = 1
+        # frozen where they are built: the cached gauge operator and a
+        # fresh phase operator alike
+        for mat, stencil in (hodge._normal_matrix(9),
+                             solvers.phase_normal_matrix(9)):
+            for arr in (mat.data, mat.indices, mat.indptr, stencil.offsets,
+                        stencil.values):
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 1
 
     def test_cache_keyed_on_n(self):
         clear_gauge_caches()
@@ -281,8 +284,10 @@ class TestGaugeCaches:
             assert np.array_equal(got, want)
         assert (stencil.n, stencil.blocks) == (9, 3)
         m5 = hodge._normal_matrix(5)
-        # no node of an n=5 grid is 3 from every face: all shell
-        assert m5[0].shape == (3 * 5 ** 3,) * 2 and m5[1] is None
+        # no node of an n=5 grid is 3 from every face: all shell, and a
+        # stencil with no offsets
+        assert m5[0].shape == (3 * 5 ** 3,) * 2
+        assert (m5[1].n, m5[1].blocks, m5[1].offsets.size) == (5, 3, 0)
         assert hodge._normal_matrix(9) is m9
         assert hodge._normal_matrix(5) is m5
 

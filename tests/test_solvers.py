@@ -8,11 +8,12 @@ import scipy.sparse as sp
 from hopflift import solvers
 from hopflift.errors import SolverDiverged
 from hopflift.fields import (ScalarField, VecField, _node_weights, curl, div,
-                             face_trace, grad, make_grid)
-from hopflift.solvers import (CURL, GRAD, block_adjoint,
+                             face_trace, grad, make_grid, stencil_partial)
+from hopflift.solvers import (CURL, GRAD, Stencil, block_adjoint,
                               boundary_normal_operator, conjugate_gradient,
                               curl_matrix, div_matrix, gauge_normal_matrix,
-                              grad_matrix, phase_normal_matrix)
+                              grad_matrix, partial_matrices,
+                              phase_normal_matrix)
 
 
 # the Kronecker matrices act on flat vectors: a scalar field raveled, a
@@ -59,10 +60,11 @@ def assert_split_is(shell, stencil, ref, blocks):
     assert np.array_equal(shell.indptr, want_indptr)
     assert np.array_equal(shell.indices, ref.indices[keep])
     assert shell.data.tobytes() == ref.data[keep].tobytes()
-    if not box.any():
-        assert stencil is None
-        return
     assert (stencil.n, stencil.blocks) == (n, blocks)
+    if not box.any():
+        # n <= 6: every row is shell, and the stencil has no offsets
+        assert stencil.offsets.size == stencil.values.size == 0
+        return
     rows = np.flatnonzero(box)
     k = stencil.offsets.size
     assert np.all(counts[rows] == k)
@@ -117,6 +119,29 @@ class TestOperatorMatrices:
             assert np.array_equal(w, ref.ravel())
             assert not w.flags.writeable
 
+    def test_one_stencil(self):
+        # the solver layer's 1-d matrix is the field stencil's, byte for
+        # byte: a separate copy of its coefficients rounded the face rows
+        # 1 ulp apart at n = 50, 76, 78, 94, 99, 100, 104, 106 and 108,
+        # the n below 129 where the two disagreed
+        d1 = {n: stencil_partial(np.eye(n), 2.0 / (n - 1), 0)
+              for n in range(3, 129)}
+        # the Kronecker factors cost seconds past n = 64; above it, the n
+        # where the copies disagreed
+        for n in [*range(3, 65), 76, 78, 94, 99, 100, 104, 106, 108]:
+            # P3 = I (x) I (x) D: its first n rows are D
+            p3 = partial_matrices(n)[2][:n, :n]
+            assert p3.nnz == np.count_nonzero(d1[n])
+            assert p3.toarray().tobytes() == d1[n].tobytes(), n
+        # the adjoint's columns, at every n
+        for n, d in d1.items():
+            runs = np.zeros((n, n))
+            for lo, hi, terms in solvers._column_runs(n):
+                i = np.arange(lo, hi)
+                for dr, coef in terms:
+                    runs[i + dr, i] = coef
+            assert runs.tobytes() == d.tobytes(), n
+
     def test_exact_sequences_vanish_structurally(self):
         n = 9
         cg_prod = curl_matrix(n) @ grad_matrix(n)
@@ -151,7 +176,7 @@ class TestPhaseOperator:
     def test_matrix_is_the_product(self, n):
         assert_split_is(*phase_normal_matrix(n), phase_reference(n), 1)
 
-    @pytest.mark.parametrize("n", [3, 9, 33, 49])
+    @pytest.mark.parametrize("n", [3, 9, 33, 49, 50])
     def test_adjoint_is_the_transpose(self, n):
         gm = grad_matrix(n)
         w = flat_weights(n)
@@ -184,7 +209,7 @@ class TestGaugeOperator:
             # the cancelled mixed-component entries are not stored
             assert ref.nnz == 178857
 
-    @pytest.mark.parametrize("n", [3, 9, 33, 49])
+    @pytest.mark.parametrize("n", [3, 9, 33, 49, 50])
     def test_adjoint_is_the_transpose(self, n):
         w = flat_weights(n)
         w3 = np.concatenate([w, w, w])
@@ -203,50 +228,62 @@ def test_operator_storage_at_n65(build, cap_mib):
     assert sum(a.nbytes for a in arrays) <= cap_mib * 2 ** 20
 
 
+def all_shell(n):
+    """The empty ``Stencil`` of an n <= 6 grid's one-block normal matrix,
+    whose n^3 rows are all shell: any CSR matrix of that shape with it is
+    a CG operator."""
+    return Stencil(n, 1, np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
 class TestConjugateGradient:
+    """CG on all-shell operators: n^3 = 27 or 125 rows, every one CSR."""
+
     def test_solves_spd_system(self):
         rng = np.random.default_rng(1)
-        m = rng.normal(size=(40, 40))
-        mat = sp.csr_matrix(m @ m.T + 40 * np.eye(40))
-        x_true = rng.normal(size=40)
+        m = rng.normal(size=(27, 27))
+        mat = sp.csr_matrix(m @ m.T + 27 * np.eye(27))
+        x_true = rng.normal(size=27)
         b = mat @ x_true
-        x, iters, rel, converged = conjugate_gradient(mat, b, 1e-12, 500)
+        x, iters, rel, converged = conjugate_gradient(mat, b, 1e-12, 500,
+                                                      all_shell(3))
         assert converged
         assert np.abs(x - x_true).max() < 1e-8
 
     def test_zero_rhs_short_circuits(self):
-        mat = sp.identity(5, format="csr")
-        x, iters, rel, converged = conjugate_gradient(mat, np.zeros(5), 1e-8, 10)
+        mat = sp.identity(27, format="csr")
+        x, iters, rel, converged = conjugate_gradient(
+            mat, np.zeros(27), 1e-8, 10, all_shell(3))
         assert converged and iters == 0 and np.all(x == 0.0)
 
     def test_budget_exhaustion_reports_nonconvergence(self):
         rng = np.random.default_rng(2)
-        m = rng.normal(size=(60, 60))
-        mat = sp.csr_matrix(m @ m.T + 1e-3 * np.eye(60))
-        b = rng.normal(size=60)
-        x, iters, rel, converged = conjugate_gradient(mat, b, 1e-14, 3)
+        m = rng.normal(size=(125, 125))
+        mat = sp.csr_matrix(m @ m.T + 1e-3 * np.eye(125))
+        b = rng.normal(size=125)
+        x, iters, rel, converged = conjugate_gradient(mat, b, 1e-14, 3,
+                                                      all_shell(5))
         assert not converged and iters == 3
 
     @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
     def test_non_finite_rhs_norm_diverges_before_iterating(self, bad):
         # |b| overflows: the stopping test inf <= inf must not report
         # convergence at iteration 0 with x = 0
-        mat = sp.identity(6, format="csr")
-        b = np.full(6, bad)
+        mat = sp.identity(27, format="csr")
+        b = np.full(27, bad)
         with pytest.raises(SolverDiverged, match="not finite"):
-            conjugate_gradient(mat, b, 1e-8, 10)
+            conjugate_gradient(mat, b, 1e-8, 10, all_shell(3))
 
     def test_indefinite_matrix_diverges(self):
-        mat = sp.diags([-1.0] * 20).tocsr()
-        b = np.ones(20)
+        mat = sp.diags([-1.0] * 27).tocsr()
+        b = np.ones(27)
         with pytest.raises(SolverDiverged):
-            conjugate_gradient(mat, b, 1e-12, 100)
+            conjugate_gradient(mat, b, 1e-12, 100, all_shell(3))
 
 
 def split_matvec(mat, stencil, p, edges):
     """The split operator times p, by ``block_matvec`` over the chunks
     between ``edges``."""
-    split = None if stencil is None else solvers._Split(mat, stencil)
+    split = solvers._Split(mat, stencil)
     out = np.full(p.size, np.nan)
     for a, e in zip(edges[:-1], edges[1:]):
         solvers.block_matvec(mat, p, out, a, e, split)
@@ -285,18 +322,18 @@ def _solve_with_workers(monkeypatch, workers, *args):
 
 class TestConjugateGradientKernel:
     def test_block_matvec_matches_matmul(self):
-        # guards the private scipy routine behind block_matvec
+        # guards the private scipy routine behind the shell rows,
+        # csr_matvec, on an all-shell operator of any sparsity pattern
         rng = np.random.default_rng(4)
-        mat = sp.random(500, 300, density=0.05, format="csr", random_state=rng)
+        mat = sp.random(125, 125, density=0.05, format="csr",
+                        random_state=rng)
         wide = mat.copy()
         wide.indices = wide.indices.astype(np.int64)
         wide.indptr = wide.indptr.astype(np.int64)
-        p = rng.normal(size=300)
+        p = rng.normal(size=125)
         for m in (mat, wide):
-            for edges in ([0, 500], [0, 137, 500], [0, 1, 250, 499, 500]):
-                out = np.full(500, np.nan)
-                for a, e in zip(edges[:-1], edges[1:]):
-                    solvers.block_matvec(m, p, out, a, e)
+            for edges in ([0, 125], [0, 37, 125], [0, 1, 62, 124, 125]):
+                out = split_matvec(m, all_shell(5), p, edges)
                 assert np.array_equal(out, mat @ p)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 17, 33])
@@ -326,7 +363,7 @@ class TestConjugateGradientKernel:
 
     def test_same_bits_for_any_worker_count(self, gauge_system, monkeypatch):
         mat, stencil, b = gauge_system
-        assert stencil is not None
+        assert stencil.offsets.size == 7
         assert -(-b.size // solvers.CHUNK) >= 3
         # up to three workers with frequent thread switches: a lost or
         # crossed block update would change the bits
@@ -365,9 +402,14 @@ class TestConjugateGradientKernel:
             monkeypatch, 3, mat, b, 1e-14, 5, stencil)
         assert not converged and iters == 5
 
-    def test_indefinite_split_system_diverges(self, monkeypatch):
-        rows = 3 * solvers.CHUNK
-        mat = sp.diags(np.full(rows, -1.0)).tocsr()
+    def test_indefinite_split_system_diverges(self, gauge_system,
+                                              monkeypatch):
+        # the negated gauge operator, shell and stencil both: negative
+        # definite, so every step meets non-positive curvature
+        mat, stencil, b = gauge_system
+        neg = sp.csr_matrix((-mat.data, mat.indices, mat.indptr),
+                            shape=mat.shape)
+        neg_stencil = stencil._replace(values=-stencil.values)
         with pytest.raises(SolverDiverged):
-            _solve_with_workers(monkeypatch, 3, mat, np.ones(rows), 1e-12,
-                                100)
+            _solve_with_workers(monkeypatch, 3, neg, np.ones(b.size), 1e-12,
+                                100, neg_stencil)
