@@ -180,6 +180,15 @@ def _check_unit(values, what, tol):
         raise NotUnit(f"{what}: |value| off the unit sphere by {drift:.3e}")
 
 
+def _direction_norm(v, what):
+    """|v|; NotUnit when v is zero or its norm is not finite."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0.0 < norm < np.inf:
+        raise NotUnit(f"{what} {v.tolist()} cannot be normalized")
+    return norm
+
+
 @dataclass
 class SphereMapField:
     """Grid sample of a map into S^2; unit norm at every node."""

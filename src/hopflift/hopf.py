@@ -13,8 +13,9 @@ lift construction integrates, while agreeing with this one wherever the
 second component vanishes.
 
 Everything in this module is analytic in the inputs: the Jacobian of h is
-differentiated by hand, and sections are built by quaternion algebra, so
-the module serves as the exact oracle against which the finite-difference
+differentiated by hand, and the section over S^2 minus a pole is a
+fixed quaternion times a vector affine in the point, normalized, so the
+module serves as the exact oracle against which the finite-difference
 modules are measured.  The only finite differencing here is in
 ``gauge_of_lift`` and ``energy_identity_defect``, which act on grid
 fields.
@@ -26,51 +27,14 @@ import numpy as np
 
 from .errors import BadLatitude, NotTangent, TooCloseToPole
 from .fields import (LiftField, ScalarField, SphereMapField, VecField,
-                     _check_unit, _same_grid, component_planes,
-                     energy_density, stencil_partial)
+                     _check_unit, _direction_norm, _same_grid,
+                     component_planes, energy_density, stencil_partial)
 
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
 
 #: tolerance of the raw-array checks: on |q| - 1, and on q . v relative to |v|
 RAW_TOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# quaternion helpers: arrays (..., 4) in the basis (1, i, j, k); the S^3
-# point (x1, x2, x3, x4) is the quaternion x1 + x2 i + x3 j + x4 k
-
-
-def _qmul(p, q):
-    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack([
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy - px * qz + py * qw + pz * qx,
-        pw * qz + px * qy - py * qx + pz * qw,
-    ], axis=-1)
-
-
-def _qconj(q):
-    out = np.array(q, dtype=np.float64, copy=True)
-    out[..., 1:] *= -1.0
-    return out
-
-
-def _pure_from_target(p):
-    """S^2 point (p1,p2,p3) -> pure quaternion p3 i - p2 j + p1 k.
-
-    With this pairing, h(q) reads off the (k, -j, i) parts of
-    conj(Q) i Q, so left multiplication by e^{i phi} is exactly the
-    diagonal circle action and drops out of h.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    out = np.zeros(p.shape[:-1] + (4,))
-    out[..., 1] = p[..., 2]
-    out[..., 2] = -p[..., 1]
-    out[..., 3] = p[..., 0]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +89,6 @@ def theta_at(q, v):
     return float(-q[1] * v[0] + q[0] * v[1] - q[3] * v[2] + q[2] * v[3])
 
 
-def vertical_field(q):
-    """iq = (-x2, x1, -x4, x3), the generator of the circle action."""
-    q = np.asarray(q, dtype=np.float64)
-    return np.stack([-q[..., 1], q[..., 0], -q[..., 3], q[..., 2]], axis=-1)
-
-
 def gauge_of_lift(uhat: LiftField) -> VecField:
     """The 1-form 2 theta(d uhat) of a lift field, componentwise
     2(-x2 d x1 + x1 d x2 - x4 d x3 + x3 d x4) from central differences."""
@@ -151,44 +109,48 @@ def gauge_of_lift(uhat: LiftField) -> VecField:
 def stereo_section(p, pole=DEFAULT_POLE):
     """A smooth right inverse of h on S^2 minus a cone around ``pole``.
 
-    Works on one point or an (..., 3) array.  The section is the
-    shortest-arc rotation construction: q(p) is the unit quaternion
-    conjugating i to the pure quaternion paired with p, routed through a
-    fixed intermediate axis so the cut sits exactly at the pole.  The
-    roundtrip h(s(p)) = p holds to rounding; TooCloseToPole is raised
-    when the clearance, the arccos of the largest p . pole as in
-    ``lift.select_pole``, is below ``DEFAULT_POLE_ANGLE`` radians.
+    Works on one point or an (..., 3) array.  With (x1, x2, x3, x4) read
+    as x1 + x2 i + x3 j + x4 k, and S(x) = x3 i - x2 j + x1 k the pairing
+    under which h(q) is the (k, -j, i) part of conj(q) i q, the section
+    for the unit pole P is
+
+        q(p) = r (1 - p.P, S(P x p)) / |(1 - p.P, S(P x p))|,
+
+    r = conj(p0) with p0 = (1 - P3, 0, P1, P2)/|.|, or p0 = j when P = e3.
+    The affine factor vanishes only at p = P, so the cut sits exactly at
+    the pole; for P = (0, 0, -1), q(p) = (1 + p3, 0, p1, p2)/sqrt(2(1 + p3)).
+    NotUnit is raised for a pole of zero or non-finite norm, and
+    TooCloseToPole when the clearance, the arccos of the largest p . P as
+    in ``lift.select_pole``, is below ``DEFAULT_POLE_ANGLE`` radians.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
     pts = p[None, :] if single else p
     _check_unit(pts, "stereo_section input", RAW_TOL)
     pole = np.asarray(pole, dtype=np.float64)
-    pole = pole / np.linalg.norm(pole)
-    dots = pts @ pole  # held to the end: freed early, it fragments the heap
+    pole = pole / _direction_norm(pole, "section pole")
+    dots = pts @ pole  # held to the end: it is the scalar part below
     clearance = np.arccos(np.clip(dots.max(), -1.0, 1.0))
     if clearance < DEFAULT_POLE_ANGLE:
         raise TooCloseToPole(
             f"point within {clearance:.4f} rad of the section pole")
 
-    m = -_pure_from_target(pole)          # cut sits where v(p) = -m
-    iq = np.zeros(4)
-    iq[1] = 1.0
-    base = np.zeros(4)
-    base[0] = 1.0
-    t0 = base - _qmul(m, iq)              # shortest arc i -> m
-    n0 = np.linalg.norm(t0)
-    if n0 > 1e-6:
-        p0 = t0 / n0
-    else:                                 # m = -i: quarter-turn about j
-        p0 = np.array([0.0, 0.0, 1.0, 0.0])
+    P1, P2, P3 = pole
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    t = np.empty(pts.shape[:-1] + (4,))
+    np.subtract(1.0, dots, out=t[..., 0])
+    t[..., 1] = P1 * y - P2 * x
+    t[..., 2] = P1 * z - P3 * x
+    t[..., 3] = P2 * z - P3 * y
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
 
-    v = _pure_from_target(pts)
-    one = np.zeros(v.shape)
-    one[..., 0] = 1.0
-    t1 = one - _qmul(v, np.broadcast_to(m, v.shape))  # shortest arc m -> v(p)
-    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
-    q = _qconj(_qmul(t1, np.broadcast_to(p0, t1.shape)))
+    # left multiplication by r = (a, 0, -b, -c)
+    a, b, c = 1.0 - P3, P1, P2
+    nr = np.sqrt(a * a + b * b + c * c)
+    a, b, c = (a / nr, b / nr, c / nr) if nr > 1e-6 else (0.0, 1.0, 0.0)
+    r_left = np.array([[a, 0.0, b, c], [0.0, a, c, -b],
+                       [-b, -c, a, 0.0], [-c, b, 0.0, a]])
+    q = np.einsum("ij,...j->...i", r_left, t)
     return q[0] if single else q
 
 
@@ -247,11 +209,6 @@ def _two_dtheta(a, b):
     return 4.0 * ((a[0] * b[1] - a[1] * b[0]) + (a[2] * b[3] - a[3] * b[2]))
 
 
-def _area_form(u, a, b):
-    """Evaluate the S^2 area form at u on tangent vectors a, b."""
-    return float(u @ np.cross(a, b))
-
-
 def frame_checks(t, phi1, phi2):
     """Verify the frame identities at one chart point with 0 < t < pi/2.
 
@@ -280,7 +237,8 @@ def frame_checks(t, phi1, phi2):
     pullback = 0.0
     for a_i in range(3):
         for b_i in range(a_i + 1, 3):
-            lhs = _area_form(u, images[a_i], images[b_i])
+            # the S^2 area form at u on the two image vectors
+            lhs = float(u @ np.cross(images[a_i], images[b_i]))
             rhs = _two_dtheta(taus[a_i], taus[b_i])
             pullback = max(pullback, abs(lhs - rhs))
 

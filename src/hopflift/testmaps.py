@@ -8,18 +8,16 @@ all have closed forms.  The hedgehog is the negative control, carrying a
 
 import numpy as np
 
-from .errors import BadLatitude, NotUnit
-from .fields import Grid3, LiftField, SphereMapField, VecField
+from .errors import BadLatitude, PreconditionError
+from .fields import (Grid3, LiftField, SphereMapField, VecField,
+                     _direction_norm)
 
 
 def gen_constant(grid: Grid3, p) -> SphereMapField:
     """u identically equal to the unit vector p (normalized if it is
     not; NotUnit when p is zero or its norm overflows)."""
     p = np.asarray(p, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(p)
-    if not 0.0 < norm < np.inf:
-        raise NotUnit(f"constant map value {p.tolist()} cannot be normalized")
+    norm = _direction_norm(p, "constant map value")
     if abs(norm - 1.0) > 1e-12:
         p = p / norm
     vals = np.broadcast_to(p, (grid.n,) * 3 + (3,)).copy()
@@ -42,11 +40,19 @@ def gen_hedgehog(grid: Grid3) -> SphereMapField:
 
 
 def _family_parameters(t0, a, b):
-    """(t0, a, b) as f64; BadLatitude unless t0 lies in (0, pi/2)."""
+    """(t0, a, b) as f64; BadLatitude unless t0 lies in (0, pi/2), and
+    PreconditionError unless B = 2(|a|_1 + |b|_1) and B^2 are finite: B
+    bounds the phases and the gauge on the cube, B^2 the oracle's squares."""
     t0 = float(t0)
     if not 0.0 < t0 < np.pi / 2:
         raise BadLatitude(f"latitude must lie in (0, pi/2), got {t0}")
-    return t0, np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        if not (2.0 * (np.abs(a).sum() + np.abs(b).sum())) ** 2 < np.inf:
+            raise PreconditionError(
+                f"phases a.x, b.x or their squares overflow on the cube: "
+                f"a={a.tolist()}, b={b.tolist()}")
+    return t0, a, b
 
 
 def gen_lift_family(grid: Grid3, t0, a, b):

@@ -6,7 +6,6 @@ of them is a contract change.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -191,11 +190,11 @@ def test_criterion_7_pointwise_norm_identities():
            f"{len(cases)} generators, {elapsed:.1f}s < 10s")
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, child_env):
     outputs = []
     for threads in ("1", "7"):
         path = tmp_path / f"selftest_{threads}.json"
-        env = dict(os.environ, HOPFLIFT_THREADS=threads)
+        env = child_env(HOPFLIFT_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "hopflift", "selftest", "--n", "33",
              "--report", str(path)],

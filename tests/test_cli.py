@@ -1,12 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import hopflift
 from hopflift.cli import run
 from hopflift.fileio import read_h3f, write_h3f
 from hopflift.fields import LiftField, SphereMapField, VecField, make_grid
@@ -227,16 +225,12 @@ def test_gauge_budget_exhaustion_exits_three(tmp_path):
     assert payload["iterations"] == 2
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(child_env):
     # commands that neither solve nor smooth start at numpy's import cost
-    src = os.path.dirname(os.path.dirname(hopflift.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, hopflift.cli; print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
 
 
@@ -297,6 +291,9 @@ def test_cli_import_loads_no_scipy():
       "--out-prefix", "{out}"], 2, "cannot be normalized"),
     (["gen", "--map", "liftfam", "--a", "nan,0,0", "--n", "5",
       "--out-prefix", "{out}"], 64, "argument --a: components must be finite"),
+    # finite parameters whose phase a.x overflows at the cube's corners
+    (["gen", "--map", "liftfam", "--n", "9", "--a", "1e308,1e308,0",
+      "--out-prefix", "{out}"], 2, "their squares overflow on the cube"),
     (["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{out}",
       "--closed-tol", "nan"], 64,
      "argument --closed-tol: must be a positive finite number"),
@@ -353,7 +350,8 @@ def test_cli_import_loads_no_scipy():
         "samples-zero", "samples-negative", "seed-negative", "approx-eps-nan",
         "approx-eps-inf", "approx-eps-zero", "approx-eps-negative",
         "sweep-eps-zero", "sweep-eps-negative", "gauge-budget", "lift-budget",
-        "nan-payload", "constant-zero", "liftfam-a-nan", "closed-tol-nan",
+        "nan-payload", "constant-zero", "liftfam-a-nan",
+        "liftfam-phase-overflow", "closed-tol-nan",
         "closed-tol-inf", "closed-tol-negative", "check-tol-nan",
         "check-tol-zero", "check-tol-negative", "gauge-overflow",
         "lift-mixed-grids", "sweep-mixed-grids", "approx-mixed-grids",
@@ -520,18 +518,15 @@ def test_check_at_coarsest_grid_exits_zero(tmp_path):
     assert run(["check", "--in", prefix + "u.h3f"]) == 0
 
 
-def test_selftest_independent_of_thread_counts(tmp_path):
+def test_selftest_independent_of_thread_counts(tmp_path, child_env):
     # CG's reductions run over fixed chunks outside BLAS, so neither the
     # solver's helper threads nor BLAS threads move a bit of the report
-    src = os.path.dirname(os.path.dirname(hopflift.__file__))
     outputs = set()
     for blas in ("1", "2"):
         for threads in ("1", "2"):
             path = tmp_path / f"selftest_{blas}_{threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                       HOPFLIFT_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src, env.get("PYTHONPATH")) if p)
+            env = child_env(OPENBLAS_NUM_THREADS=blas,
+                            HOPFLIFT_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "hopflift", "selftest", "--n", "33",
                  "--report", str(path)],
@@ -541,7 +536,7 @@ def test_selftest_independent_of_thread_counts(tmp_path):
     assert len(outputs) == 1
 
 
-def test_gauge_independent_of_thread_counts(tmp_path):
+def test_gauge_independent_of_thread_counts(tmp_path, child_env):
     # the gauge's matrix, right-hand side, CG and report are all built
     # without BLAS reductions or thread-dependent sums
     from hopflift.fields import curl, make_grid
@@ -556,16 +551,13 @@ def test_gauge_independent_of_thread_counts(tmp_path):
     g = curl(VecField(grid, 1, curl(pot).values))
     g_path = tmp_path / "G.h3f"
     write_h3f(str(g_path), g)
-    src = os.path.dirname(os.path.dirname(hopflift.__file__))
     outputs = set()
     for blas in ("1", "2"):
         for threads in ("1", "2"):
             out = tmp_path / f"a_{blas}_{threads}.h3f"
             rep = tmp_path / f"gauge_{blas}_{threads}.json"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                       HOPFLIFT_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (src, env.get("PYTHONPATH")) if p)
+            env = child_env(OPENBLAS_NUM_THREADS=blas,
+                            HOPFLIFT_THREADS=threads)
             proc = subprocess.run(
                 [sys.executable, "-m", "hopflift", "gauge", "--in",
                  str(g_path), "--out", str(out), "--report", str(rep)],

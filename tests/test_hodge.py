@@ -1,11 +1,8 @@
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-
-import hopflift
 
 from hopflift import hodge, solvers, testmaps
 from hopflift.errors import NotConverged
@@ -401,7 +398,7 @@ def test_separable_norms_match_dense(n):
         assert abs(ng_sq - dense) <= 1e-13 * dense
 
 
-def test_checks_independent_of_blas_threads(tmp_path):
+def test_checks_independent_of_blas_threads(tmp_path, child_env):
     # the pairings' and the norms' contractions run in numpy's own
     # einsum loops, not in BLAS
     grid = make_grid(33)
@@ -420,12 +417,9 @@ def test_checks_independent_of_blas_threads(tmp_path):
         "    f = VecField(grid, 1, np.load(sys.argv[1] + f'/{name}.npy'))\n"
         "    print(repr(hodge._weak_trace_defect(f)),\n"
         "          repr(hodge.gauge_minimality_check(f)))\n")
-    src = os.path.dirname(os.path.dirname(hopflift.__file__))
     outputs = set()
     for blas in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+        env = child_env(OPENBLAS_NUM_THREADS=blas)
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                               env=env, capture_output=True, text=True,
                               timeout=600)

@@ -6,12 +6,19 @@ from hopflift.errors import BadLatitude, NotTangent, NotUnit, TooCloseToPole
 from hopflift.fields import LiftField, ScalarField, VecField, grad, make_grid
 from hopflift.hopf import (energy_identity_defect, frame_checks, frame_sweep,
                            gauge_of_lift, hopf, hopf_jacobian, stereo_section,
-                           theta_at, vertical_field)
+                           theta_at)
+from hopflift.lift import default_pole_candidates
 from hopflift import testmaps
 
 unit4 = st.tuples(*[st.floats(-1, 1) for _ in range(4)]).filter(
     lambda q: 0.1 < sum(c * c for c in q) ** 0.5).map(
     lambda q: tuple(c / sum(x * x for x in q) ** 0.5 for c in q))
+
+
+def vertical_field(q):
+    """iq = (-x2, x1, -x4, x3), the generator of the circle action."""
+    q = np.asarray(q, dtype=np.float64)
+    return np.stack([-q[..., 1], q[..., 0], -q[..., 3], q[..., 2]], axis=-1)
 
 
 class TestHopfPointwise:
@@ -150,6 +157,96 @@ class TestSection:
         s = stereo_section(pts)
         steps = np.linalg.norm(np.diff(s, axis=0), axis=-1)
         assert steps.max() < 0.05
+
+
+def qmul(p, q):
+    """Quaternion products of (..., 4) arrays in the basis (1, i, j, k)."""
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack([pw * qw - px * qx - py * qy - pz * qz,
+                     pw * qx + px * qw + py * qz - pz * qy,
+                     pw * qy - px * qz + py * qw + pz * qx,
+                     pw * qz + px * qy - py * qx + pz * qw], axis=-1)
+
+
+def pure(p):
+    """S^2 point p -> pure quaternion p3 i - p2 j + p1 k."""
+    out = np.zeros(p.shape[:-1] + (4,))
+    out[..., 1], out[..., 2], out[..., 3] = p[..., 2], -p[..., 1], p[..., 0]
+    return out
+
+
+def quaternion_section(pts, pole):
+    """The section as two quaternion products, as it was written before
+    its closed form: conj(t1 p0), with p0 the shortest arc from i to
+    m = -pure(pole) (a quarter turn about j when m = -i) and t1 the one
+    from m to pure(p)."""
+    pole = np.asarray(pole, dtype=np.float64)
+    m = -pure(pole / np.linalg.norm(pole))
+    t0 = np.array([1.0, 0.0, 0.0, 0.0]) - qmul(m, np.array([0.0, 1, 0, 0]))
+    n0 = np.linalg.norm(t0)
+    p0 = t0 / n0 if n0 > 1e-6 else np.array([0.0, 0.0, 1.0, 0.0])
+    v = pure(pts)
+    one = np.zeros(v.shape)
+    one[..., 0] = 1.0
+    t1 = one - qmul(v, np.broadcast_to(m, v.shape))
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
+    q = qmul(t1, np.broadcast_to(p0, t1.shape))
+    q[..., 1:] *= -1.0
+    return q
+
+
+def points_clear_of(pole, count, seed):
+    """``count`` random unit points, less those within 0.06 rad of pole."""
+    p = np.random.default_rng(seed).normal(size=(count, 3))
+    p /= np.linalg.norm(p, axis=-1, keepdims=True)
+    pole = np.asarray(pole) / np.linalg.norm(pole)
+    return p[p @ pole < np.cos(0.06)]
+
+
+E3_POLES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+
+
+class TestSectionClosedForm:
+    """The closed form against the quaternion-product construction it
+    replaced."""
+
+    def test_matches_quaternion_products(self):
+        rng = np.random.default_rng(21)
+        poles = [*default_pole_candidates(), *np.asarray(E3_POLES),
+                 *rng.normal(size=(12, 3))]
+        for i, pole in enumerate(poles):
+            pts = points_clear_of(pole, 4000, seed=i)
+            delta = np.abs(stereo_section(pts, pole)
+                           - quaternion_section(pts, pole)).max()
+            assert delta <= 1e-14, (pole, delta)
+
+    @pytest.mark.parametrize("pole", E3_POLES)
+    def test_axis_poles_give_the_same_bits(self, pole):
+        # a signed permutation of the same affine vector: equal bytes once
+        # the sign of exact zeros is dropped (adding 0.0 maps -0 to +0)
+        pts = points_clear_of(pole, 20000, seed=22)
+        new = stereo_section(pts, pole) + 0.0
+        old = quaternion_section(pts, pole) + 0.0
+        assert new.tobytes() == old.tobytes()
+
+    def test_default_pole_formula(self):
+        pts = points_clear_of((0.0, 0.0, -1.0), 20000, seed=23)
+        p1, p2, p3 = pts.T
+        want = np.stack([1.0 + p3, np.zeros_like(p3), p1, p2], axis=-1)
+        want /= np.sqrt(2.0 * (1.0 + p3))[:, None]
+        # 2(1 + p3) is |(1 + p3, 0, p1, p2)|^2 only as far as |p| = 1, a
+        # relative gap that 1 + p3 divides
+        gap = np.abs(stereo_section(pts) - want) * (1.0 + p3)[:, None]
+        assert gap.max() <= 1e-15
+
+    @pytest.mark.parametrize("pole", [
+        (0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0),
+        (0.0, 0.0, 1e-320)])
+    def test_degenerate_pole_rejected(self, pole):
+        with pytest.raises(NotUnit, match="^section pole .* cannot be "
+                                          "normalized$"):
+            stereo_section((1.0, 0.0, 0.0), pole)
 
 
 class TestFrame:

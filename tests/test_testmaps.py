@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopflift.errors import BadLatitude
+from hopflift.errors import BadLatitude, PreconditionError
 from hopflift.fields import VecField, div, l2_norm, make_grid
 from hopflift.hopf import gauge_of_lift, hopf
 from hopflift.pullback import exactness_defect, pullback_area_form
@@ -82,6 +82,16 @@ class TestLiftFamily:
     def test_latitude_bounds(self, t0):
         with pytest.raises(BadLatitude):
             testmaps.gen_lift_family(GRID, t0, (1, 0, 0), (0, 1, 0))
+
+    @pytest.mark.parametrize("a, b", [
+        ((1e308, 1e308, 0), (0, 1, 0)),     # a.x at a corner
+        ((1e308, 0, 0), (-1e308, 0, 0)),    # the difference (b - a).x
+        ((1.7e308, 0, 0), (1.7e308, 0, 0)),  # the gauge 2(a + b)/2
+        ((1e200, 0, 0), (0, 1, 0)),         # the oracle's |a|^2
+        ((np.nan, 0, 0), (0, 1, 0))])
+    def test_phases_must_stay_finite(self, a, b):
+        with pytest.raises(PreconditionError, match="overflow on the cube"):
+            testmaps.gen_lift_family(GRID, np.pi / 4, a, b)
 
 
 class TestPlanar:
