@@ -235,13 +235,28 @@ def stencil_partial(f, h, axis, out=None):
     """
     if out is None:
         out = np.empty(f.shape)
-    g = np.moveaxis(f, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    np.subtract(g[2:], g[:-2], out=o[1:-1])
-    o[1:-1] /= 2.0 * h
-    o[0] = (-1.5 / h) * g[0] + (2.0 / h) * g[1] + (-0.5 / h) * g[2]
-    o[-1] = (0.5 / h) * g[-3] + (-2.0 / h) * g[-2] + (1.5 / h) * g[-1]
+    _stencil_rows(np.swapaxes(f, axis, 0), h, 0, f.shape[axis],
+                  np.swapaxes(out, axis, 0))
     return out
+
+
+def _stencil_rows(g, h, lo, hi, out):
+    """Rows lo..hi-1 of ``stencil_partial(g, h, 0)`` into ``out``, which
+    has hi - lo rows: rows 0 and len(g) - 1 of g take the one-sided
+    stencils, the others the central one."""
+    a, b = max(lo, 1), min(hi, len(g) - 1)
+    np.subtract(g[a + 1:b + 1], g[a - 1:b - 1], out=out[a - lo:b - lo])
+    out[a - lo:b - lo] /= 2.0 * h
+    # a face row adds c0 g0 + c1 g1 + c2 g2 left to right, numpy's order,
+    # in out's row, so it takes one row of temporaries
+    if lo == 0:
+        np.multiply(-1.5 / h, g[0], out=out[0])
+        out[0] += (2.0 / h) * g[1]
+        out[0] += (-0.5 / h) * g[2]
+    if hi == len(g):
+        np.multiply(0.5 / h, g[-3], out=out[-1])
+        out[-1] += (-2.0 / h) * g[-2]
+        out[-1] += (1.5 / h) * g[-1]
 
 
 def component_planes(values):
@@ -263,27 +278,77 @@ def axis_partials(values, h):
     return out
 
 
+#: x1-rows per block of ``row_partials`` in ``curl``,
+#: ``hopf.gauge_of_lift`` and ``pullback``, chosen by timing them at
+#: n = 65 and 97 on a 4 MB L2: 3 to 4 rows were fastest, 6 to 16 rows
+#: up to 1.3x slower at n = 97, where 4 rows of a lift's 12 partials
+#: take 3.6 MB
+BLOCK_ROWS = 4
+
+
+def row_partials(values, h, rows):
+    """Walk the x1-rows of a (n,n,n) or (n,n,n,c) array in blocks of
+    ``rows``: yield (lo, hi, parts) for rows lo..hi-1, where parts[c][j]
+    is the j-th partial of component c on those rows, a contiguous
+    (hi-lo, n, n) array, bit for bit ``stencil_partial`` of the whole
+    component.
+
+    Each component's block is copied, with the halo rows lo-1 and hi
+    that the x1 stencil reads, into one contiguous buffer that the
+    components share; next to a face the halo widens to the three rows
+    the one-sided stencil needs, starting at row max(0, min(lo - 1,
+    n - 3)).  The partials are buffers that the next block overwrites.
+    """
+    v = _flat_values(values)
+    n, comps = v.shape[0], v.shape[-1]
+    rows = min(rows, n)
+    halo = np.empty((min(rows + 2, n), n, n))
+    d = [np.empty((3, rows, n, n)) for _ in range(comps)]
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        s = max(0, min(lo - 1, n - 3))
+        e = min(n, max(hi + 1, s + 3))
+        g = halo[:e - s]
+        parts = [dc[:, :hi - lo] for dc in d]
+        for c, dc in enumerate(parts):
+            np.copyto(g, v[s:e, ..., c])
+            _stencil_rows(g, h, lo - s, hi - s, dc[0])
+            stencil_partial(g[lo - s:hi - s], h, 1, out=dc[1])
+            stencil_partial(g[lo - s:hi - s], h, 2, out=dc[2])
+        yield lo, hi, parts
+
+
+def stacked_squares(parts, stack, out):
+    """``np.einsum("...jc,...jc->...", d, d, out=out)`` for d the block
+    partials parts[c][j] (``row_partials``) stacked into ``stack``, a
+    (rows, n, n, 3, c) buffer, which is returned.
+
+    einsum reduces each node's 3c products with fused multiply-adds in
+    an order no sum of planes reproduces, so the stack is needed; its
+    bits do not depend on how many rows it holds.
+    """
+    for c, pc in enumerate(parts):
+        for j in range(3):
+            stack[..., j, c] = pc[j]
+    np.einsum("...jc,...jc->...", stack, stack, out=out)
+    return stack
+
+
 def energy_density(values, h):
     """|grad v|^2 per node of a (n,n,n) or (n,n,n,c) array v:
     ``np.einsum("...jc,...jc->...", d, d)`` for
     d = ``component_partials(values, h)``, bit for bit.
 
-    einsum reduces each node's 3c products with fused multiply-adds in
-    an order no sum of planes reproduces, so the stack is kept, but for
-    one x1-row r at a time, in an (n,n,3,c) buffer: the x1 stencil runs
-    on rows r-1..r+1 (the three next to a face), the x2 and x3 stencils
-    on row r.
+    ``stacked_squares`` over ``row_partials`` blocks of one x1-row: the
+    stack holds 3c partials a node besides the helper's own, so blocks of
+    one row keep a call to about 30 n^2 doubles beside its output for
+    c = 4.
     """
-    n = values.shape[0]
     v = _flat_values(values)
     out = np.empty(v.shape[:3])
-    d = np.empty(v.shape[1:3] + (3, v.shape[-1]))
-    for r in range(n):
-        s = max(0, min(r - 1, n - 3))
-        d[..., 0, :] = stencil_partial(v[s:s + 3], h, 0)[r - s]
-        stencil_partial(v[r], h, 0, out=d[..., 1, :])
-        stencil_partial(v[r], h, 1, out=d[..., 2, :])
-        np.einsum("...jc,...jc->...", d, d, out=out[r])
+    stack = np.empty((1,) + v.shape[1:3] + (3, v.shape[-1]))
+    for lo, hi, parts in row_partials(v, h, 1):
+        stacked_squares(parts, stack, out[lo:hi])
     return out
 
 
@@ -303,16 +368,15 @@ def grad(f: ScalarField) -> VecField:
 
 
 def curl(a: VecField) -> VecField:
-    """Exterior derivative of a 1-form, as the vector curl."""
+    """Exterior derivative of a 1-form, as the vector curl, one
+    ``row_partials`` block at a time."""
     if a.degree != 1:
         raise ValueError("curl acts on degree-1 fields")
-    h = a.grid.h
-    p = component_planes(a.values)
     out = np.empty(a.values.shape)
-    for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        # component c is d_j a_k - d_k a_j
-        np.subtract(stencil_partial(p[k], h, j), stencil_partial(p[j], h, k),
-                    out=out[..., c])
+    for lo, hi, d in row_partials(a.values, a.grid.h, BLOCK_ROWS):
+        for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+            # component c is d_j a_k - d_k a_j
+            np.subtract(d[k][j], d[j][k], out=out[lo:hi, ..., c])
     return VecField(a.grid, 2, out)
 
 

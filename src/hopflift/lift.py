@@ -110,14 +110,17 @@ class LiftReport:
 
 
 def _phase_rotate(values, phase):
-    """Apply the fiberwise rotation e^{i phase} to (.., 4) lift values."""
+    """Apply the fiberwise rotation e^{i phase} to (.., 4) lift values in
+    place, and return them: (x1 + i x2, x3 + i x4) times e^{i phase}."""
     c, s = np.cos(phase), np.sin(phase)
-    out = np.empty_like(values)
-    out[..., 0] = values[..., 0] * c - values[..., 1] * s
-    out[..., 1] = values[..., 0] * s + values[..., 1] * c
-    out[..., 2] = values[..., 2] * c - values[..., 3] * s
-    out[..., 3] = values[..., 2] * s + values[..., 3] * c
-    return out
+    for re, im in ((0, 1), (2, 3)):
+        v_re, v_im = values[..., re], values[..., im]
+        t = v_re * s
+        v_re *= c
+        v_re -= v_im * s
+        v_im *= c
+        v_im += t
+    return values
 
 
 def _solve_phase(grid, rhs, rel_tol, max_iters):
@@ -168,12 +171,15 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
 
     pole, min_dist = select_pole(u)
     section = section_of_map(u, pole)
-    section_gauge = gauge_of_lift(section)
-    alpha = VecField(grid, 1,
-                     0.5 * (eta.values - section_gauge.values))
+    # the section's gauge, measured, then turned in place into the phase
+    # form alpha = 0.5 (eta - section gauge)
+    alpha = gauge_of_lift(section)
+    gauge_norm = l2_norm(alpha)
+    gauge_curl = 0.5 * l2_norm(curl(alpha))
+    np.subtract(eta.values, alpha.values, out=alpha.values)
+    alpha.values *= 0.5
     # formed before the closedness temporaries, so it cannot pin their heap
     rhs = solvers.block_adjoint(solvers.GRAD, alpha.values).ravel()
-    curl_alpha = curl(alpha)
     # curl alpha is measured against the problem scale, not just ||alpha||:
     # a bare ratio misfires in both directions, blowing up when eta already
     # sits near the section's gauge (alpha ~ 0 and its curl is two
@@ -181,17 +187,16 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     # dominated by a large legitimate gradient part.  The scale combines
     # the gauge size per domain length and the pullback size carried by
     # the section's gauge.
-    scale = max(l2_norm(alpha),
-                0.25 * (l2_norm(eta) + l2_norm(section_gauge)),
-                0.5 * l2_norm(curl(section_gauge)), _TINY)
-    closedness = l2_norm(curl_alpha) / scale
+    scale = max(l2_norm(alpha), 0.25 * (l2_norm(eta) + gauge_norm),
+                gauge_curl, _TINY)
+    closedness = l2_norm(curl(alpha)) / scale
     if closedness > closed_tol:
         raise NotClosed(
             f"curl of the phase form is {closedness:.3e} relative, above "
             f"the closedness tolerance {closed_tol:.3e}; eta does not "
             f"match the pullback of u")
 
-    del section_gauge, curl_alpha, alpha
+    del alpha
     phi, iters, converged, achieved = _solve_phase(
         grid, rhs, rel_tol, max_iters)
     del rhs

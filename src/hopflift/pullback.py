@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidResolution, RadiusOutOfRange
-from .fields import (ScalarField, SphereMapField, VecField, axis_partials, div,
-                     energy_density)
+from .fields import (BLOCK_ROWS, ScalarField, SphereMapField, VecField, div,
+                     row_partials, stacked_squares)
 
 #: point count of the Fibonacci sphere quadrature used for fluxes
 FLUX_POINTS = 801
@@ -42,12 +42,13 @@ def beyond_origin(n, spacings):
             > (2 * spacings) ** 2)
 
 
-def _triple_products(uv, g):
+def _triple_products(uv, d):
     """Yield (k, g_a x g_b, u . (g_a x g_b)) for the components
-    k = 2, 1, 0 of D(u), (a, b) = (0, 1), (2, 0), (1, 2), from the three
-    partials g_j as (n,n,n,3) arrays.
+    k = 2, 1, 0 of D(u), (a, b) = (0, 1), (2, 0), (1, 2), from the
+    partials g_j = (d[0][j], d[1][j], d[2][j]), d[c][j] the j-th partial
+    of component c as a plane of uv's node shape.
 
-    Every cross product is written into one contiguous (n,n,n,3) scratch
+    Every cross product is written into one contiguous (..., 3) scratch
     array, which the next step overwrites, with the products and
     differences of ``np.cross``.  The dot product stays one einsum over
     it: its fused multiply-adds are not what a sum of three planes gives.
@@ -55,19 +56,20 @@ def _triple_products(uv, g):
     x = np.empty(uv.shape)
     tmp = np.empty(uv.shape[:-1])
     for k, (a, b) in ((2, (0, 1)), (1, (2, 0)), (0, (1, 2))):
-        ga, gb = g[a], g[b]
         for c, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
-            np.multiply(ga[..., p], gb[..., q], out=x[..., c])
-            x[..., c] -= np.multiply(ga[..., q], gb[..., p], out=tmp)
+            np.multiply(d[p][a], d[q][b], out=x[..., c])
+            x[..., c] -= np.multiply(d[q][a], d[p][b], out=tmp)
         yield k, x, np.einsum("...c,...c->...", uv, x)
 
 
 def pullback_area_form(u: SphereMapField) -> VecField:
-    """D(u) from central-difference partials, as a degree-2 field."""
-    out = np.empty(u.values.shape)
-    for k, _, t in _triple_products(u.values,
-                                    axis_partials(u.values, u.grid.h)):
-        out[..., k] = t
+    """D(u) from central-difference partials, as a degree-2 field, one
+    ``row_partials`` block at a time."""
+    uv = u.values
+    out = np.empty(uv.shape)
+    for lo, hi, d in row_partials(uv, u.grid.h, BLOCK_ROWS):
+        for k, _, t in _triple_products(uv[lo:hi], d):
+            out[lo:hi, ..., k] = t
     return VecField(u.grid, 2, out)
 
 
@@ -88,6 +90,10 @@ def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseRepo
     ``exclude_radius`` drops nodes near the origin from the maxima (used
     for fields with a point singularity there), by ``beyond_origin``;
     InvalidResolution when that leaves no interior node.
+
+    u is differentiated once, by ``row_partials`` blocks: each block's
+    partials are stacked for |du|^2 (``stacked_squares``, the order of
+    ``energy_density``), then projected in the stack.
     """
     grid = u.grid
     mask = grid.cube_interior_mask()
@@ -97,25 +103,35 @@ def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseRepo
         raise InvalidResolution(
             f"no interior node beyond |x| = {exclude_radius:.4g} on this grid")
     uv = u.values
-    du_sq = energy_density(uv, grid.h)
-    g = axis_partials(uv, grid.h)
-    # project the partials onto the tangent plane of u: that enforces
-    # what |u| = 1 gives in the continuum, u . d_j u = 0, and makes the
-    # pointwise norm identity algebraic rather than O(h^2)
-    for gj in g:
-        gj -= np.einsum("...c,...c->...", gj, uv)[..., None] * uv
-
-    d_vec = np.empty(uv.shape)
-    cross_sq = 0
-    for k, x, t in _triple_products(uv, g):
-        d_vec[..., k] = t
-        # the crosses come as g0 x g1, g2 x g0 (= -(g0 x g2) exactly),
-        # g1 x g2: the order the norm identity sums them in
-        cross_sq = cross_sq + np.einsum("...c,...c->...", x, x)
-    d_sq = np.einsum("...c,...c->...", d_vec, d_vec)
-    amgm = np.maximum(0.0, np.sqrt(d_sq) - 0.5 * du_sq)
+    norm_defect = np.empty(uv.shape[:-1])
+    amgm = np.empty(uv.shape[:-1])
+    stack = np.empty((min(BLOCK_ROWS, grid.n),) + uv.shape[1:3] + (3, 3))
+    du_sq = np.empty(stack.shape[:3])
+    d_vec = np.empty(stack.shape[:3] + (3,))
+    for lo, hi, d in row_partials(uv, grid.h, BLOCK_ROWS):
+        ub = uv[lo:hi]
+        st = stacked_squares(d, stack[:hi - lo], du_sq[:hi - lo])
+        # project the partials onto the tangent plane of u: that enforces
+        # what |u| = 1 gives in the continuum, u . d_j u = 0, and makes
+        # the pointwise norm identity algebraic rather than O(h^2)
+        for j in range(3):
+            gj = st[..., j, :]
+            gj -= np.einsum("...c,...c->...", gj, ub)[..., None] * ub
+        # the projected partials as planes [c][j] for the triple products
+        projected = st.transpose(4, 3, 0, 1, 2)
+        dv = d_vec[:hi - lo]
+        cross_sq = 0
+        for k, x, t in _triple_products(ub, projected):
+            dv[..., k] = t
+            # the crosses come as g0 x g1, g2 x g0 (= -(g0 x g2) exactly),
+            # g1 x g2: the order the norm identity sums them in
+            cross_sq = cross_sq + np.einsum("...c,...c->...", x, x)
+        d_sq = np.einsum("...c,...c->...", dv, dv)
+        np.abs(d_sq - cross_sq, out=norm_defect[lo:hi])
+        np.maximum(0.0, np.sqrt(d_sq) - 0.5 * du_sq[:hi - lo],
+                   out=amgm[lo:hi])
     return PointwiseReport(
-        norm_identity_defect=float(np.abs(d_sq - cross_sq)[mask].max()),
+        norm_identity_defect=float(norm_defect[mask].max()),
         amgm_violation=float(amgm[mask].max()),
     )
 

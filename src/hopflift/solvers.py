@@ -281,10 +281,19 @@ def _shell_mask(n):
     return shell
 
 
-def _at_nodes(t, at, c):
+def _at_nodes(t, at, c, flat):
     """The entries of table t at the nodes whose indices on the three axes
-    are the arrays ``at``."""
-    vals = t[tuple(i if m > 1 else 0 for i, m in zip(at, t.shape))]
+    are the arrays ``at``, gathered by one ``take`` at their flat index
+    into t.  ``flat`` keeps that index per table shape, built on first
+    use; with one long axis it is that axis's array of ``at``, so only
+    tables with two long axes add an array."""
+    index = flat.get(t.shape)
+    if index is None:
+        for i, m in zip(at, t.shape):
+            if m > 1:
+                index = i if index is None else index * m + i
+        index = flat[t.shape] = 0 if index is None else index
+    vals = t.take(index)
     for axis in range(3):
         if t.shape[axis] == 1:
             vals = vals * c[at[axis]]
@@ -346,12 +355,13 @@ def _csr_from_tables(tables, n, blocks):
     indices = np.empty(nnz, dtype=idx)
     node = np.flatnonzero(shell)
     at = np.unravel_index(node, shell.shape)
+    flat = {shell.shape: node}
     del shell
     for b in range(blocks):
         pos = indptr[b * n3 + node].astype(np.int64)
         for key in sorted(k for k in tables if k[0] == b):
             _, b2, o = key
-            vals = _at_nodes(tables[key], at, c)
+            vals = _at_nodes(tables[key], at, c, flat)
             sel = np.flatnonzero(vals != 0.0)
             p = pos[sel]
             data[p] = vals[sel]

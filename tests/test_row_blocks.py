@@ -1,0 +1,170 @@
+"""The row-blocked field derivatives against the whole-grid forms they
+replaced, bit for bit, and the memory the blocks save.
+
+Each ``whole_*`` function is the consumer as it was written on whole
+component planes or whole partials arrays.  The grid sizes take in
+grids smaller than a block and last blocks of 1, 2 and 3 rows."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from hopflift import testmaps
+from hopflift.fields import (LiftField, SphereMapField, VecField,
+                             axis_partials, component_partials,
+                             component_planes, curl, energy_density,
+                             make_grid, stencil_partial)
+from hopflift.hopf import gauge_of_lift, section_of_map, stereo_section
+from hopflift.lift import default_pole_candidates
+from hopflift.pullback import pointwise_identities, pullback_area_form
+
+SIZES = [3, 4, 5, 9, 10, 11, 17, 33]
+
+
+def whole_curl(a, h):
+    p = component_planes(a)
+    out = np.empty(a.shape)
+    for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(stencil_partial(p[k], h, j), stencil_partial(p[j], h, k),
+                    out=out[..., c])
+    return out
+
+
+def whole_gauge_of_lift(v, h):
+    x1, x2, x3, x4 = component_planes(v)
+    neg_x2 = -x2
+    out = np.empty(v.shape[:-1] + (3,))
+    d = np.empty(x1.shape)
+    for j in range(3):
+        acc = neg_x2 * stencil_partial(x1, h, j, out=d)
+        acc += x1 * stencil_partial(x2, h, j, out=d)
+        acc -= x4 * stencil_partial(x3, h, j, out=d)
+        acc += x3 * stencil_partial(x4, h, j, out=d)
+        np.multiply(2.0, acc, out=out[..., j])
+    return out
+
+
+def whole_area_form(uv, h):
+    g = axis_partials(uv, h)
+    out = np.empty(uv.shape)
+    x = np.empty(uv.shape)
+    tmp = np.empty(uv.shape[:-1])
+    for k, (a, b) in ((2, (0, 1)), (1, (2, 0)), (0, (1, 2))):
+        ga, gb = g[a], g[b]
+        for c, (p, q) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.multiply(ga[..., p], gb[..., q], out=x[..., c])
+            x[..., c] -= np.multiply(ga[..., q], gb[..., p], out=tmp)
+        out[..., k] = np.einsum("...c,...c->...", uv, x)
+    return out
+
+
+def whole_energy_density(v, h):
+    d = component_partials(v, h)
+    return np.einsum("...jc,...jc->...", d, d)
+
+
+def whole_section(pts, pole):
+    pole = np.asarray(pole, dtype=np.float64)
+    pole = pole / np.linalg.norm(pole)
+    dots = pts @ pole
+    P1, P2, P3 = pole
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    t = np.empty(pts.shape[:-1] + (4,))
+    np.subtract(1.0, dots, out=t[..., 0])
+    t[..., 1] = P1 * y - P2 * x
+    t[..., 2] = P1 * z - P3 * x
+    t[..., 3] = P2 * z - P3 * y
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    a, b, c = 1.0 - P3, P1, P2
+    nr = np.sqrt(a * a + b * b + c * c)
+    a, b, c = (a / nr, b / nr, c / nr) if nr > 1e-6 else (0.0, 1.0, 0.0)
+    r_left = np.array([[a, 0.0, b, c], [0.0, a, c, -b],
+                       [-b, -c, a, 0.0], [-c, b, 0.0, a]])
+    return np.einsum("ij,...j->...i", r_left, t)
+
+
+def random_unit(n, c, seed):
+    v = np.random.default_rng(seed).normal(size=(n, n, n, c))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_blocked_consumers_match_whole_grid(n):
+    grid = make_grid(n)
+    h = grid.h
+    q = random_unit(n, 4, n)
+    s = random_unit(n, 3, n + 1)
+    a = np.random.default_rng(n + 2).normal(size=(n, n, n, 3))
+    assert np.array_equal(curl(VecField(grid, 1, a)).values, whole_curl(a, h))
+    assert np.array_equal(gauge_of_lift(LiftField(grid, q)).values,
+                          whole_gauge_of_lift(q, h))
+    assert np.array_equal(pullback_area_form(SphereMapField(grid, s)).values,
+                          whole_area_form(s, h))
+    for v in (a[..., 0], s, q):
+        assert np.array_equal(energy_density(v, h),
+                              whole_energy_density(v, h))
+
+
+#: the poles e3 and -e3, where the section's left factor degenerates to j
+#: and to 1, and three others
+SECTION_POLES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                 *default_pole_candidates()[:3]]
+
+
+@pytest.mark.parametrize("pole", SECTION_POLES)
+@pytest.mark.parametrize("n", SIZES)
+def test_section_matches_whole_grid(n, pole):
+    grid = make_grid(n)
+    u = random_unit(n, 3, 5 * n)
+    pole_dir = np.asarray(pole) / np.linalg.norm(pole)
+    # keep every node clear of the pole's cut
+    near = u @ pole_dir > 0.5
+    u[near] -= 2.0 * (u[near] @ pole_dir)[:, None] * pole_dir
+    got = section_of_map(SphereMapField(grid, u), pole).values
+    assert np.array_equal(got, whole_section(u, pole))
+
+
+def test_section_blocks_past_one_block():
+    # several blocks and a last block of one point, in the (..., 3) form
+    pts = random_unit(41, 3, 9).reshape(-1, 3)[:3 * (1 << 14) + 1]
+    pts[pts[:, 2] > 0.5, 2] *= -1.0
+    assert np.array_equal(stereo_section(pts, (0.0, 0.0, 1.0)),
+                          whole_section(pts, (0.0, 0.0, 1.0)))
+
+
+def _extra_peak(fn):
+    """tracemalloc peak of fn() in n^3 doubles at n = 33, less the
+    result's own bytes."""
+    fn()
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = getattr(out, "values", out)
+    own = own.nbytes if isinstance(own, np.ndarray) else 0
+    return (peak - own) / (8 * 33 ** 3)
+
+
+def test_blocked_consumers_hold_one_block():
+    # beyond its output, each consumer holds one block's partials: a few
+    # (BLOCK_ROWS, n, n) planes per component instead of whole planes.
+    # Measured at n = 33 (whole-grid forms in brackets): gauge_of_lift
+    # 2.24 (8.0), curl 1.63 (5.7), pullback_area_form 2.38 (15.0),
+    # energy_density of a lift 0.92 (1.16), section_of_map 5.57 (7.0)
+    # and pointwise_identities 6.54 (22.2) n^3 doubles
+    grid = make_grid(33)
+    uhat, u, eta = testmaps.gen_lift_family(grid, 0.8, (1, 0.5, 0),
+                                            (0, 1, 0.3))
+    bounds = [
+        (lambda: gauge_of_lift(uhat), 2.5),
+        (lambda: curl(eta), 1.8),
+        (lambda: pullback_area_form(u), 2.6),
+        (lambda: energy_density(uhat.values, grid.h), 1.0),
+        (lambda: section_of_map(u, (0.0, 0.0, -1.0)), 6.0),
+        (lambda: pointwise_identities(u), 7.2),
+    ]
+    for fn, bound in bounds:
+        assert _extra_peak(fn) <= bound
