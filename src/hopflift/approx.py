@@ -7,6 +7,13 @@ to the closed remainder eta - 2 uhat*theta, which is mollified in the
 same pass as the lift and added back.  Widths too coarse for the map's
 oscillation collapse the mollified modulus and are rejected rather than
 renormalized through zero.
+
+The lift and the remainder are written into one 7-channel array and
+mollified there in place; the lift is renormalized in that array, the
+smoothed gauge takes the remainder in its own buffer, and the constraint
+residual is formed in the buffer of curl eta_eps.  Beyond the lift's own
+peak a call holds the channels, one kernel spectrum and one padded FFT
+at a time.  The sweep keeps only each width's report.
 """
 
 import csv
@@ -72,13 +79,15 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
             f"mollification window 3*eps = {3 * eps:.3f} exceeds the domain "
             "half-width; no node is smoothed")
 
-    remainder = VecField(grid, 1, eta.values - gauge_of_lift(uhat).values)
-    curl_remainder = l2_norm(curl(remainder))
-    # one pass, one kernel spectrum, for lift channels 0-3 and remainder
-    # 4-6; their inputs are dropped first to keep the peak memory down
-    channels = np.concatenate([uhat.values, remainder.values], axis=-1)
-    del uhat, remainder
-    channels = mollify_components(grid, channels, eps)
+    # one 7-channel array and one kernel spectrum: the lift in channels
+    # 0-3 and the remainder in 4-6 are mollified in place, and each stage
+    # below works in the channels or in a buffer of the one before
+    channels = np.empty(uhat.values.shape[:-1] + (7,))
+    channels[..., :4] = uhat.values
+    np.subtract(eta.values, gauge_of_lift(uhat).values, out=channels[..., 4:])
+    del uhat
+    curl_remainder = l2_norm(curl(VecField(grid, 1, channels[..., 4:])))
+    mollify_components(grid, channels, eps, out=channels)
     smoothed, zeta_tilde = channels[..., :4], channels[..., 4:]
     moduli = np.sqrt(np.einsum("...c,...c->...", smoothed, smoothed))
     min_modulus = float(moduli.min())
@@ -86,17 +95,23 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
         raise ProjectionDegenerate(
             f"mollified lift modulus dropped to {min_modulus:.3f}; width "
             f"eps = {eps} is too coarse for the map's oscillation")
-    uhat_eps = LiftField(grid, smoothed / moduli[..., None])
+    smoothed /= moduli[..., None]
+    del moduli
+    uhat_eps = LiftField(grid, smoothed)
     u_eps = SphereMapField(grid, hopf(uhat_eps.values))
-    zeta = gauge_of_lift(uhat_eps)
-    eta_eps = VecField(grid, 1, zeta.values + zeta_tilde)
+    zeta = gauge_of_lift(uhat_eps).values
+    zeta += zeta_tilde
+    eta_eps = VecField(grid, 1, zeta)
+    del channels, smoothed, zeta_tilde, uhat_eps
 
     # constraint residual where the smoothing is exact convolution and
     # the curl stencil stays inside that region
     deep = box_mask(grid, 1.0 - 3.0 * eps - 2.0 * grid.h)
-    resid = VecField(grid, 2,
-                     curl(eta_eps).values - pullback_area_form(u_eps).values)
+    resid = curl(eta_eps).values
+    resid -= pullback_area_form(u_eps).values
+    resid = VecField(grid, 2, resid)
     constraint = l2_norm(resid, deep) if deep.any() else float("nan")
+    del resid
 
     report = ApproxReport(
         eps=float(eps),
@@ -123,13 +138,15 @@ def convergence_sweep(u: SphereMapField, eta: VecField, eps_list,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     workers = worker_count(len(eps_list))
+
+    def report(eps):
+        # a width's fields are dropped as soon as its report is made
+        return approximate(u, eta, eps, cfg)[2]
+
     if workers == 1:
-        results = [approximate(u, eta, e, cfg) for e in eps_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(approximate, u, eta, e, cfg) for e in eps_list]
-            results = [f.result() for f in futures]
-    return [rep for _, _, rep in results]
+        return list(map(report, eps_list))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(report, eps_list))
 
 
 def write_sweep_csv(reports, path):

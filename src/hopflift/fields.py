@@ -174,8 +174,12 @@ class VecField:
 
 def _check_unit(values, what, tol):
     """NotUnit unless every (..., c) value's norm lies within tol of 1."""
-    norms = np.sqrt(np.einsum("...c,...c->...", values, values))
-    drift = np.abs(norms - 1.0).max()
+    # the root, the -1 and the abs run in the einsum's own output, which
+    # is a scalar for a single point
+    drift = np.atleast_1d(np.einsum("...c,...c->...", values, values))
+    np.sqrt(drift, out=drift)
+    drift -= 1.0
+    drift = np.abs(drift, out=drift).max()
     if drift > tol:
         raise NotUnit(f"{what}: |value| off the unit sphere by {drift:.3e}")
 
@@ -278,7 +282,7 @@ def axis_partials(values, h):
     return out
 
 
-#: x1-rows per block of ``row_partials`` in ``curl``,
+#: x1-rows per block of ``row_partials`` in ``curl``, ``div``,
 #: ``hopf.gauge_of_lift`` and ``pullback``, chosen by timing them at
 #: n = 65 and 97 on a 4 MB L2: 3 to 4 rows were fastest, 6 to 16 rows
 #: up to 1.3x slower at n = 97, where 4 rows of a lift's 12 partials
@@ -286,35 +290,49 @@ def axis_partials(values, h):
 BLOCK_ROWS = 4
 
 
-def row_partials(values, h, rows):
+def row_partials(values, h, rows, axes=None):
     """Walk the x1-rows of a (n,n,n) or (n,n,n,c) array in blocks of
     ``rows``: yield (lo, hi, parts) for rows lo..hi-1, where parts[c][j]
     is the j-th partial of component c on those rows, a contiguous
     (hi-lo, n, n) array, bit for bit ``stencil_partial`` of the whole
     component.
 
-    Each component's block is copied, with the halo rows lo-1 and hi
-    that the x1 stencil reads, into one contiguous buffer that the
-    components share; next to a face the halo widens to the three rows
-    the one-sided stencil needs, starting at row max(0, min(lo - 1,
-    n - 3)).  The partials are buffers that the next block overwrites.
+    ``axes[c]`` lists the axes j to differentiate component c along
+    (all three by default); parts[c][j] is None for the others.
+
+    Each component's block is copied into one contiguous buffer that
+    the components share, with the halo rows lo-1 and hi that the x1
+    stencil reads when the component takes its x1 partial; next to a
+    face the halo widens to the three rows the one-sided stencil needs,
+    starting at row max(0, min(lo - 1, n - 3)).  The partials are
+    buffers that the next block overwrites.
     """
     v = _flat_values(values)
     n, comps = v.shape[0], v.shape[-1]
+    if axes is None:
+        axes = [(0, 1, 2)] * comps
     rows = min(rows, n)
     halo = np.empty((min(rows + 2, n), n, n))
-    d = [np.empty((3, rows, n, n)) for _ in range(comps)]
+    d = [np.empty((len(ax), rows, n, n)) for ax in axes]
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        s = max(0, min(lo - 1, n - 3))
-        e = min(n, max(hi + 1, s + 3))
-        g = halo[:e - s]
-        parts = [dc[:, :hi - lo] for dc in d]
-        for c, dc in enumerate(parts):
+        parts = []
+        for c, (ax, dc) in enumerate(zip(axes, d)):
+            if 0 in ax:
+                s = max(0, min(lo - 1, n - 3))
+                e = min(n, max(hi + 1, s + 3))
+            else:
+                s, e = lo, hi
+            g = halo[:e - s]
             np.copyto(g, v[s:e, ..., c])
-            _stencil_rows(g, h, lo - s, hi - s, dc[0])
-            stencil_partial(g[lo - s:hi - s], h, 1, out=dc[1])
-            stencil_partial(g[lo - s:hi - s], h, 2, out=dc[2])
+            pc = [None] * 3
+            for j, out in zip(ax, dc[:, :hi - lo]):
+                if j == 0:
+                    _stencil_rows(g, h, lo - s, hi - s, out)
+                else:
+                    stencil_partial(g[lo - s:hi - s], h, j, out=out)
+                pc[j] = out
+            parts.append(pc)
         yield lo, hi, parts
 
 
@@ -367,13 +385,18 @@ def grad(f: ScalarField) -> VecField:
                     np.concatenate(axis_partials(f.values, f.grid.h), axis=-1))
 
 
+#: the partials curl takes: component k of a is differentiated along
+#: the two axes other than k
+_CURL_AXES = ((1, 2), (0, 2), (0, 1))
+
+
 def curl(a: VecField) -> VecField:
     """Exterior derivative of a 1-form, as the vector curl, one
     ``row_partials`` block at a time."""
     if a.degree != 1:
         raise ValueError("curl acts on degree-1 fields")
     out = np.empty(a.values.shape)
-    for lo, hi, d in row_partials(a.values, a.grid.h, BLOCK_ROWS):
+    for lo, hi, d in row_partials(a.values, a.grid.h, BLOCK_ROWS, _CURL_AXES):
         for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
             # component c is d_j a_k - d_k a_j
             np.subtract(d[k][j], d[j][k], out=out[lo:hi, ..., c])
@@ -381,12 +404,14 @@ def curl(a: VecField) -> VecField:
 
 
 def div(a: VecField) -> ScalarField:
-    """Coordinate divergence.  On degree 2 this realizes the exterior
+    """Coordinate divergence, one ``row_partials`` block of the three
+    diagonal partials at a time.  On degree 2 this realizes the exterior
     derivative of the 2-form; on degree 1 it is the codifferential d*."""
-    h = a.grid.h
     out = np.zeros(a.values.shape[:-1])
-    for c, plane in enumerate(component_planes(a.values)):
-        out += stencil_partial(plane, h, c)
+    for lo, hi, d in row_partials(a.values, a.grid.h, BLOCK_ROWS,
+                                  ((0,), (1,), (2,))):
+        for c in range(3):
+            out[lo:hi] += d[c][c]
     return ScalarField(a.grid, out)
 
 
@@ -486,7 +511,7 @@ def _convolve_same(values, spectrum):
     spec, fshape, lo = spectrum
     padded = sp_fft.rfftn(values, fshape, axes=(0, 1, 2))
     padded *= spec
-    conv = sp_fft.irfftn(padded, fshape, axes=(0, 1, 2))
+    conv = sp_fft.irfftn(padded, fshape, axes=(0, 1, 2), overwrite_x=True)
     return conv[lo:lo + n, lo:lo + n, lo:lo + n]
 
 
@@ -511,25 +536,33 @@ def check_width(grid, eps):
         raise WidthTooSmall(f"eps={eps} below grid spacing h={grid.h}")
 
 
-def mollify_components(grid, values, eps):
+def mollify_components(grid, values, eps, out=None):
     """Mollify a raw (n,n,n) or (n,n,n,c) array of node values.
 
     Convolution with the truncated Gaussian is applied at nodes at
     distance >= 3*eps from the cube boundary; outside that shrunken
     region input values are copied unchanged.  A width that is not finite
     or is below the grid spacing raises WidthTooSmall.  When the region
-    is empty no kernel is built and a copy of the input is returned.
+    is empty no kernel is built and the result is a copy of the input.
+
+    The result is written to ``out``, a new array by default, and
+    returned.  ``out`` may be ``values`` itself: each component is read
+    into the FFT's padded buffer before its slot is written.
     """
     check_width(grid, eps)
     region = mollify_region_mask(grid, eps)
-    vals = _flat_values(values)
-    out = vals.copy()
+    if out is None:
+        out = values.copy()
+    elif out is not values:
+        np.copyto(out, values)
+    vals, res = _flat_values(values), _flat_values(out)
     if region.any():
         spectrum = _kernel_spectrum(float(eps), grid.h, grid.n)
         for c in range(vals.shape[-1]):
-            conv = _convolve_same(vals[..., c], spectrum)
-            out[..., c] = np.where(region, conv, vals[..., c])
-    return out.reshape(values.shape)
+            # no convolution outlives its channel's write
+            np.copyto(res[..., c], _convolve_same(vals[..., c], spectrum),
+                      where=region)
+    return out
 
 
 def mollify(field, eps):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hopflift.approx import approximate, convergence_sweep, write_sweep_csv
 from hopflift.errors import ProjectionDegenerate, WidthTooSmall
 from hopflift.fields import VecField, make_grid
 from hopflift.solvers import max_workers
-from hopflift import approx, solvers, testmaps
+from hopflift import approx, fields, solvers, testmaps
 
 
 def family(grid, a=(1, 0, 0), b=(0, 2, 0)):
@@ -74,6 +75,77 @@ class TestApproximate:
         with pytest.raises(WidthTooSmall, match=re.escape(message)):
             approximate(u0, eta0, eps)
 
+    def test_outputs_share_no_memory(self, monkeypatch):
+        # the lift and remainder are smoothed in place in one channel
+        # array; the returned fields must not be views of it or of the
+        # inputs
+        seen = []
+
+        def recording(grid, values, eps, out=None):
+            seen.append((values, out))
+            return fields.mollify_components(grid, values, eps, out=out)
+
+        monkeypatch.setattr(approx, "mollify_components", recording)
+        grid = make_grid(17)
+        _, u0, eta0 = family(grid)
+        u_eps, eta_eps, _ = approximate(u0, eta0, 2.0 * grid.h)
+        [(channels, out)] = seen
+        assert out is channels and channels.shape == (17, 17, 17, 7)
+        assert not np.shares_memory(u_eps.values, eta_eps.values)
+        for got in (u_eps.values, eta_eps.values):
+            for other in (channels, u0.values, eta0.values):
+                assert not np.shares_memory(got, other)
+
+
+class TestApproxMemory:
+    """tracemalloc peaks at n = 33 on the skew lift family, in n^3
+    doubles, outputs included.  The lift and the remainder are smoothed
+    in place in one 7-channel array, and each convolution is freed once
+    its channel is written, so beyond the lift's own peak only the
+    channels, the kernel spectrum and one padded FFT at a time stay
+    alive.  Each bound is the measured peak plus 10 %."""
+
+    @staticmethod
+    def peak(fn):
+        import scipy.sparse  # noqa: F401  (imports are not the call's)
+        from scipy import fft  # noqa: F401
+        from scipy.sparse import _sparsetools  # noqa: F401
+        for mod in (fields, solvers):
+            for f in vars(mod).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
+        tracemalloc.start()
+        try:
+            out = fn()
+            del out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * 33 ** 3)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        grid = make_grid(33)
+        _, u, eta = testmaps.gen_lift_family(grid, 0.8, (1, 0.5, 0),
+                                             (0, 1, 0.3))
+        return grid, u, eta
+
+    @pytest.mark.parametrize("width, bound", [(4, 29.4), (2, 21.5)])
+    def test_approximate_peak(self, data, width, bound):
+        # measured 26.6 (4h: a 60^3 padded FFT) and 19.6 (2h, where the
+        # lift's own peak is the call's); 39.6 and 30.9 before
+        grid, u, eta = data
+        assert self.peak(lambda: approximate(u, eta, width * grid.h)) <= bound
+
+    def test_serial_sweep_peak(self, data, monkeypatch):
+        # a finished width keeps only its report, so the serial sweep
+        # peaks at its widest width's call: measured 26.6, 42.9 before
+        monkeypatch.setenv("HOPFLIFT_THREADS", "1")
+        grid, u, eta = data
+        h = grid.h
+        assert self.peak(lambda: convergence_sweep(
+            u, eta, [4 * h, 3 * h, 2 * h])) <= 29.3
+
 
 class TestSweep:
     def test_distances_strictly_decreasing(self):
@@ -113,6 +185,17 @@ class TestSweep:
         _, u0, eta0 = family(grid)
         with pytest.raises(WidthTooSmall):
             convergence_sweep(u0, eta0, [grid.h / 2.0])
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_first_failing_width_raises(self, monkeypatch, threads):
+        # the widest width fails after its lift, the narrowest before
+        # any work; the error of the first in input order is raised
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("HOPFLIFT_THREADS", threads)
+        grid = make_grid(17)
+        _, u0, eta0 = family(grid)
+        with pytest.raises(ProjectionDegenerate):
+            convergence_sweep(u0, eta0, [0.5, 2 * grid.h, grid.h / 2.0])
 
     def test_thread_cap_respects_env(self, monkeypatch):
         monkeypatch.setenv("HOPFLIFT_THREADS", "2")

@@ -3,7 +3,8 @@ import pytest
 
 from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
 from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
-                             VecField, _convolve_same, _gaussian_kernel,
+                             VecField, _check_unit, _convolve_same,
+                             _gaussian_kernel,
                              _kernel_spectrum, axis_partials,
                              component_partials, curl, div, energy_density,
                              grad, l1_norm, l2_inner, l2_norm, lp_norm,
@@ -432,6 +433,19 @@ class TestMollifyMatchesFftconvolve:
         assert np.array_equal(mollify_components(grid, vals, eps),
                               fftconvolve_mollify(grid, vals, eps))
 
+    @pytest.mark.parametrize("ncomp", [4, 7])
+    @pytest.mark.parametrize("width", [8, 2])
+    def test_in_place(self, width, ncomp):
+        grid = make_grid(33)
+        vals = np.random.default_rng(width + ncomp).normal(
+            size=(33,) * 3 + (ncomp,))
+        eps = width * grid.h
+        copied = mollify_components(grid, vals, eps)
+        reference = fftconvolve_mollify(grid, vals, eps)
+        assert mollify_components(grid, vals, eps, out=vals) is vals
+        assert np.array_equal(vals, copied)
+        assert np.array_equal(vals, reference)
+
     def test_kernel_wider_than_grid(self):
         from scipy.signal import fftconvolve
         grid = make_grid(9)
@@ -463,6 +477,36 @@ class TestContainers:
         vals[..., 1] = 0.5
         with pytest.raises(NotUnit):
             SphereMapField(grid, vals[..., :3])
+
+    def test_unit_check_single_point(self):
+        # einsum of one point is a scalar, not an array
+        _check_unit(np.array([0.6, 0.8]), "point", 1e-12)
+        _check_unit(np.array([0.0, 0.0, 0.0, -1.0]), "point", 1e-12)
+        with pytest.raises(NotUnit, match=r"^point: \|value\| off the unit "
+                           r"sphere by 1\.000e-01$"):
+            _check_unit(np.array([0.0, 1.1]), "point", 1e-12)
+
+    @pytest.mark.parametrize("comps", [3, 4])
+    def test_unit_check_grid_values(self, comps):
+        v = np.random.default_rng(comps).normal(size=(9, 9, 9, comps))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        before = v.copy()
+        _check_unit(v, "field", 1e-12)
+        v[4, 5, 6] *= 1.0 + 1e-9
+        with pytest.raises(NotUnit, match=r"field: .* by 1\.000e-09"):
+            _check_unit(v, "field", 1e-12)
+        v[4, 5, 6] = before[4, 5, 6]
+        assert np.array_equal(v, before)
+
+    def test_unit_check_threshold(self):
+        # |(1 + 2^-20, 0, 0)| = 1 + 2^-20 exactly: a drift equal to tol
+        # passes, one just above it does not
+        v = np.zeros((5, 5, 5, 3))
+        v[..., 0] = 1.0
+        v[2, 2, 2, 0] = 1.0 + 2.0 ** -20
+        _check_unit(v, "field", 2.0 ** -20)
+        with pytest.raises(NotUnit, match=r"by 9\.537e-07$"):
+            _check_unit(v, "field", np.nextafter(2.0 ** -20, 0.0))
 
     def test_shape_checked(self):
         grid = make_grid(5)

@@ -13,7 +13,7 @@ import pytest
 from hopflift import testmaps
 from hopflift.fields import (LiftField, SphereMapField, VecField,
                              axis_partials, component_partials,
-                             component_planes, curl, energy_density,
+                             component_planes, curl, div, energy_density,
                              make_grid, stencil_partial)
 from hopflift.hopf import gauge_of_lift, section_of_map, stereo_section
 from hopflift.lift import default_pole_candidates
@@ -28,6 +28,13 @@ def whole_curl(a, h):
     for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.subtract(stencil_partial(p[k], h, j), stencil_partial(p[j], h, k),
                     out=out[..., c])
+    return out
+
+
+def whole_div(a, h):
+    out = np.zeros(a.shape[:-1])
+    for c, plane in enumerate(component_planes(a)):
+        out += stencil_partial(plane, h, c)
     return out
 
 
@@ -97,6 +104,7 @@ def test_blocked_consumers_match_whole_grid(n):
     s = random_unit(n, 3, n + 1)
     a = np.random.default_rng(n + 2).normal(size=(n, n, n, 3))
     assert np.array_equal(curl(VecField(grid, 1, a)).values, whole_curl(a, h))
+    assert np.array_equal(div(VecField(grid, 2, a)).values, whole_div(a, h))
     assert np.array_equal(gauge_of_lift(LiftField(grid, q)).values,
                           whole_gauge_of_lift(q, h))
     assert np.array_equal(pullback_area_form(SphereMapField(grid, s)).values,
@@ -152,15 +160,17 @@ def test_blocked_consumers_hold_one_block():
     # beyond its output, each consumer holds one block's partials: a few
     # (BLOCK_ROWS, n, n) planes per component instead of whole planes.
     # Measured at n = 33 (whole-grid forms in brackets): gauge_of_lift
-    # 2.24 (8.0), curl 1.63 (5.7), pullback_area_form 2.38 (15.0),
-    # energy_density of a lift 0.92 (1.16), section_of_map 5.57 (7.0)
-    # and pointwise_identities 6.54 (22.2) n^3 doubles
+    # 2.24 (8.0), curl 1.27 with the six partials it uses (5.7; 1.63 with
+    # all nine), div 0.90 with three (4.7), pullback_area_form 2.38
+    # (15.0), energy_density of a lift 0.92 (1.16), section_of_map 5.57
+    # (7.0) and pointwise_identities 6.54 (22.2) n^3 doubles
     grid = make_grid(33)
     uhat, u, eta = testmaps.gen_lift_family(grid, 0.8, (1, 0.5, 0),
                                             (0, 1, 0.3))
     bounds = [
         (lambda: gauge_of_lift(uhat), 2.5),
-        (lambda: curl(eta), 1.8),
+        (lambda: curl(eta), 1.4),
+        (lambda: div(eta), 1.0),
         (lambda: pullback_area_form(u), 2.6),
         (lambda: energy_density(uhat.values, grid.h), 1.0),
         (lambda: section_of_map(u, (0.0, 0.0, -1.0)), 6.0),
