@@ -397,10 +397,35 @@ def curl(a: VecField) -> VecField:
         raise ValueError("curl acts on degree-1 fields")
     out = np.empty(a.values.shape)
     for lo, hi, d in row_partials(a.values, a.grid.h, BLOCK_ROWS, _CURL_AXES):
-        for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-            # component c is d_j a_k - d_k a_j
-            np.subtract(d[k][j], d[j][k], out=out[lo:hi, ..., c])
+        _curl_rows(d, out[lo:hi])
     return VecField(a.grid, 2, out)
+
+
+def _curl_rows(d, out):
+    """The curl of one ``row_partials`` block d (``_CURL_AXES``) into
+    out, its rows of a (.., 3) array."""
+    for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        # component c is d_j a_k - d_k a_j
+        np.subtract(d[k][j], d[j][k], out=out[..., c])
+
+
+def curl_norm(a: VecField, region="cube"):
+    """``l2_norm(curl(a), region)``, bit for bit, without the curl: each
+    ``row_partials`` block of the curl goes into one block buffer, and
+    only its squared magnitudes, one n^3 array, outlive the block."""
+    if a.degree != 1:
+        raise ValueError("curl acts on degree-1 fields")
+    v = a.values
+    sq = np.empty(v.shape[:-1])
+    block = np.empty((min(BLOCK_ROWS, len(v)),) + v.shape[1:])
+    for lo, hi, d in row_partials(v, a.grid.h, BLOCK_ROWS, _CURL_AXES):
+        b = block[:hi - lo]
+        _curl_rows(d, b)
+        np.einsum("...c,...c->...", b, b, out=sq[lo:hi])
+        # the curl's field check: a non-finite curl value raises
+        if not (np.isfinite(sq[lo:hi]).all() or np.isfinite(b).all()):
+            raise ValueError("VecField: values must be finite")
+    return float(np.sqrt(max(integrate(a.grid, sq, region), 0.0)))
 
 
 def div(a: VecField) -> ScalarField:
@@ -438,9 +463,19 @@ def face_trace(values):
 
 def integrate(grid, density, region="cube"):
     """Trapezoid-weighted sum of an (n,n,n) density over the selected
-    region (see ``Grid3.region_mask``), in node order."""
+    region (see ``Grid3.region_mask``), in node order.
+
+    The products are summed as one node-ordered run, as the masked
+    copies ``density[mask] * weights[mask]`` would be, but the cube
+    takes one C-order product and no mask, and any other region turns
+    its gathered densities into the products in place."""
+    w = grid.node_weights()
+    if isinstance(region, str) and region == "cube":
+        return float(np.sum(np.multiply(density, w, order="C")))
     mask = grid.region_mask(region)
-    return float(np.sum(density[mask] * grid.node_weights()[mask]))
+    vals = density[mask]
+    vals *= w[mask]
+    return float(np.sum(vals))
 
 
 def l2_inner(a, b, region="cube"):

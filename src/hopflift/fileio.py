@@ -31,12 +31,6 @@ def field_tag(field):
     raise TypeError(f"not a field: {type(field).__name__}")
 
 
-def _payload(field):
-    # [i,j,k,c] in memory -> file order [k,j,i,c]
-    vals = _flat_values(field.values).transpose(2, 1, 0, 3)
-    return np.ascontiguousarray(vals, dtype="<f8")
-
-
 def check_output_path(path):
     """IoError unless ``path`` is non-empty and its directory (the
     current one when it names none) exists and may be written in.
@@ -70,9 +64,13 @@ def write_h3f(path, field):
     ncomp = _TAGS[tag][2]
     with open_output(path, "wb") as fh:
         fh.write(f"H3F1 {field.grid.n} {ncomp} {tag}\n".encode("ascii"))
-        # the contiguous payload goes out through its buffer, not a bytes
-        # copy of it
-        fh.write(memoryview(_payload(field)))
+        # [i,j,k,c] in memory -> file order [k,j,i,c], one k-plane at a
+        # time: each plane is its (j,i,c) transpose, written through its
+        # buffer, so no whole transposed copy is made
+        vals = _flat_values(field.values)
+        for k in range(vals.shape[2]):
+            plane = vals[:, :, k].transpose(1, 0, 2)
+            fh.write(memoryview(np.ascontiguousarray(plane, dtype="<f8")))
 
 
 def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):

@@ -36,7 +36,8 @@ DEFAULT_POLE_ANGLE = 0.05
 #: tolerance of the raw-array checks: on |q| - 1, and on q . v relative to |v|
 RAW_TOL = 1e-9
 
-#: points per block of ``stereo_section``, 512 KB of affine factors
+#: points per block of ``stereo_section`` and ``hopf``, 512 KB of
+#: affine factors
 _SECTION_NODES = 1 << 14
 
 
@@ -49,20 +50,35 @@ def hopf(q):
 
     Raises NotUnit when the input norm is off 1 by more than ``RAW_TOL``;
     the output is renormalized wherever its norm drifts beyond 1e-14.
+    The output is formed in blocks of ``_SECTION_NODES`` points, so it is
+    the call's only whole array besides the unit check's norms.
     """
     q = np.asarray(q, dtype=np.float64)
     _check_unit(q, "hopf input", RAW_TOL)
-    x1, x2, x3, x4 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    u = np.stack([
-        2.0 * (x1 * x3 + x2 * x4),
-        2.0 * (x1 * x4 - x2 * x3),
-        x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4,
-    ], axis=-1)
-    un = np.sqrt(np.einsum("...c,...c->...", u, u))
-    drift = np.abs(un - 1.0)
-    if drift.max() > 1e-14:
-        u = np.where(drift[..., None] > 1e-14, u / un[..., None], u)
-    return u
+    flat = q.reshape(-1, 4)
+    u = np.empty((len(flat), 3))
+    t = np.empty(min(len(flat), _SECTION_NODES))
+    for lo in range(0, len(flat), _SECTION_NODES):
+        hi = min(lo + _SECTION_NODES, len(flat))
+        x1, x2, x3, x4 = flat[lo:hi].T
+        ub, tb = u[lo:hi], t[:hi - lo]
+        # each component in the order of the formula, left to right
+        np.multiply(x1, x3, out=tb)
+        tb += x2 * x4
+        np.multiply(2.0, tb, out=ub[:, 0])
+        np.multiply(x1, x4, out=tb)
+        tb -= x2 * x3
+        np.multiply(2.0, tb, out=ub[:, 1])
+        np.multiply(x1, x1, out=ub[:, 2])
+        ub[:, 2] += x2 * x2
+        ub[:, 2] -= x3 * x3
+        ub[:, 2] -= x4 * x4
+        np.einsum("...c,...c->...", ub, ub, out=tb)
+        np.sqrt(tb, out=tb)
+        drift = np.abs(tb - 1.0) > 1e-14
+        if drift.any():
+            ub[drift] /= tb[drift, None]
+    return u.reshape(q.shape[:-1] + (3,))
 
 
 def hopf_jacobian(q):
@@ -110,6 +126,20 @@ def gauge_of_lift(uhat: LiftField) -> VecField:
     return VecField(uhat.grid, 1, out)
 
 
+def _phase_rotate(values, phase):
+    """Apply the fiberwise rotation e^{i phase} to (.., 4) lift values in
+    place, and return them: (x1 + i x2, x3 + i x4) times e^{i phase}."""
+    c, s = np.cos(phase), np.sin(phase)
+    for re, im in ((0, 1), (2, 3)):
+        v_re, v_im = values[..., re], values[..., im]
+        t = v_re * s
+        v_re *= c
+        v_re -= v_im * s
+        v_im *= c
+        v_im += t
+    return values
+
+
 def stereo_section(p, pole=DEFAULT_POLE):
     """A smooth right inverse of h on S^2 minus a cone around ``pole``.
 
@@ -129,6 +159,13 @@ def stereo_section(p, pole=DEFAULT_POLE):
     The affine factor is formed in blocks of ``_SECTION_NODES`` points,
     so the dot products and the result are its only whole arrays.
     """
+    return _stereo_section(p, pole, None)
+
+
+def _stereo_section(p, pole, phase):
+    """``stereo_section(p, pole)``, each block then turned in place by
+    ``_phase_rotate`` with its slice of ``phase``, one angle per point in
+    the order of ``p.reshape(-1, 3)``, unless ``phase`` is None."""
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
     pts = p[None, :] if single else p
@@ -163,6 +200,8 @@ def stereo_section(p, pole=DEFAULT_POLE):
         tb[:, 3] = P2 * z - P3 * y
         tb /= np.linalg.norm(tb, axis=-1, keepdims=True)
         np.einsum("ij,...j->...i", r_left, tb, out=q[lo:hi])
+        if phase is not None:
+            _phase_rotate(q[lo:hi], phase[lo:hi])
     q = q.reshape(pts.shape[:-1] + (4,))
     return q[0] if single else q
 
@@ -170,6 +209,14 @@ def stereo_section(p, pole=DEFAULT_POLE):
 def section_of_map(u: SphereMapField, pole=DEFAULT_POLE) -> LiftField:
     """Compose the section with a sphere-valued field nodewise."""
     vals = stereo_section(u.values.reshape(-1, 3), pole)
+    return LiftField(u.grid, vals.reshape(u.values.shape[:-1] + (4,)))
+
+
+def turned_section_of_map(u: SphereMapField, pole, phase) -> LiftField:
+    """``section_of_map(u, pole)`` turned by e^{i phase} (``_phase_rotate``)
+    with an (n,n,n) phase, bit for bit, in the section's own blocks: no
+    unturned section and no whole cosine or sine is held."""
+    vals = _stereo_section(u.values.reshape(-1, 3), pole, phase.reshape(-1))
     return LiftField(u.grid, vals.reshape(u.values.shape[:-1] + (4,)))
 
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartExhausted, NotClosed, NotConverged
-from .fields import (LiftField, SphereMapField, VecField, _same_grid, curl,
-                     l2_norm)
+from .fields import (LiftField, SphereMapField, VecField, _same_grid,
+                     curl_norm, l2_norm)
 from .hopf import (DEFAULT_POLE_ANGLE, energy_identity_defect, gauge_of_lift,
-                   hopf, section_of_map)
+                   hopf, section_of_map, turned_section_of_map)
 from . import solvers
 
 #: treat norms below this as zero when forming relative errors
@@ -109,20 +109,6 @@ class LiftReport:
         return d
 
 
-def _phase_rotate(values, phase):
-    """Apply the fiberwise rotation e^{i phase} to (.., 4) lift values in
-    place, and return them: (x1 + i x2, x3 + i x4) times e^{i phase}."""
-    c, s = np.cos(phase), np.sin(phase)
-    for re, im in ((0, 1), (2, 3)):
-        v_re, v_im = values[..., re], values[..., im]
-        t = v_re * s
-        v_re *= c
-        v_re -= v_im * s
-        v_im *= c
-        v_im += t
-    return values
-
-
 def _solve_phase(grid, rhs, rel_tol, max_iters):
     """Least-squares solution of grad phi = alpha, anchored to zero at
     the node nearest the origin; ``rhs`` is G^T W alpha, the flat
@@ -140,10 +126,16 @@ def _report(u, eta, uhat, **solve_fields):
     the entries only a solve knows: the pole, its distance, the
     closedness and the iterations."""
     grid = u.grid
-    diff = hopf(uhat.values) - u.values
-    projection = float(np.sqrt(np.einsum("...c,...c->...", diff, diff)).max())
-    del diff  # the gauge's stage is the peak: no diff, no cached weights yet
-    err = l2_norm(VecField(grid, 1, gauge_of_lift(uhat).values - eta.values))
+    # each difference is formed in the buffer of its first operand
+    diff = hopf(uhat.values)
+    diff -= u.values
+    sq = np.einsum("...c,...c->...", diff, diff)
+    projection = float(np.sqrt(sq, out=sq).max())
+    del diff, sq
+    diff = gauge_of_lift(uhat).values
+    diff -= eta.values
+    err = l2_norm(VecField(grid, 1, diff))
+    del diff
     denom = l2_norm(eta)
     defect = energy_identity_defect(uhat, u, eta).values
     return LiftReport(
@@ -170,12 +162,12 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     closed_tol, rel_tol, max_iters = cfg.resolved(grid)
 
     pole, min_dist = select_pole(u)
-    section = section_of_map(u, pole)
     # the section's gauge, measured, then turned in place into the phase
-    # form alpha = 0.5 (eta - section gauge)
-    alpha = gauge_of_lift(section)
+    # form alpha = 0.5 (eta - section gauge); the section itself is not
+    # held through the phase solve but rebuilt from the pole after it
+    alpha = gauge_of_lift(section_of_map(u, pole))
     gauge_norm = l2_norm(alpha)
-    gauge_curl = 0.5 * l2_norm(curl(alpha))
+    gauge_curl = 0.5 * curl_norm(alpha)
     np.subtract(eta.values, alpha.values, out=alpha.values)
     alpha.values *= 0.5
     # formed before the closedness temporaries, so it cannot pin their heap
@@ -189,7 +181,7 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     # the section's gauge.
     scale = max(l2_norm(alpha), 0.25 * (l2_norm(eta) + gauge_norm),
                 gauge_curl, _TINY)
-    closedness = l2_norm(curl(alpha)) / scale
+    closedness = curl_norm(alpha) / scale
     if closedness > closed_tol:
         raise NotClosed(
             f"curl of the phase form is {closedness:.3e} relative, above "
@@ -200,8 +192,8 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     phi, iters, converged, achieved = _solve_phase(
         grid, rhs, rel_tol, max_iters)
     del rhs
-    uhat = LiftField(grid, _phase_rotate(section.values, phi))
-    del section, phi
+    uhat = turned_section_of_map(u, pole, phi)
+    del phi
     # not verify_lift: the public name is the one tracers wrap
     report = _report(u, eta, uhat, pole_used=tuple(float(c) for c in pole),
                      min_pole_distance=min_dist, alpha_closedness=closedness,

@@ -7,7 +7,8 @@ from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
                              _gaussian_kernel,
                              _kernel_spectrum, axis_partials,
                              component_partials, curl, div, energy_density,
-                             grad, l1_norm, l2_inner, l2_norm, lp_norm,
+                             grad, integrate, l1_norm, l2_inner, l2_norm,
+                             lp_norm,
                              make_grid, mollify, mollify_components,
                              mollify_region_mask, stencil_partial)
 
@@ -310,6 +311,23 @@ class TestNormsAndInner:
             l2_inner(one, one, region=np.zeros((3, 3, 3), dtype=bool))
         with pytest.raises(ValueError):
             l2_inner(one, one, region="octant")
+
+    @pytest.mark.parametrize("n", [5, 9, 17, 33, 64])
+    def test_integrate_matches_masked_copies(self, n):
+        # the sum of density[mask] * weights[mask], the masked-copy form,
+        # bit for bit, on any memory layout of the density
+        grid = make_grid(n)
+        rng = np.random.default_rng(n)
+        d = rng.normal(size=(n, n, n))
+        mask = rng.random((n, n, n)) < 0.3
+        layouts = [d, np.asfortranarray(d), d.transpose(2, 0, 1),
+                   d[::-1, :, ::-1]]
+        for density in layouts:
+            for region in ("cube", "ball", mask):
+                keep = grid.region_mask(region)
+                want = float(np.sum(density[keep]
+                                    * grid.node_weights()[keep]))
+                assert integrate(grid, density, region) == want
 
     def test_integration_by_parts_compact_support(self):
         # a vanishing near the boundary turns summation by parts into an

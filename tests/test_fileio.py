@@ -36,8 +36,8 @@ def test_roundtrip_bit_exact(tmp_path, tag):
     assert np.array_equal(back.values, field.values)
     if isinstance(field, VecField):
         assert back.degree == field.degree
-    # the payload goes out through a memoryview; the bytes are those of a
-    # header line plus the file-order payload's tobytes()
+    # the payload goes out one k-plane at a time; the bytes are those of
+    # a header line plus the whole file-order payload's tobytes()
     ncomp = 1 if tag == "SCAL" else field.values.shape[-1]
     vals = field.values if tag != "SCAL" else field.values[..., None]
     want = (f"H3F1 {GRID.n} {ncomp} {tag}\n".encode("ascii")
@@ -46,6 +46,25 @@ def test_roundtrip_bit_exact(tmp_path, tag):
     assert path.read_bytes() == want
     write_h3f(tmp_path / "again.h3f", back)
     assert (tmp_path / "again.h3f").read_bytes() == want
+
+
+@pytest.mark.parametrize("tag", ["SCAL", "VEC1", "VEC2", "S2", "S3"])
+def test_planes_of_strided_values_match_whole_payload(tmp_path, tag):
+    # values held in reversed, Fortran-order or channel-slice views are
+    # streamed plane by plane with the bytes of the whole transposed copy
+    field = sample_fields()[tag]
+    vals = field.values if tag != "SCAL" else field.values[..., None]
+    want = np.ascontiguousarray(vals.transpose(2, 1, 0, 3),
+                                dtype="<f8").tobytes()
+    wide = np.concatenate([vals, vals], axis=-1)
+    views = [np.asfortranarray(field.values),
+             np.flip(np.flip(field.values, 1).copy(), 1),
+             wide[..., :vals.shape[-1]].reshape(field.values.shape)]
+    for k, view in enumerate(views):
+        field.values = view
+        path = tmp_path / f"{k}.h3f"
+        write_h3f(path, field)
+        assert path.read_bytes().split(b"\n", 1)[1] == want
 
 
 def test_header_layout(tmp_path):

@@ -221,6 +221,13 @@ class TestSphereFlux:
 
 
 class TestExactness:
+    def test_peak_allocation_bounded(self, alloc_peak):
+        # tracemalloc peak at n = 33 in n^3 doubles, the report included
+        # (measured 5.8; the bound is that plus 10 %)
+        _, u, _ = testmaps.gen_lift_family(make_grid(33), 0.8, (1, 0.5, 0),
+                                           (0, 1, 0.3))
+        assert alloc_peak(lambda: exactness_defect(u)) <= 6.4
+
     def test_constant_exact(self):
         grid = make_grid(33)
         rep = exactness_defect(testmaps.gen_constant(grid, (0, 1, 0)))

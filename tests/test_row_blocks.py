@@ -5,17 +5,17 @@ Each ``whole_*`` function is the consumer as it was written on whole
 component planes or whole partials arrays.  The grid sizes take in
 grids smaller than a block and last blocks of 1, 2 and 3 rows."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from hopflift import testmaps
 from hopflift.fields import (LiftField, SphereMapField, VecField,
                              axis_partials, component_partials,
-                             component_planes, curl, div, energy_density,
-                             make_grid, stencil_partial)
-from hopflift.hopf import gauge_of_lift, section_of_map, stereo_section
+                             component_planes, curl, curl_norm, div,
+                             energy_density, l2_norm, make_grid,
+                             stencil_partial)
+from hopflift.hopf import (gauge_of_lift, hopf, section_of_map,
+                           stereo_section, turned_section_of_map)
 from hopflift.lift import default_pole_candidates
 from hopflift.pullback import pointwise_identities, pullback_area_form
 
@@ -91,6 +91,32 @@ def whole_section(pts, pole):
     return np.einsum("ij,...j->...i", r_left, t)
 
 
+def whole_hopf(q):
+    x1, x2, x3, x4 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    u = np.stack([
+        2.0 * (x1 * x3 + x2 * x4),
+        2.0 * (x1 * x4 - x2 * x3),
+        x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4,
+    ], axis=-1)
+    un = np.sqrt(np.einsum("...c,...c->...", u, u))
+    drift = np.abs(un - 1.0)
+    if drift.max() > 1e-14:
+        u = np.where(drift[..., None] > 1e-14, u / un[..., None], u)
+    return u
+
+
+def whole_phase_rotate(values, phase):
+    c, s = np.cos(phase), np.sin(phase)
+    for re, im in ((0, 1), (2, 3)):
+        v_re, v_im = values[..., re], values[..., im]
+        t = v_re * s
+        v_re *= c
+        v_re -= v_im * s
+        v_im *= c
+        v_im += t
+    return values
+
+
 def random_unit(n, c, seed):
     v = np.random.default_rng(seed).normal(size=(n, n, n, c))
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
@@ -114,6 +140,57 @@ def test_blocked_consumers_match_whole_grid(n):
                               whole_energy_density(v, h))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 17, 33])
+def test_curl_norm_matches_norm_of_curl(n):
+    # on a whole array and on the channel slice approximate passes
+    grid = make_grid(n)
+    wide = np.random.default_rng(n + 3).normal(size=(n, n, n, 7))
+    for vals in (np.ascontiguousarray(wide[..., :3]), wide[..., 4:]):
+        a = VecField(grid, 1, vals)
+        for region in ("cube", "ball"):
+            assert curl_norm(a, region) == l2_norm(curl(a), region)
+
+
+def test_curl_norm_refuses_what_curl_refuses():
+    grid = make_grid(9)
+    with pytest.raises(ValueError, match="degree-1"):
+        curl_norm(VecField(grid, 2, np.zeros((9, 9, 9, 3))))
+    # a curl that overflows is not a field; a finite curl whose squares
+    # overflow has an infinite norm
+    big = np.zeros((9, 9, 9, 3))
+    big[4, 4, 4, 2] = 1e308
+    big[4, 5, 4, 2] = -1e308
+    a = VecField(grid, 1, big)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            curl(a)
+        with pytest.raises(ValueError, match="finite"):
+            curl_norm(a)
+        a = VecField(grid, 1, big * 1e-108)
+        assert curl_norm(a) == l2_norm(curl(a)) == np.inf
+
+
+@pytest.mark.parametrize("n", [1, 5, 33])
+def test_hopf_matches_stacked_form(n):
+    q = random_unit(n, 4, 7 * n)
+    # within the input tolerance, but |h(q)| = |q|^2 drifts past 1e-14,
+    # so the output is renormalized
+    drifted = q * (1.0 + 1e-11 * np.random.default_rng(n).normal(
+        size=q.shape[:-1] + (1,)))
+    assert np.abs(np.einsum("...c,...c->...", drifted, drifted)
+                  - 1.0).max() > 1e-13
+    wide = np.concatenate([q, q], axis=-1)
+    for vals in (q, drifted, wide[..., 2:6], q[0, 0, 0], drifted[0, 0, 0]):
+        got, want = hopf(vals), whole_hopf(vals)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_hopf_blocks_past_one_block():
+    # several blocks and a last block of one point
+    q = random_unit(41, 4, 11).reshape(-1, 4)[:3 * (1 << 14) + 1]
+    assert np.array_equal(hopf(q), whole_hopf(q))
+
+
 #: the poles e3 and -e3, where the section's left factor degenerates to j
 #: and to 1, and three others
 SECTION_POLES = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
@@ -131,6 +208,11 @@ def test_section_matches_whole_grid(n, pole):
     u[near] -= 2.0 * (u[near] @ pole_dir)[:, None] * pole_dir
     got = section_of_map(SphereMapField(grid, u), pole).values
     assert np.array_equal(got, whole_section(u, pole))
+    # the section turned in its blocks, against turning the whole section
+    phase = np.random.default_rng(n).uniform(-4.0, 4.0, size=(n, n, n))
+    got = turned_section_of_map(SphereMapField(grid, u), pole, phase).values
+    assert np.array_equal(got, whole_phase_rotate(whole_section(u, pole),
+                                                  phase))
 
 
 def test_section_blocks_past_one_block():
@@ -139,24 +221,18 @@ def test_section_blocks_past_one_block():
     pts[pts[:, 2] > 0.5, 2] *= -1.0
     assert np.array_equal(stereo_section(pts, (0.0, 0.0, 1.0)),
                           whole_section(pts, (0.0, 0.0, 1.0)))
+    # 41^3 nodes take five blocks, the last one part full
+    grid = make_grid(41)
+    u = random_unit(41, 3, 10)
+    u[u[..., 2] > 0.5, 2] *= -1.0
+    phase = np.random.default_rng(41).uniform(-4.0, 4.0, size=(41, 41, 41))
+    got = turned_section_of_map(SphereMapField(grid, u), (0.0, 0.0, 1.0),
+                                phase).values
+    assert np.array_equal(got, whole_phase_rotate(
+        whole_section(u, (0.0, 0.0, 1.0)), phase))
 
 
-def _extra_peak(fn):
-    """tracemalloc peak of fn() in n^3 doubles at n = 33, less the
-    result's own bytes."""
-    fn()
-    tracemalloc.start()
-    try:
-        out = fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    own = getattr(out, "values", out)
-    own = own.nbytes if isinstance(own, np.ndarray) else 0
-    return (peak - own) / (8 * 33 ** 3)
-
-
-def test_blocked_consumers_hold_one_block():
+def test_blocked_consumers_hold_one_block(alloc_peak):
     # beyond its output, each consumer holds one block's partials: a few
     # (BLOCK_ROWS, n, n) planes per component instead of whole planes.
     # Measured at n = 33 (whole-grid forms in brackets): gauge_of_lift
@@ -177,4 +253,4 @@ def test_blocked_consumers_hold_one_block():
         (lambda: pointwise_identities(u), 7.2),
     ]
     for fn, bound in bounds:
-        assert _extra_peak(fn) <= bound
+        assert alloc_peak(fn, beyond_result=True) <= bound
