@@ -263,30 +263,11 @@ def _stencil_rows(g, h, lo, hi, out):
         out[-1] += (1.5 / h) * g[-1]
 
 
-def component_planes(values):
-    """Contiguous (n,n,n) copies of the components of a (n,n,n) or
-    (n,n,n,c) array, so each stencil pass runs on unit strides."""
-    v = _flat_values(values)
-    return [np.ascontiguousarray(v[..., c]) for c in range(v.shape[-1])]
-
-
-def axis_partials(values, h):
-    """The three partials of every component: entry j is an (n,n,n,c)
-    array (c = 1 for scalar input) holding d_j of each component, i.e.
-    ``component_partials(values, h)[..., j, :]``, contiguous."""
-    planes = component_planes(values)
-    out = [np.empty(planes[0].shape + (len(planes),)) for _ in range(3)]
-    for c, plane in enumerate(planes):
-        for j in range(3):
-            stencil_partial(plane, h, j, out=out[j][..., c])
-    return out
-
-
-#: x1-rows per block of ``row_partials`` in ``curl``, ``div``,
-#: ``hopf.gauge_of_lift`` and ``pullback``, chosen by timing them at
-#: n = 65 and 97 on a 4 MB L2: 3 to 4 rows were fastest, 6 to 16 rows
-#: up to 1.3x slower at n = 97, where 4 rows of a lift's 12 partials
-#: take 3.6 MB
+#: x1-rows per block of ``row_partials`` in ``component_partials``,
+#: ``curl``, ``div``, ``hopf.gauge_of_lift`` and ``pullback``, chosen by
+#: timing the last four at n = 65 and 97 on a 4 MB L2: 3 to 4 rows were
+#: fastest, 6 to 16 rows up to 1.3x slower at n = 97, where 4 rows of a
+#: lift's 12 partials take 3.6 MB
 BLOCK_ROWS = 4
 
 
@@ -336,18 +317,25 @@ def row_partials(values, h, rows, axes=None):
         yield lo, hi, parts
 
 
+def stacked_partials(parts, stack):
+    """The block partials parts[c][j] (``row_partials``) stacked into
+    ``stack``, a (rows, n, n, 3, c) buffer, which is returned."""
+    for c, pc in enumerate(parts):
+        for j in range(3):
+            stack[..., j, c] = pc[j]
+    return stack
+
+
 def stacked_squares(parts, stack, out):
     """``np.einsum("...jc,...jc->...", d, d, out=out)`` for d the block
-    partials parts[c][j] (``row_partials``) stacked into ``stack``, a
-    (rows, n, n, 3, c) buffer, which is returned.
+    partials stacked into ``stack`` (``stacked_partials``), which is
+    returned.
 
     einsum reduces each node's 3c products with fused multiply-adds in
     an order no sum of planes reproduces, so the stack is needed; its
     bits do not depend on how many rows it holds.
     """
-    for c, pc in enumerate(parts):
-        for j in range(3):
-            stack[..., j, c] = pc[j]
+    stacked_partials(parts, stack)
     np.einsum("...jc,...jc->...", stack, stack, out=out)
     return stack
 
@@ -374,15 +362,19 @@ def component_partials(values, h):
     """All first partials of a (n,n,n) or (n,n,n,c) array.
 
     Returns an array with two trailing axes (j, c): entry [..., j, c] is
-    the j-th partial of component c.  Scalar input yields c = 1.
+    the j-th partial of component c.  Scalar input yields c = 1.  Each
+    ``row_partials`` block is stacked into its rows of the result.
     """
-    return np.stack(axis_partials(values, h), axis=-2)
+    v = _flat_values(values)
+    out = np.empty(v.shape[:3] + (3, v.shape[-1]))
+    for lo, hi, parts in row_partials(v, h, BLOCK_ROWS):
+        stacked_partials(parts, out[lo:hi])
+    return out
 
 
 def grad(f: ScalarField) -> VecField:
     """Discrete gradient of a 0-form; exact on polynomials of degree <= 2."""
-    return VecField(f.grid, 1,
-                    np.concatenate(axis_partials(f.values, f.grid.h), axis=-1))
+    return VecField(f.grid, 1, component_partials(f.values, f.grid.h)[..., 0])
 
 
 #: the partials curl takes: component k of a is differentiated along
@@ -409,8 +401,8 @@ def _curl_rows(d, out):
         np.subtract(d[k][j], d[j][k], out=out[..., c])
 
 
-def curl_norm(a: VecField, region="cube"):
-    """``l2_norm(curl(a), region)``, bit for bit, without the curl: each
+def curl_norm(a: VecField):
+    """``l2_norm(curl(a))``, bit for bit, without the curl: each
     ``row_partials`` block of the curl goes into one block buffer, and
     only its squared magnitudes, one n^3 array, outlive the block."""
     if a.degree != 1:
@@ -425,7 +417,7 @@ def curl_norm(a: VecField, region="cube"):
         # the curl's field check: a non-finite curl value raises
         if not (np.isfinite(sq[lo:hi]).all() or np.isfinite(b).all()):
             raise ValueError("VecField: values must be finite")
-    return float(np.sqrt(max(integrate(a.grid, sq, region), 0.0)))
+    return float(np.sqrt(max(integrate(a.grid, sq), 0.0)))
 
 
 def div(a: VecField) -> ScalarField:

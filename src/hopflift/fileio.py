@@ -107,13 +107,17 @@ def read_h3f(path, ball_margin=DEFAULT_BALL_MARGIN):
                 raise IoError(f"{path}: truncated payload")
             if extra > 0:
                 raise IoError(f"{path}: {extra} trailing bytes after payload")
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise IoError(f"{path}: truncated payload")
+            # file order [k,j,i,c] -> [i,j,k,c] in memory, one k-plane at
+            # a time: each plane is read into one buffer and its (i,j,c)
+            # transpose written into the result, the inverse of write_h3f
+            vals = np.empty((n, n, n, ncomp))
+            plane = np.empty((n, n, ncomp), dtype="<f8")
+            for k in range(n):
+                if fh.readinto(plane) != plane.nbytes:
+                    raise IoError(f"{path}: truncated payload")
+                vals[:, :, k] = plane.transpose(1, 0, 2)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    vals = np.frombuffer(raw, dtype="<f8").reshape(n, n, n, ncomp)
-    vals = np.ascontiguousarray(vals.transpose(2, 1, 0, 3))
     grid = Grid3(n, ball_margin)
     head = (grid,) if degree is None else (grid, degree)
     try:

@@ -140,7 +140,7 @@ def _phase_rotate(values, phase):
     return values
 
 
-def stereo_section(p, pole=DEFAULT_POLE):
+def stereo_section(p, pole=DEFAULT_POLE, phase=None):
     """A smooth right inverse of h on S^2 minus a cone around ``pole``.
 
     Works on one point or an (..., 3) array.  With (x1, x2, x3, x4) read
@@ -156,16 +156,14 @@ def stereo_section(p, pole=DEFAULT_POLE):
     NotUnit is raised for a pole of zero or non-finite norm, and
     TooCloseToPole when the clearance, the arccos of the largest p . P as
     in ``lift.select_pole``, is below ``DEFAULT_POLE_ANGLE`` radians.
-    The affine factor is formed in blocks of ``_SECTION_NODES`` points,
-    so the dot products and the result are its only whole arrays.
+
+    Unless ``phase`` is None, the section is turned by e^{i phase}
+    (``_phase_rotate``), one angle per point in the order of
+    ``p.reshape(-1, 3)``.  The section is formed and turned in blocks of
+    ``_SECTION_NODES`` points, so the dot products and the result are
+    its only whole arrays: no unturned section and no whole cosine or
+    sine is held.
     """
-    return _stereo_section(p, pole, None)
-
-
-def _stereo_section(p, pole, phase):
-    """``stereo_section(p, pole)``, each block then turned in place by
-    ``_phase_rotate`` with its slice of ``phase``, one angle per point in
-    the order of ``p.reshape(-1, 3)``, unless ``phase`` is None."""
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
     pts = p[None, :] if single else p
@@ -188,6 +186,8 @@ def _stereo_section(p, pole, phase):
 
     flat = pts.reshape(-1, 3)
     dots = dots.reshape(-1)
+    if phase is not None:
+        phase = np.reshape(phase, -1)
     q = np.empty((len(flat), 4))
     t = np.empty((min(len(flat), _SECTION_NODES), 4))
     for lo in range(0, len(flat), _SECTION_NODES):
@@ -206,17 +206,12 @@ def _stereo_section(p, pole, phase):
     return q[0] if single else q
 
 
-def section_of_map(u: SphereMapField, pole=DEFAULT_POLE) -> LiftField:
-    """Compose the section with a sphere-valued field nodewise."""
-    vals = stereo_section(u.values.reshape(-1, 3), pole)
-    return LiftField(u.grid, vals.reshape(u.values.shape[:-1] + (4,)))
-
-
-def turned_section_of_map(u: SphereMapField, pole, phase) -> LiftField:
-    """``section_of_map(u, pole)`` turned by e^{i phase} (``_phase_rotate``)
-    with an (n,n,n) phase, bit for bit, in the section's own blocks: no
-    unturned section and no whole cosine or sine is held."""
-    vals = _stereo_section(u.values.reshape(-1, 3), pole, phase.reshape(-1))
+def section_of_map(u: SphereMapField, pole=DEFAULT_POLE,
+                   phase=None) -> LiftField:
+    """Compose the section with a sphere-valued field nodewise, turned
+    by e^{i phase} with an (n,n,n) phase unless it is None
+    (``stereo_section``)."""
+    vals = stereo_section(u.values.reshape(-1, 3), pole, phase)
     return LiftField(u.grid, vals.reshape(u.values.shape[:-1] + (4,)))
 
 

@@ -18,7 +18,7 @@ from .errors import ChartExhausted, NotClosed, NotConverged
 from .fields import (LiftField, SphereMapField, VecField, _same_grid,
                      curl_norm, l2_norm)
 from .hopf import (DEFAULT_POLE_ANGLE, energy_identity_defect, gauge_of_lift,
-                   hopf, section_of_map, turned_section_of_map)
+                   hopf, section_of_map)
 from . import solvers
 
 #: treat norms below this as zero when forming relative errors
@@ -192,7 +192,7 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     phi, iters, converged, achieved = _solve_phase(
         grid, rhs, rel_tol, max_iters)
     del rhs
-    uhat = turned_section_of_map(u, pole, phi)
+    uhat = section_of_map(u, pole, phi)
     del phi
     # not verify_lift: the public name is the one tracers wrap
     report = _report(u, eta, uhat, pole_used=tuple(float(c) for c in pole),

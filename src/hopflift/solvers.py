@@ -419,18 +419,6 @@ def gauge_normal_matrix(n):
 CHUNK = 1 << 15
 
 
-def max_workers():
-    """Worker cap for the sweep and for CG: HOPFLIFT_THREADS, default all
-    cores."""
-    env = os.environ.get("HOPFLIFT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _usable_cpus():
     try:
         return len(os.sched_getaffinity(0))
@@ -440,8 +428,14 @@ def _usable_cpus():
 
 def worker_count(tasks):
     """Threads for `tasks` independent tasks: one per task at most, capped
-    by HOPFLIFT_THREADS and the usable CPUs; at least one."""
-    return max(1, min(max_workers(), _usable_cpus(), tasks))
+    by the usable CPUs and by HOPFLIFT_THREADS when it is an integer; at
+    least one."""
+    cap = _usable_cpus()
+    try:
+        cap = min(cap, int(os.environ.get("HOPFLIFT_THREADS", "")))
+    except ValueError:
+        pass
+    return max(1, min(cap, tasks))
 
 
 def cg_workers(rows):

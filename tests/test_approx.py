@@ -6,7 +6,6 @@ import pytest
 from hopflift.approx import approximate, convergence_sweep, write_sweep_csv
 from hopflift.errors import ProjectionDegenerate, WidthTooSmall
 from hopflift.fields import VecField, make_grid
-from hopflift.solvers import max_workers
 from hopflift import approx, fields, solvers, testmaps
 
 
@@ -181,10 +180,12 @@ class TestSweep:
             convergence_sweep(u0, eta0, [0.5, 2 * grid.h, grid.h / 2.0])
 
     def test_thread_cap_respects_env(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 4)
         monkeypatch.setenv("HOPFLIFT_THREADS", "2")
-        assert max_workers() == 2
+        assert solvers.worker_count(5) == 2
+        # a cap that is not an integer is ignored
         monkeypatch.setenv("HOPFLIFT_THREADS", "not-a-number")
-        assert max_workers() >= 1
+        assert solvers.worker_count(5) == 4
 
     def test_no_pool_on_one_usable_cpu(self, monkeypatch):
         # HOPFLIFT_THREADS asks for 4 threads, but one CPU is usable

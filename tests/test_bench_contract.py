@@ -174,3 +174,20 @@ def test_sweep_pass_call_counts_match_benchmark_pins(monkeypatch):
     hl.lift(u, eta)
     hl.convergence_sweep(u, eta, [2 * grid.h, 1.5 * grid.h, grid.h])
     assert {key: len(c) for key, c in calls.items()} == pins
+
+
+def test_lift_builds_both_sections_through_section_of_map(monkeypatch):
+    # the tracer's hopf.section_s wraps section_of_map and stereo_section:
+    # the lift's first section, whose gauge it measures, and the section
+    # it rebuilds turned by the phase both go through those names
+    from hopflift import testmaps
+    from hopflift.fields import make_grid
+    from hopflift.lift import lift
+    calls = {qual: count_calls(monkeypatch, qual)
+             for qual in ("hopf.section_of_map", "hopf.stereo_section")}
+    grid = make_grid(9)
+    _, u, eta = testmaps.gen_lift_family(grid, 0.8, (1.0, 0.5, 0.0),
+                                         (0.0, 1.0, 0.3))
+    lift(u, eta)
+    assert {qual: len(c) for qual, c in calls.items()} == {
+        "hopf.section_of_map": 2, "hopf.stereo_section": 2}

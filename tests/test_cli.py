@@ -568,6 +568,56 @@ def test_gauge_independent_of_thread_counts(tmp_path, child_env):
     assert len(outputs) == 1
 
 
+#: one child's pipeline at n = 17: the lift, the canonical gauge of the
+#: planar pullback, one smoothing step and a 3-width sweep, each output
+#: and report written to the directory in argv[1]
+PIPELINE = """
+import sys
+from hopflift import testmaps
+from hopflift.approx import approximate, convergence_sweep, write_sweep_csv
+from hopflift.cli import _write_report
+from hopflift.fields import make_grid
+from hopflift.fileio import write_h3f
+from hopflift.hodge import canonical_gauge
+from hopflift.lift import lift
+from hopflift.pullback import pullback_area_form
+out = sys.argv[1] + "/"
+grid = make_grid(17)
+_, u, eta = testmaps.gen_lift_family(grid, 0.8, (1.0, 0.5, 0.0),
+                                     (0.0, 1.0, 0.3))
+uhat, report = lift(u, eta)
+write_h3f(out + "uhat.h3f", uhat)
+_write_report(out + "lift.json", report.to_dict())
+a, report = canonical_gauge(pullback_area_form(
+    testmaps.gen_planar(grid, "gaussian-bump")))
+write_h3f(out + "gauge.h3f", a)
+_write_report(out + "gauge.json", report.to_dict())
+u_eps, eta_eps, report = approximate(u, eta, 2 * grid.h)
+write_h3f(out + "approx_u.h3f", u_eps)
+write_h3f(out + "approx_eta.h3f", eta_eps)
+_write_report(out + "approx.json", report.to_dict())
+write_sweep_csv(convergence_sweep(u, eta, [2 * grid.h, 1.5 * grid.h, grid.h]),
+                out + "sweep.csv")
+"""
+
+
+def test_pipeline_independent_of_thread_counts(tmp_path, child_env):
+    # the lift, the gauge, the smoothing step and the sweep's pool give
+    # the same bytes whichever of the solver's and BLAS's threads they get
+    outputs = []
+    for threads, blas in (("2", "1"), ("1", "2")):
+        out = tmp_path / f"t{threads}_b{blas}"
+        out.mkdir()
+        env = child_env(HOPFLIFT_THREADS=threads, OPENBLAS_NUM_THREADS=blas)
+        proc = subprocess.run([sys.executable, "-c", PIPELINE, str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 8
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv", [
     ["lift", "--out", "x"],
     ["approx", "--eps", "0.25", "--out-prefix", "x"],

@@ -5,8 +5,8 @@ from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
 from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
                              VecField, _check_unit, _convolve_same,
                              _gaussian_kernel,
-                             _kernel_spectrum, axis_partials,
-                             component_partials, curl, div, energy_density,
+                             _kernel_spectrum, component_partials, curl, div,
+                             energy_density,
                              grad, integrate, l1_norm, l2_inner, l2_norm,
                              lp_norm,
                              make_grid, mollify, mollify_components,
@@ -202,10 +202,6 @@ class TestStencilMatchesNpGradient:
         for vals in (f, a, q):
             ref = gradient_partials(vals, h)
             assert np.array_equal(component_partials(vals, h), ref)
-            parts = axis_partials(vals, h)
-            for j in range(3):
-                assert parts[j].flags.c_contiguous
-                assert np.array_equal(parts[j], ref[..., j, :])
             assert np.array_equal(energy_density(vals, h),
                                   np.einsum("...jc,...jc->...", ref, ref))
 

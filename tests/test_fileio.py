@@ -258,3 +258,15 @@ def test_vtk_empty_path():
     grid = make_grid(5)
     with pytest.raises(IoError):
         export_vtk(ScalarField(grid, np.zeros((5, 5, 5))), "")
+
+
+def test_read_holds_one_plane(tmp_path, alloc_peak):
+    # the payload is read one k-plane at a time into the result: the
+    # lift's 4 n^3 values and its unit check's norms, not the raw payload
+    # and its transposed copy (measured 5.13 n^3 at n = 33, 9.01 when
+    # the whole payload was read; the bound is the first plus 10 %)
+    uhat, _, _ = testmaps.gen_lift_family(make_grid(33), 0.8, (1, 0.5, 0),
+                                          (0, 1, 0.3))
+    path = str(tmp_path / "uhat.h3f")
+    write_h3f(path, uhat)
+    assert alloc_peak(lambda: read_h3f(path)) <= 5.6

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from hopflift.errors import BadLatitude, NotTangent, NotUnit, TooCloseToPole
 from hopflift.fields import LiftField, ScalarField, VecField, grad, make_grid
-from hopflift.hopf import (energy_identity_defect, frame_checks, frame_sweep,
-                           gauge_of_lift, hopf, hopf_jacobian, stereo_section,
-                           theta_at)
+from hopflift.hopf import (DEFAULT_POLE, energy_identity_defect,
+                           frame_checks, frame_sweep, gauge_of_lift, hopf,
+                           hopf_jacobian, stereo_section, theta_at)
 from hopflift.lift import default_pole_candidates
 from hopflift import testmaps
 
@@ -148,6 +148,21 @@ class TestSection:
             stereo_section(pts)
         assert str(info.value) == (
             f"point within {dense:.4f} rad of the section pole")
+
+    def test_phase_turns_each_point(self):
+        # one angle per point: the turned section is e^{i phase} times the
+        # section, and h(turned) = h(section)
+        pts = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, -0.8], [0.0, 0.0, 1.0]])
+        phase = np.array([0.3, -2.0, 5.0])
+        s = stereo_section(pts)
+        turned = stereo_section(pts, DEFAULT_POLE, phase)
+        z = (s[:, 0] + 1j * s[:, 1]) * np.exp(1j * phase)
+        w = (s[:, 2] + 1j * s[:, 3]) * np.exp(1j * phase)
+        assert np.allclose(turned, np.stack([z.real, z.imag, w.real, w.imag],
+                                            axis=-1), atol=1e-15)
+        assert np.allclose(hopf(turned), hopf(s), atol=1e-15)
+        single = stereo_section(pts[0], DEFAULT_POLE, phase[0])
+        assert np.array_equal(single, turned[0])
 
     def test_smoothness_near_cut_boundary(self):
         # values at nearby admissible points stay close: no hidden branch
