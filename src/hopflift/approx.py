@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import ProjectionDegenerate
 from .fields import (LiftField, SphereMapField, VecField, box_mask,
-                     check_width, curl, curl_norm, energy_density,
-                     integrate, l2_norm, mollify_components,
-                     mollify_region_mask)
+                     check_width, curl, energy_density, integrate, l2_norm,
+                     mollify_components, mollify_region_mask)
 from .fileio import open_output
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
@@ -87,7 +86,7 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
     channels[..., :4] = uhat.values
     np.subtract(eta.values, gauge_of_lift(uhat).values, out=channels[..., 4:])
     del uhat
-    curl_remainder = curl_norm(VecField(grid, 1, channels[..., 4:]))
+    curl_remainder = l2_norm(curl(VecField(grid, 1, channels[..., 4:])))
     mollify_components(grid, channels, eps, out=channels)
     smoothed, zeta_tilde = channels[..., :4], channels[..., 4:]
     moduli = np.sqrt(np.einsum("...c,...c->...", smoothed, smoothed))

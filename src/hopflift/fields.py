@@ -225,6 +225,21 @@ def _same_grid(*fields):
         raise ValueError("fields live on different grids")
 
 
+#: points per block of ``node_blocks``
+NODE_BLOCK = 1 << 14
+
+
+def node_blocks(count):
+    """Near-equal (lo, hi) blocks that tile range(count) in order, each
+    of at most ``NODE_BLOCK`` points (read at call time), for pointwise
+    work that holds one block's temporaries.  Sizes differ by at most
+    one, so no block is a lone last point, which matmul would take as a
+    vector product that rounds differently."""
+    blocks = -(-count // NODE_BLOCK)
+    return [(count * b // blocks, count * (b + 1) // blocks)
+            for b in range(blocks)]
+
+
 # ---------------------------------------------------------------------------
 # differential operators
 
@@ -389,35 +404,10 @@ def curl(a: VecField) -> VecField:
         raise ValueError("curl acts on degree-1 fields")
     out = np.empty(a.values.shape)
     for lo, hi, d in row_partials(a.values, a.grid.h, BLOCK_ROWS, _CURL_AXES):
-        _curl_rows(d, out[lo:hi])
+        for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+            # component c is d_j a_k - d_k a_j
+            np.subtract(d[k][j], d[j][k], out=out[lo:hi, ..., c])
     return VecField(a.grid, 2, out)
-
-
-def _curl_rows(d, out):
-    """The curl of one ``row_partials`` block d (``_CURL_AXES``) into
-    out, its rows of a (.., 3) array."""
-    for c, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
-        # component c is d_j a_k - d_k a_j
-        np.subtract(d[k][j], d[j][k], out=out[..., c])
-
-
-def curl_norm(a: VecField):
-    """``l2_norm(curl(a))``, bit for bit, without the curl: each
-    ``row_partials`` block of the curl goes into one block buffer, and
-    only its squared magnitudes, one n^3 array, outlive the block."""
-    if a.degree != 1:
-        raise ValueError("curl acts on degree-1 fields")
-    v = a.values
-    sq = np.empty(v.shape[:-1])
-    block = np.empty((min(BLOCK_ROWS, len(v)),) + v.shape[1:])
-    for lo, hi, d in row_partials(v, a.grid.h, BLOCK_ROWS, _CURL_AXES):
-        b = block[:hi - lo]
-        _curl_rows(d, b)
-        np.einsum("...c,...c->...", b, b, out=sq[lo:hi])
-        # the curl's field check: a non-finite curl value raises
-        if not (np.isfinite(sq[lo:hi]).all() or np.isfinite(b).all()):
-            raise ValueError("VecField: values must be finite")
-    return float(np.sqrt(max(integrate(a.grid, sq), 0.0)))
 
 
 def div(a: VecField) -> ScalarField:

@@ -207,8 +207,7 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
     max_iters, rel_tol = cfg.resolved(grid)
     n = grid.n
     with np.errstate(over="ignore"):  # inf, for the solver to refuse
-        g_norm = float(np.sqrt(_weighted_sq(_blocked(g_form.values),
-                                            grid.node_weights())))
+        g_norm = l2_norm(g_form)
     if g_norm <= _NOISE_FLOOR:
         a = VecField(grid, 1, np.zeros(g_form.values.shape))
         return a, _gauge_report(a, g_form, 0, g_norm)
@@ -228,28 +227,18 @@ def canonical_gauge(g_form: VecField, cfg: GaugeSolveConfig = None):
     return a, report
 
 
-def _blocked(values):
-    """(n,n,n,3) values as a contiguous (3,n,n,n) array: the solver's
-    component-blocked order, in which the report sums."""
-    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
-
-
-def _weighted_sq(v, w):
-    """sum(v * w * v), w broadcast against v, in v's storage order."""
-    t = v * w
-    t *= v
-    return float(t.sum())
-
-
 def _gauge_report(a, g_form, iters, g_norm):
-    w = a.grid.node_weights()
-    resid = _blocked(curl(a).values)
-    resid -= np.moveaxis(g_form.values, -1, 0)
-    curl_rel = float(np.sqrt(_weighted_sq(resid, w)))
+    resid = curl(a)
+    resid.values -= g_form.values
+    curl_rel = l2_norm(resid)
     del resid
     curl_rel = curl_rel / g_norm if g_norm > 0.0 else curl_rel
-    div_norm = float(np.sqrt(_weighted_sq(div(a).values, w)))
-    normal_norm = float(np.sqrt(_weighted_sq(*face_trace(a.values))))
+    div_norm = l2_norm(div(a))
+    # a face quadrature, not a field norm
+    trace, area = face_trace(a.values)
+    t = trace * area
+    t *= trace
+    normal_norm = float(np.sqrt(t.sum()))
     ratio = 0.0
     g_l1 = l1_norm(g_form, region="ball")
     if g_l1 > 0.0:

@@ -28,17 +28,13 @@ import numpy as np
 from .errors import BadLatitude, NotTangent, TooCloseToPole
 from .fields import (BLOCK_ROWS, LiftField, ScalarField, SphereMapField,
                      VecField, _check_unit, _direction_norm, _same_grid,
-                     energy_density, row_partials)
+                     energy_density, node_blocks, row_partials)
 
 DEFAULT_POLE = (0.0, 0.0, -1.0)
 DEFAULT_POLE_ANGLE = 0.05
 
 #: tolerance of the raw-array checks: on |q| - 1, and on q . v relative to |v|
 RAW_TOL = 1e-9
-
-#: points per block of ``stereo_section`` and ``hopf``, 512 KB of
-#: affine factors
-_SECTION_NODES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -50,16 +46,16 @@ def hopf(q):
 
     Raises NotUnit when the input norm is off 1 by more than ``RAW_TOL``;
     the output is renormalized wherever its norm drifts beyond 1e-14.
-    The output is formed in blocks of ``_SECTION_NODES`` points, so it is
-    the call's only whole array besides the unit check's norms.
+    The output is formed in the point blocks of ``fields.node_blocks``,
+    so it is the call's only whole array besides the unit check's norms.
     """
     q = np.asarray(q, dtype=np.float64)
     _check_unit(q, "hopf input", RAW_TOL)
     flat = q.reshape(-1, 4)
     u = np.empty((len(flat), 3))
-    t = np.empty(min(len(flat), _SECTION_NODES))
-    for lo in range(0, len(flat), _SECTION_NODES):
-        hi = min(lo + _SECTION_NODES, len(flat))
+    blocks = node_blocks(len(flat))
+    t = np.empty(max((hi - lo for lo, hi in blocks), default=0))
+    for lo, hi in blocks:
         x1, x2, x3, x4 = flat[lo:hi].T
         ub, tb = u[lo:hi], t[:hi - lo]
         # each component in the order of the formula, left to right
@@ -159,10 +155,10 @@ def stereo_section(p, pole=DEFAULT_POLE, phase=None):
 
     Unless ``phase`` is None, the section is turned by e^{i phase}
     (``_phase_rotate``), one angle per point in the order of
-    ``p.reshape(-1, 3)``.  The section is formed and turned in blocks of
-    ``_SECTION_NODES`` points, so the dot products and the result are
-    its only whole arrays: no unturned section and no whole cosine or
-    sine is held.
+    ``p.reshape(-1, 3)``.  The section is formed and turned in the point
+    blocks of ``fields.node_blocks``, so the dot products and the result
+    are its only whole arrays: no unturned section and no whole cosine
+    or sine is held.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
@@ -189,9 +185,9 @@ def stereo_section(p, pole=DEFAULT_POLE, phase=None):
     if phase is not None:
         phase = np.reshape(phase, -1)
     q = np.empty((len(flat), 4))
-    t = np.empty((min(len(flat), _SECTION_NODES), 4))
-    for lo in range(0, len(flat), _SECTION_NODES):
-        hi = min(lo + _SECTION_NODES, len(flat))
+    blocks = node_blocks(len(flat))
+    t = np.empty((max((hi - lo for lo, hi in blocks), default=0), 4))
+    for lo, hi in blocks:
         x, y, z = flat[lo:hi].T
         tb = t[:hi - lo]
         np.subtract(1.0, dots[lo:hi], out=tb[:, 0])

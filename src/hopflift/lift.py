@@ -15,17 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartExhausted, NotClosed, NotConverged
-from .fields import (LiftField, SphereMapField, VecField, _same_grid,
-                     curl_norm, l2_norm)
+from .fields import (LiftField, SphereMapField, VecField, _same_grid, curl,
+                     l2_norm, node_blocks)
 from .hopf import (DEFAULT_POLE_ANGLE, energy_identity_defect, gauge_of_lift,
                    hopf, section_of_map)
 from . import solvers
 
 #: treat norms below this as zero when forming relative errors
 _TINY = 1e-12
-
-#: nodes per block of ``select_pole``'s scan, about 2.4 MB of dots
-_POLE_NODES = 1 << 14
 
 
 def default_pole_candidates():
@@ -43,16 +40,12 @@ def default_pole_candidates():
 
 def _min_angles(pts, cands):
     """Min over the points of the angle to each candidate: the arccos of
-    ``(pts @ cands.T).max(axis=0)``, taken as a running max over
-    near-equal blocks of about ``_POLE_NODES`` points.  The max is exact,
-    so the blocks change no bit, and no (points, candidates) matrix is
-    formed.  Near-equal blocks leave no lone last point, which matmul
-    would take as a vector product that rounds differently."""
-    blocks = -(-len(pts) // _POLE_NODES)
+    ``(pts @ cands.T).max(axis=0)``, taken as a running max over the
+    point blocks of ``fields.node_blocks``.  The max is exact, so the
+    blocks change no bit, and no (points, candidates) matrix is formed."""
     top = np.full(len(cands), -np.inf)
-    for b in range(blocks):
-        chunk = pts[len(pts) * b // blocks:len(pts) * (b + 1) // blocks]
-        np.maximum(top, (chunk @ cands.T).max(axis=0), out=top)
+    for lo, hi in node_blocks(len(pts)):
+        np.maximum(top, (pts[lo:hi] @ cands.T).max(axis=0), out=top)
     return np.arccos(np.clip(top, -1.0, 1.0))
 
 
@@ -112,7 +105,7 @@ class LiftReport:
 def _solve_phase(grid, rhs, rel_tol, max_iters):
     """Least-squares solution of grad phi = alpha, anchored to zero at
     the node nearest the origin; ``rhs`` is G^T W alpha, the flat
-    right-hand side of the normal equations."""
+    right-hand side of the normal equations, which the solve overwrites."""
     n = grid.n
     mat, stencil = solvers.phase_normal_matrix(n)
     phi, iters, achieved, converged = solvers.conjugate_gradient(
@@ -167,7 +160,7 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     # held through the phase solve but rebuilt from the pole after it
     alpha = gauge_of_lift(section_of_map(u, pole))
     gauge_norm = l2_norm(alpha)
-    gauge_curl = 0.5 * curl_norm(alpha)
+    gauge_curl = 0.5 * l2_norm(curl(alpha))
     np.subtract(eta.values, alpha.values, out=alpha.values)
     alpha.values *= 0.5
     # formed before the closedness temporaries, so it cannot pin their heap
@@ -181,7 +174,7 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     # the section's gauge.
     scale = max(l2_norm(alpha), 0.25 * (l2_norm(eta) + gauge_norm),
                 gauge_curl, _TINY)
-    closedness = curl_norm(alpha) / scale
+    closedness = l2_norm(curl(alpha)) / scale
     if closedness > closed_tol:
         raise NotClosed(
             f"curl of the phase form is {closedness:.3e} relative, above "

@@ -547,11 +547,13 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
 
     Starts from zero and stops when the residual (the functional's
     gradient, up to a factor 2) drops below rel_tol times its initial
-    norm.  Returns (x, iterations, achieved_rel, converged).  Raises
-    SolverDiverged before the first step when the right-hand side norm
-    is not finite, and after 10 consecutive steps in which the quadratic
-    functional fails to decrease, which for CG can only come from a
-    non-positive curvature direction or numerical breakdown.
+    norm.  The residual is kept in b's own buffer, so b is overwritten
+    and ends as the last residual.  Returns (x, iterations, achieved_rel,
+    converged).  Raises SolverDiverged before the first step when the
+    right-hand side norm is not finite, and after 10 consecutive steps
+    in which the quadratic functional fails to decrease, which for CG
+    can only come from a non-positive curvature direction or numerical
+    breakdown.
 
     Every dot product is the sum, in chunk order, of einsum over fixed
     chunks of CHUNK entries, so the result is bit-identical for any
@@ -562,7 +564,7 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
     """
     rows = b.size
     x = np.zeros_like(b)
-    r = b.copy()
+    r = b
     chunks = [(lo, min(lo + CHUNK, rows)) for lo in range(0, rows, CHUNK)]
     part = np.empty(len(chunks))
     norm0 = float(np.sqrt(_dot(r, r, part)))

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from hopflift import testmaps
+from hopflift import fields
 from hopflift.fields import (LiftField, ScalarField, SphereMapField,
-                             VecField, component_partials, curl, curl_norm,
-                             div, energy_density, grad, l2_norm, make_grid,
-                             stencil_partial)
+                             VecField, component_partials, curl, div,
+                             energy_density, grad, l2_norm, make_grid,
+                             node_blocks, stencil_partial)
 from hopflift.hopf import gauge_of_lift, hopf, section_of_map, stereo_section
 from hopflift.lift import default_pole_candidates
 from hopflift.pullback import pointwise_identities, pullback_area_form
@@ -156,19 +157,21 @@ def test_blocked_consumers_match_whole_grid(n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 9, 17, 33])
-def test_curl_norm_matches_norm_of_curl(n):
-    # on a whole array and on the channel slice approximate passes
+def test_curl_of_channel_slice_matches_contiguous(n):
+    # approximate takes the curl of the remainder's channels of a
+    # 7-channel array, a strided view
     grid = make_grid(n)
     wide = np.random.default_rng(n + 3).normal(size=(n, n, n, 7))
-    for vals in (np.ascontiguousarray(wide[..., :3]), wide[..., 4:]):
-        a = VecField(grid, 1, vals)
-        assert curl_norm(a) == l2_norm(curl(a))
+    got = curl(VecField(grid, 1, wide[..., 4:]))
+    want = curl(VecField(grid, 1, np.ascontiguousarray(wide[..., 4:])))
+    assert np.array_equal(got.values, want.values)
+    assert l2_norm(got) == l2_norm(want)
 
 
-def test_curl_norm_refuses_what_curl_refuses():
+def test_curl_and_its_norm_refuse_what_a_field_refuses():
     grid = make_grid(9)
     with pytest.raises(ValueError, match="degree-1"):
-        curl_norm(VecField(grid, 2, np.zeros((9, 9, 9, 3))))
+        curl(VecField(grid, 2, np.zeros((9, 9, 9, 3))))
     # a curl that overflows is not a field; a finite curl whose squares
     # overflow has an infinite norm
     big = np.zeros((9, 9, 9, 3))
@@ -178,10 +181,8 @@ def test_curl_norm_refuses_what_curl_refuses():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite"):
             curl(a)
-        with pytest.raises(ValueError, match="finite"):
-            curl_norm(a)
         a = VecField(grid, 1, big * 1e-108)
-        assert curl_norm(a) == l2_norm(curl(a)) == np.inf
+        assert l2_norm(curl(a)) == np.inf
 
 
 @pytest.mark.parametrize("n", [1, 5, 33])
@@ -199,9 +200,23 @@ def test_hopf_matches_stacked_form(n):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("count", [0, 1, fields.NODE_BLOCK - 1,
+                                   fields.NODE_BLOCK, fields.NODE_BLOCK + 1,
+                                   2 * fields.NODE_BLOCK + 1])
+def test_node_blocks_tile_in_near_equal_blocks(count):
+    # the blocks tile [0, count) in order, as few as NODE_BLOCK allows
+    blocks = node_blocks(count)
+    edges = [0] + [hi for _, hi in blocks]
+    assert blocks == list(zip(edges, edges[1:])) and edges[-1] == count
+    assert len(blocks) == -(-count // fields.NODE_BLOCK)
+    sizes = [hi - lo for lo, hi in blocks]
+    assert all(0 < s <= fields.NODE_BLOCK for s in sizes)
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
+
 def test_hopf_blocks_past_one_block():
-    # several blocks and a last block of one point
-    q = random_unit(41, 4, 11).reshape(-1, 4)[:3 * (1 << 14) + 1]
+    # one more point than three full blocks: four near-equal blocks
+    q = random_unit(41, 4, 11).reshape(-1, 4)[:3 * fields.NODE_BLOCK + 1]
     assert np.array_equal(hopf(q), whole_hopf(q))
 
 
@@ -230,12 +245,12 @@ def test_section_matches_whole_grid(n, pole):
 
 
 def test_section_blocks_past_one_block():
-    # several blocks and a last block of one point, in the (..., 3) form
-    pts = random_unit(41, 3, 9).reshape(-1, 3)[:3 * (1 << 14) + 1]
+    # one more point than three full blocks, in the (..., 3) form
+    pts = random_unit(41, 3, 9).reshape(-1, 3)[:3 * fields.NODE_BLOCK + 1]
     pts[pts[:, 2] > 0.5, 2] *= -1.0
     assert np.array_equal(stereo_section(pts, (0.0, 0.0, 1.0)),
                           whole_section(pts, (0.0, 0.0, 1.0)))
-    # 41^3 nodes take five blocks, the last one part full
+    # 41^3 nodes take five near-equal blocks
     grid = make_grid(41)
     u = random_unit(41, 3, 10)
     u[u[..., 2] > 0.5, 2] *= -1.0

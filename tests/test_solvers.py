@@ -366,12 +366,13 @@ class TestConjugateGradientKernel:
         assert stencil.offsets.size == 7
         assert -(-b.size // solvers.CHUNK) >= 3
         # up to three workers with frequent thread switches: a lost or
-        # crossed block update would change the bits
+        # crossed block update would change the bits; each solve takes
+        # its own b, which it overwrites with the residual
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            results = [_solve_with_workers(monkeypatch, w, mat, b, 1e-8, 660,
-                                           stencil)
+            results = [_solve_with_workers(monkeypatch, w, mat, b.copy(),
+                                           1e-8, 660, stencil)
                        for w in (1, 2, 3)]
         finally:
             sys.setswitchinterval(interval)
@@ -385,7 +386,8 @@ class TestConjugateGradientKernel:
 
         def solve():
             out["workers"] = solvers.cg_workers(b.size)
-            out["result"] = conjugate_gradient(mat, b, 1e-8, 660, stencil)
+            out["result"] = conjugate_gradient(mat, b.copy(), 1e-8, 660,
+                                               stencil)
 
         thread = threading.Thread(target=solve)
         thread.start()
@@ -399,7 +401,7 @@ class TestConjugateGradientKernel:
                                                monkeypatch):
         mat, stencil, b = gauge_system
         x, iters, rel, converged = _solve_with_workers(
-            monkeypatch, 3, mat, b, 1e-14, 5, stencil)
+            monkeypatch, 3, mat, b.copy(), 1e-14, 5, stencil)
         assert not converged and iters == 5
 
     def test_indefinite_split_system_diverges(self, gauge_system,
