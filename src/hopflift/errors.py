@@ -70,8 +70,9 @@ class IoError(PreconditionError):
 
 
 class SolverDiverged(SolverError):
-    """The quadratic functional stopped decreasing; the operator is not
-    positive semi-definite on the iterates."""
+    """CG met non-positive or non-finite curvature along the gradient:
+    the operator is not positive definite there, or the arithmetic broke
+    down; also raised for a right-hand side of non-finite norm."""
 
 
 class NotConverged(SolverError):

@@ -155,10 +155,11 @@ def stereo_section(p, pole=DEFAULT_POLE, phase=None):
 
     Unless ``phase`` is None, the section is turned by e^{i phase}
     (``_phase_rotate``), one angle per point in the order of
-    ``p.reshape(-1, 3)``.  The section is formed and turned in the point
-    blocks of ``fields.node_blocks``, so the dot products and the result
-    are its only whole arrays: no unturned section and no whole cosine
-    or sine is held.
+    ``p.reshape(-1, 3)``; ValueError is raised for any other count.  The
+    section is formed and turned in the point blocks of
+    ``fields.node_blocks``, so the dot products and the result are its
+    only whole arrays: no unturned section and no whole cosine or sine
+    is held.
     """
     p = np.asarray(p, dtype=np.float64)
     single = p.ndim == 1
@@ -184,6 +185,9 @@ def stereo_section(p, pole=DEFAULT_POLE, phase=None):
     dots = dots.reshape(-1)
     if phase is not None:
         phase = np.reshape(phase, -1)
+        if phase.size != len(flat):
+            raise ValueError(f"phase has {phase.size} angles for "
+                             f"{len(flat)} points")
     q = np.empty((len(flat), 4))
     blocks = node_blocks(len(flat))
     t = np.empty((max((hi - lo for lo, hi in blocks), default=0), 4))

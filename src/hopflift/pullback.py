@@ -214,8 +214,9 @@ def exactness_defect(u: SphereMapField, tol=None) -> ExactnessReport:
     probes the flux of D(u) through the spheres of radius 0.25, 0.5 and
     0.75.  ``exact`` needs both small; consistent large fluxes mean
     ``singular``; anything else is ``inconclusive``.  The default
-    tolerance is ``exactness_tol(grid)``.  Grids with no room for a
-    probe sphere inside |x| < 1 - 3h (``sphere_flux``), n < 8, raise
+    tolerance is ``exactness_tol(grid)``; one that is not positive and
+    finite raises ValueError.  Grids with no room for a probe sphere
+    inside |x| < 1 - 3h (``sphere_flux``), n < 8, raise
     InvalidResolution.
     """
     grid = u.grid
@@ -224,6 +225,8 @@ def exactness_defect(u: SphereMapField, tol=None) -> ExactnessReport:
         raise InvalidResolution(
             f"the flux probes need 1 - 3h > 0, that is n >= 8; got n={grid.n}")
     tol = exactness_tol(grid) if tol is None else tol
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     d_field = pullback_area_form(u)
     defect = div(d_field)
     mask = grid.cube_interior_mask() & beyond_origin(

@@ -454,17 +454,20 @@ _DIA_ROWS = 1 << 12
 
 
 class _Split:
-    """A shell and its ``Stencil`` laid out for scipy's compiled loops.
+    """A shell and its ``Stencil`` laid out for scipy's compiled loops,
+    with a plan for each row range (a, e) of ``chunks``; read-only.
 
     For ``dia_matvec``: the stencil's offsets shifted by the margin
     m = max |offset| onto a constant (k, _DIA_ROWS + 2m) table, so that
     one call covers up to _DIA_ROWS rows.  For ``csr_matvec``: the shell
     rows and their ``indptr`` entries with the empty box rows left out;
     as those rows are empty, the entries stay consecutive, so any run of
-    shell rows is a CSR matrix of its own.
+    shell rows is a CSR matrix of its own.  ``spans[k]`` is (s, t, k0, k1)
+    for chunk k: rows s to t-1 run from its first to its last box row
+    (s = t when there is none), and its shell rows are ``rows[k0:k1]``.
     """
 
-    def __init__(self, mat, stencil):
+    def __init__(self, mat, stencil, chunks):
         shell = np.tile(_shell_mask(stencil.n).ravel(), stencil.blocks)
         self.rows = np.flatnonzero(shell)
         self.indptr = np.append(mat.indptr[self.rows], mat.indptr[-1])
@@ -472,31 +475,25 @@ class _Split:
         self.offsets = stencil.offsets + self.margin
         self.table = np.repeat(stencil.values[:, None],
                                _DIA_ROWS + 2 * self.margin, axis=1)
-        self._box = ~shell
-        self._spans = {}
-
-    def span(self, a, e):
-        """(s, t, k0, k1): rows s to t-1 run from the first to the last
-        box row of [a, e) (s = t when there is none), and the shell rows
-        of [a, e) are ``rows[k0:k1]``.  Kept per (a, e), as CG asks for
-        the same chunks on every iteration."""
-        span = self._spans.get((a, e))
-        if span is None:
-            box = self._box[a:e]
-            if box.any():
-                s, t = a + int(box.argmax()), e - int(box[::-1].argmax())
-            else:
-                s = t = a
+        spans = []
+        for a, e in chunks:
+            part = shell[a:e]
+            s = t = a
+            if not part.all():
+                s, t = a + int(part.argmin()), e - int(part[::-1].argmin())
             k0, k1 = np.searchsorted(self.rows, (a, e))
-            span = self._spans[(a, e)] = (s, t, int(k0), int(k1))
-        return span
+            spans.append((s, t, int(k0), int(k1)))
+        self.spans = tuple(spans)
+        for arr in (self.rows, self.indptr, self.offsets, self.table):
+            arr.setflags(write=False)
 
 
-def block_matvec(mat, p, out, a, e, split):
-    """out[a:e] = (A @ p)[a:e], with A the shell ``mat`` plus the stencil
-    rows of the ``_Split`` ``split``.  Every row adds its products in
-    ascending column from +0.0, as ``A @ p`` does on the full CSR matrix,
-    so the bits match; the GIL is released meanwhile.
+def block_matvec(mat, p, out, k, split):
+    """out[a:e] = (A @ p)[a:e] for chunk k = [a, e) of the ``_Split``
+    ``split``, with A the shell ``mat`` plus the split's stencil rows.
+    Every row adds its products in ascending column from +0.0, as
+    ``A @ p`` does on the full CSR matrix, so the bits match; the GIL is
+    released meanwhile.
 
     The rows from the first to the last box row of [a, e) get the
     stencil (scipy's ``dia_matvec``), and then ``csr_matvec`` on the
@@ -506,7 +503,7 @@ def block_matvec(mat, p, out, a, e, split):
     its base array, tens of MB per call on the gauge matrix.
     """
     from scipy.sparse import _sparsetools
-    s, t, k0, k1 = split.span(a, e)
+    s, t, k0, k1 = split.spans[k]
     out[s:t] = 0.0
     m = split.margin
     for lo in range(s, t, _DIA_ROWS):
@@ -545,15 +542,19 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
     product with A has the bits of the full CSR matrix's
     (``block_matvec``).
 
-    Starts from zero and stops when the residual (the functional's
-    gradient, up to a factor 2) drops below rel_tol times its initial
-    norm.  The residual is kept in b's own buffer, so b is overwritten
-    and ends as the last residual.  Returns (x, iterations, achieved_rel,
-    converged).  Raises SolverDiverged before the first step when the
-    right-hand side norm is not finite, and after 10 consecutive steps
-    in which the quadratic functional fails to decrease, which for CG
-    can only come from a non-positive curvature direction or numerical
-    breakdown.
+    Starts from zero and steps until the residual (the functional's
+    gradient, up to a factor 2) is at most rel_tol times its initial
+    norm.  A solve that meets that test within max_iters steps, the last
+    step included, converges; one that has taken max_iters steps without
+    meeting it does not.  A NaN residual never meets it.  The residual is
+    kept in b's own buffer, so b is overwritten and ends as the last
+    residual.  Returns (x, iterations, achieved_rel, converged).
+
+    A search direction of non-positive or non-finite curvature p.Ap
+    would not decrease the quadratic functional: the direction restarts
+    from the gradient, which takes no step.  SolverDiverged is raised
+    when the curvature along the gradient itself fails, and before the
+    first step when the right-hand side norm is not finite.
 
     Every dot product is the sum, in chunk order, of einsum over fixed
     chunks of CHUNK entries, so the result is bit-identical for any
@@ -572,11 +573,9 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
         raise SolverDiverged(
             "right-hand side norm is not finite; the data overflow the "
             "solver's arithmetic")
-    if norm0 == 0.0:
-        return x, 0, 0.0, True
     p = r.copy()
     mp = np.empty_like(b)
-    split = _Split(mat, stencil)
+    split = _Split(mat, stencil, chunks)
     workers = cg_workers(rows)
     edges = [w * len(chunks) // workers for w in range(workers + 1)]
     scratch = np.empty((workers, min(rows, CHUNK)))
@@ -586,7 +585,7 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
     def curvature_step(w):
         for k in range(edges[w], edges[w + 1]):
             lo, hi = chunks[k]
-            block_matvec(mat, p, mp, lo, hi, split)
+            block_matvec(mat, p, mp, k, split)
             part[k] = np.einsum("i,i->", p[lo:hi], mp[lo:hi])
 
     def update_step(w, alpha):
@@ -616,33 +615,30 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
 
     try:
         rs = norm0 * norm0
-        bad_steps = 0
         iters = 0
-        while iters < max_iters:
-            if np.sqrt(rs) <= rel_tol * norm0:
-                return x, iters, float(np.sqrt(rs) / norm0), True
+        along_gradient = True  # p is r
+        while not np.sqrt(rs) <= rel_tol * norm0:
+            if iters >= max_iters:
+                return x, iters, float(np.sqrt(rs) / norm0), False
             each_block(curvature_step)
             curvature = float(np.sum(part))
             # the functional change per step is -alpha*rs/2, negative iff
             # curvature is positive
-            if not np.isfinite(curvature) or curvature <= 0.0:
-                bad_steps += 1
-                if bad_steps >= 10:
+            if not (np.isfinite(curvature) and curvature > 0.0):
+                if along_gradient:
                     raise SolverDiverged(
-                        "quadratic functional increased for 10 consecutive "
-                        "iterations")
-                # restart the search direction from the gradient
+                        f"curvature {curvature:.3e} along the gradient at "
+                        f"iteration {iters}; the operator is not positive "
+                        "definite there or the arithmetic broke down")
                 p[:] = r
-                rs = _dot(r, r, part)
-                iters += 1
+                along_gradient = True
                 continue
-            bad_steps = 0
             each_block(update_step, rs / curvature)
             rs_new = float(np.sum(part))
             each_block(direction_step, rs_new / rs)
-            rs = rs_new
+            rs, along_gradient = rs_new, False
             iters += 1
-        return x, iters, float(np.sqrt(rs) / norm0), False
     finally:
         if pool is not None:
             pool.shutdown()
+    return x, iters, float(np.sqrt(rs) / norm0) if norm0 else 0.0, True

@@ -225,6 +225,39 @@ def test_gauge_budget_exhaustion_exits_three(tmp_path):
     assert payload["iterations"] == 2
 
 
+@pytest.mark.parametrize("command", ["lift", "gauge"])
+def test_solve_meeting_tol_on_its_last_step_converges(tmp_path, command):
+    # with --iters the default run's count K, the solve meets its
+    # tolerance on the last allowed step: it converges and writes the
+    # default run's field; with K - 1 it stops short and exits 3
+    if command == "lift":
+        prefix = gen_family(tmp_path)
+        argv = ["lift", "--u", prefix + "u.h3f", "--eta", prefix + "eta.h3f"]
+    else:
+        prefix = str(tmp_path / "pl_")
+        assert run(["gen", "--map", "planar", "--n", "17",
+                    "--out-prefix", prefix]) == 0
+        d_path = str(tmp_path / "D.h3f")
+        assert run(["pullback", "--in", prefix + "u.h3f",
+                    "--out", d_path]) == 0
+        argv = ["gauge", "--in", d_path]
+
+    def solve(name, *budget):
+        out, rep = tmp_path / f"{name}.h3f", tmp_path / f"{name}.json"
+        code = run(argv + ["--out", str(out), "--report", str(rep)]
+                   + list(budget))
+        return code, out.read_bytes(), json.loads(rep.read_text())
+
+    code, field, payload = solve("default")
+    assert code == 0 and payload["converged"] is True
+    k = payload["iterations"]
+    code, edge, payload = solve("edge", "--iters", str(k))
+    assert code == 0 and edge == field
+    assert payload["converged"] is True and payload["iterations"] == k
+    code, _, payload = solve("short", "--iters", str(k - 1))
+    assert code == 3 and payload["converged"] is False
+
+
 def test_cli_import_loads_no_scipy(child_env):
     # commands that neither solve nor smooth start at numpy's import cost
     code = ("import sys, hopflift.cli; print(sorted(m for m in sys.modules "

@@ -164,6 +164,21 @@ class TestSection:
         single = stereo_section(pts[0], DEFAULT_POLE, phase[0])
         assert np.array_equal(single, turned[0])
 
+    @pytest.mark.parametrize("nodes", [2, 1 << 14])
+    def test_phase_of_another_size_refused(self, nodes, monkeypatch):
+        # one angle per point or none: ten angles for three points, or one
+        # for all of them, once in one block and once over two
+        from hopflift import fields
+        from hopflift.hopf import section_of_map
+        monkeypatch.setattr(fields, "NODE_BLOCK", nodes)
+        pts = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, -0.8], [0.0, 0.0, 1.0]])
+        for phase in (np.zeros(10), np.zeros(1), 0.5):
+            with pytest.raises(ValueError, match="angles for 3 points"):
+                stereo_section(pts, DEFAULT_POLE, phase)
+        u = testmaps.gen_planar(make_grid(3), "gaussian-bump")
+        with pytest.raises(ValueError, match="angles for 27 points"):
+            section_of_map(u, DEFAULT_POLE, np.zeros((3, 3, 2)))
+
     def test_smoothness_near_cut_boundary(self):
         # values at nearby admissible points stay close: no hidden branch
         angles = np.linspace(0.06, 0.1, 50)

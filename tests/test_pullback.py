@@ -289,6 +289,17 @@ class TestExactness:
         assert rep.max_interior_div == float(defect[keep].max())
         assert rep.verdict == "singular"
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan])
+    def test_tolerance_not_positive_and_finite_refused(self, tol):
+        # a tolerance of 0 or below called the lift family singular, and
+        # an infinite one called the hedgehog exact
+        grid = make_grid(17)
+        _, u, _ = testmaps.gen_lift_family(grid, 0.8, (1, 0.5, 0),
+                                           (0, 1, 0.3))
+        for field in (u, testmaps.gen_hedgehog(grid)):
+            with pytest.raises(ValueError, match="positive finite"):
+                exactness_defect(field, tol)
+
     def test_report_serializes(self):
         import json
         grid = make_grid(17)

@@ -264,6 +264,24 @@ class TestConjugateGradient:
                                                       all_shell(5))
         assert not converged and iters == 3
 
+    def test_tolerance_met_on_last_allowed_step_converges(self):
+        # a budget of exactly the unbounded solve's step count converges
+        # with its bits; one step less does not
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(125, 125))
+        mat = sp.csr_matrix(m @ m.T + 125 * np.eye(125))
+        b = rng.normal(size=125)
+        x0, k, rel0, converged = conjugate_gradient(mat, b.copy(), 1e-10,
+                                                    1000, all_shell(5))
+        assert converged and 1 < k < 1000
+        x, iters, rel, converged = conjugate_gradient(mat, b.copy(), 1e-10,
+                                                      k, all_shell(5))
+        assert converged and iters == k and rel == rel0
+        assert x.tobytes() == x0.tobytes()
+        x, iters, rel, converged = conjugate_gradient(mat, b.copy(), 1e-10,
+                                                      k - 1, all_shell(5))
+        assert not converged and iters == k - 1 and rel > 1e-10
+
     @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
     def test_non_finite_rhs_norm_diverges_before_iterating(self, bad):
         # |b| overflows: the stopping test inf <= inf must not report
@@ -272,6 +290,23 @@ class TestConjugateGradient:
         b = np.full(27, bad)
         with pytest.raises(SolverDiverged, match="not finite"):
             conjugate_gradient(mat, b, 1e-8, 10, all_shell(3))
+
+    def test_restart_from_the_gradient_takes_no_step(self, monkeypatch):
+        # on diag(1, -0.01, 1, ...) with b = e0 + e1 the gradient has
+        # positive curvature but the second direction does not: it
+        # restarts from the gradient, which costs a product with A and
+        # no step, so two steps take three products
+        d = np.ones(27)
+        d[1] = -0.01
+        b = np.zeros(27)
+        b[:2] = 1.0
+        products = []
+        matvec = solvers.block_matvec
+        monkeypatch.setattr(solvers, "block_matvec",
+                            lambda *a: products.append(a[3]) or matvec(*a))
+        x, iters, rel, converged = conjugate_gradient(
+            sp.diags(d).tocsr(), b, 1e-12, 2, all_shell(3))
+        assert not converged and iters == 2 and len(products) == 3
 
     def test_indefinite_matrix_diverges(self):
         mat = sp.diags([-1.0] * 27).tocsr()
@@ -283,10 +318,11 @@ class TestConjugateGradient:
 def split_matvec(mat, stencil, p, edges):
     """The split operator times p, by ``block_matvec`` over the chunks
     between ``edges``."""
-    split = solvers._Split(mat, stencil)
+    chunks = list(zip(edges[:-1], edges[1:]))
+    split = solvers._Split(mat, stencil, chunks)
     out = np.full(p.size, np.nan)
-    for a, e in zip(edges[:-1], edges[1:]):
-        solvers.block_matvec(mat, p, out, a, e, split)
+    for k in range(len(chunks)):
+        solvers.block_matvec(mat, p, out, k, split)
     return out
 
 
