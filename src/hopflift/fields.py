@@ -479,12 +479,16 @@ def l2_norm(a, region="cube"):
 
 
 def lp_norm(a, p, region="cube"):
-    """(integral of |a|^p)^(1/p) with trapezoid weights, |a| per node."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    """(integral of |a|^p)^(1/p) with trapezoid weights, |a| per node;
+    inf where the 1/p root overflows.  p must be positive and finite."""
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     v = _flat_values(a.values)
     magnitude = np.sqrt(np.einsum("...c,...c->...", v, v))
-    return integrate(a.grid, magnitude ** p, region) ** (1.0 / p)
+    try:
+        return integrate(a.grid, magnitude ** p, region) ** (1.0 / p)
+    except OverflowError:
+        return np.inf
 
 
 def l1_norm(a, region="cube"):

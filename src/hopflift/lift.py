@@ -216,6 +216,7 @@ def relative_phase(uhat: LiftField, reference: LiftField):
     deviations from the circular mean keeps a constant offset near +-pi
     from wrapping into a fake spread.
     """
+    _same_grid(uhat, reference)
     v, r = uhat.values, reference.values
     z = (v[..., 0] + 1j * v[..., 1]) * (r[..., 0] - 1j * r[..., 1])
     w = (v[..., 2] + 1j * v[..., 3]) * (r[..., 2] - 1j * r[..., 3])

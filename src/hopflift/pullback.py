@@ -89,12 +89,16 @@ def pointwise_identities(u: SphereMapField, exclude_radius=0.0) -> PointwiseRepo
     for exact-unit inputs and grow linearly with any injected norm error.
     ``exclude_radius`` drops nodes near the origin from the maxima (used
     for fields with a point singularity there), by ``beyond_origin``;
-    InvalidResolution when that leaves no interior node.
+    ValueError unless it is non-negative, InvalidResolution when it
+    leaves no interior node.
 
     u is differentiated once, by ``row_partials`` blocks: each block's
     partials are stacked for |du|^2 (``stacked_squares``, the order of
     ``energy_density``), then projected in the stack.
     """
+    if not exclude_radius >= 0.0:
+        raise ValueError(
+            f"exclude_radius must be non-negative, got {exclude_radius}")
     grid = u.grid
     mask = grid.cube_interior_mask()
     if exclude_radius > 0.0:

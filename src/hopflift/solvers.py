@@ -14,17 +14,20 @@ other rows, the shell, are CSR arrays of the full shape with the box
 rows left empty; for n <= 6 there is no box, every row is shell and the
 stencil has no offsets.  Both parts are bit-identical to the sparse
 products of the Kronecker matrices they replace, storage order included.
-CG has one operator path (``block_matvec``): chunk by chunk, scipy's
-compiled ``dia_matvec`` and ``csr_matvec`` add the products of each row
-in the full matrix's order.  The right-hand sides A^T W v are slice-wise
-adjoints (``block_adjoint``).  No solver path builds the Kronecker
-matrices: ``partial_matrices``, ``grad_matrix``, ``curl_matrix``,
-``div_matrix`` and ``boundary_normal_operator`` remain, uncached, as
-references for the tests and for the benchmark tracer's lookups by name.
-Because the three partials are Kronecker products over disjoint slots
-they commute exactly, which makes curl@grad and div@curl vanish
-identically as sparse matrices.  ``scipy.sparse`` is imported by the
-builders on first use, so importing this module costs numpy only.
+CG has one operator path (``block_matvec``): chunk by chunk, into the
+zeroed rows, scipy's compiled ``dia_matvec`` adds the stencil from one
+table for the box planes, masked to 0.0 at their shell rows, and
+``csr_matvec`` adds the shell through its own ``indptr``, so each row
+adds its products in the full matrix's order.  The right-hand sides
+A^T W v are slice-wise adjoints (``block_adjoint``).  No solver path
+builds the Kronecker matrices: ``partial_matrices``, ``grad_matrix``,
+``curl_matrix``, ``div_matrix`` and ``boundary_normal_operator``
+remain, uncached, as references for the tests and for the benchmark
+tracer's lookups by name.  Because the three partials are Kronecker
+products over disjoint slots they commute exactly, which makes
+curl@grad and div@curl vanish identically as sparse matrices.
+``scipy.sparse`` is imported by the builders on first use, so importing
+this module costs numpy only.
 """
 
 import os
@@ -447,44 +450,38 @@ def cg_workers(rows):
     return worker_count(-(-rows // CHUNK))
 
 
-#: rows per ``dia_matvec`` call; its table of stencil values is
-#: (k, _DIA_ROWS + 2m) for the margin m = 2n^2, which a smaller call
-#: keeps small at no measured cost
-_DIA_ROWS = 1 << 12
-
-
 class _Split:
-    """A shell and its ``Stencil`` laid out for scipy's compiled loops,
-    with a plan for each row range (a, e) of ``chunks``; read-only.
+    """A ``Stencil`` laid out for scipy's ``dia_matvec``, with a plan for
+    each row range (a, e) of ``chunks``; read-only.
 
-    For ``dia_matvec``: the stencil's offsets shifted by the margin
-    m = max |offset| onto a constant (k, _DIA_ROWS + 2m) table, so that
-    one call covers up to _DIA_ROWS rows.  For ``csr_matvec``: the shell
-    rows and their ``indptr`` entries with the empty box rows left out;
-    as those rows are empty, the entries stay consecutive, so any run of
-    shell rows is a CSR matrix of its own.  ``spans[k]`` is (s, t, k0, k1)
-    for chunk k: rows s to t-1 run from its first to its last box row
-    (s = t when there is none), and its shell rows are ``rows[k0:k1]``.
+    A box plane is the n^2 rows of one block at an x1 index inside the
+    box.  ``table`` serves every box plane: it is (k, n^2 + 2m) for the
+    margin m = max |offset|, and its column o + m + r holds the value at
+    offset o for plane row r when r is a box row and 0.0 when r is a
+    shell row, so a shell row gets only 0.0 * p terms.  ``pieces[k]``
+    lists (lo, hi, q) for chunk k = ``chunks[k]``: each run of rows lo to
+    hi-1 that it shares with a box plane, lo being that plane's row q.
+    When n <= 6 there is no box plane and the stencil has no offsets.
     """
 
-    def __init__(self, mat, stencil, chunks):
-        shell = np.tile(_shell_mask(stencil.n).ravel(), stencil.blocks)
-        self.rows = np.flatnonzero(shell)
-        self.indptr = np.append(mat.indptr[self.rows], mat.indptr[-1])
-        self.margin = int(np.abs(stencil.offsets).max(initial=0))
-        self.offsets = stencil.offsets + self.margin
-        self.table = np.repeat(stencil.values[:, None],
-                               _DIA_ROWS + 2 * self.margin, axis=1)
-        spans = []
-        for a, e in chunks:
-            part = shell[a:e]
-            s = t = a
-            if not part.all():
-                s, t = a + int(part.argmin()), e - int(part[::-1].argmin())
-            k0, k1 = np.searchsorted(self.rows, (a, e))
-            spans.append((s, t, int(k0), int(k1)))
-        self.spans = tuple(spans)
-        for arr in (self.rows, self.indptr, self.offsets, self.table):
+    def __init__(self, stencil, chunks):
+        n, n2 = stencil.n, stencil.n ** 2
+        m = self.margin = int(np.abs(stencil.offsets).max(initial=0))
+        self.offsets = stencil.offsets + m
+        box = slice(_SHELL, n - _SHELL)
+        inner = np.zeros((n, n), dtype=bool)
+        inner[box, box] = True
+        self.table = np.zeros((stencil.offsets.size, n2 + 2 * m))
+        for row, o, value in zip(self.table, self.offsets, stencil.values):
+            row[o:o + n2][inner.ravel()] = value
+        planes = [b * n ** 3 + i * n2 for b in range(stencil.blocks)
+                  for i in range(_SHELL, n - _SHELL)]
+        self.chunks = tuple(chunks)
+        self.pieces = tuple(
+            tuple((max(a, s), min(e, s + n2), max(a, s) - s)
+                  for s in planes if s < e and a < s + n2)
+            for a, e in chunks)
+        for arr in (self.offsets, self.table):
             arr.setflags(write=False)
 
 
@@ -492,30 +489,30 @@ def block_matvec(mat, p, out, k, split):
     """out[a:e] = (A @ p)[a:e] for chunk k = [a, e) of the ``_Split``
     ``split``, with A the shell ``mat`` plus the split's stencil rows.
     Every row adds its products in ascending column from +0.0, as
-    ``A @ p`` does on the full CSR matrix, so the bits match; the GIL is
-    released meanwhile.
+    ``A @ p`` does on the full CSR matrix, so the bits match for finite
+    p (a non-finite p makes CG's curvature non-finite either way); the
+    GIL is released meanwhile.
 
-    The rows from the first to the last box row of [a, e) get the
-    stencil (scipy's ``dia_matvec``), and then ``csr_matvec`` on the
-    shell rows of [a, e) alone overwrites theirs.  When n <= 6 there is
-    no box row and every row is shell.  A public row slice ``mat[a:e]``
-    would not do: scipy copies any index or data slice smaller than half
-    its base array, tens of MB per call on the gauge matrix.
+    The chunk is zeroed.  Scipy's ``dia_matvec`` adds the stencil to
+    each piece of a box plane, with its offsets shifted by m + q; its
+    shell rows get 0.0 * p and stay +0.0.  Then ``csr_matvec`` adds the
+    shell to every row of the chunk through the shell's own full-shape
+    ``indptr[a:e+1]``, where the box rows are empty.  A public row slice
+    ``mat[a:e]`` would not do: scipy copies any index or data slice
+    smaller than half its base array, tens of MB per call on the gauge
+    matrix.
     """
     from scipy.sparse import _sparsetools
-    s, t, k0, k1 = split.spans[k]
-    out[s:t] = 0.0
+    a, e = split.chunks[k]
+    out[a:e] = 0.0
     m = split.margin
-    for lo in range(s, t, _DIA_ROWS):
-        hi = min(lo + _DIA_ROWS, t)
+    for lo, hi, q in split.pieces[k]:
         _sparsetools.dia_matvec(
-            hi - lo, hi - lo + 2 * m, split.offsets.size,
-            split.table.shape[1], split.offsets, split.table,
-            p[lo - m:hi + m], out[lo:hi])
-    rows = np.zeros(k1 - k0)
-    _sparsetools.csr_matvec(k1 - k0, mat.shape[1], split.indptr[k0:k1 + 1],
-                            mat.indices, mat.data, p, rows)
-    out[split.rows[k0:k1]] = rows
+            hi - lo, hi - lo + 2 * m + q, split.offsets.size,
+            split.table.shape[1], split.offsets + q, split.table,
+            p[lo - m - q:hi + m], out[lo:hi])
+    _sparsetools.csr_matvec(e - a, mat.shape[1], mat.indptr[a:e + 1],
+                            mat.indices, mat.data, p, out[a:e])
 
 
 def _dot(u, v, part):
@@ -575,7 +572,7 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
             "solver's arithmetic")
     p = r.copy()
     mp = np.empty_like(b)
-    split = _Split(mat, stencil, chunks)
+    split = _Split(stencil, chunks)
     workers = cg_workers(rows)
     edges = [w * len(chunks) // workers for w in range(workers + 1)]
     scratch = np.empty((workers, min(rows, CHUNK)))

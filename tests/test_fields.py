@@ -283,6 +283,19 @@ class TestNormsAndInner:
         assert abs(lp_norm(a, 1.5) - 8.0 ** (2.0 / 3.0)) < 1e-10
         assert abs(l1_norm(a) - 8.0) < 1e-10
 
+    def test_lp_exponent_not_positive_and_finite(self):
+        # the integral of |a|^p is 8 here: a tiny p sends its 1/p root
+        # past the largest float, which reads inf; a p of inf or nan is
+        # refused as p <= 0 is
+        grid = make_grid(9)
+        ones = np.zeros((9, 9, 9, 3))
+        ones[..., 0] = 1.0
+        a = VecField(grid, 1, ones)
+        assert lp_norm(a, 1e-300) == np.inf
+        for p in (np.inf, np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                lp_norm(a, p)
+
     def test_degree_mismatch_rejected(self):
         grid = make_grid(9)
         a = VecField(grid, 1, np.zeros((9, 9, 9, 3)))

@@ -143,6 +143,13 @@ class TestLift:
         anchored = anchored - anchored.mean()
         assert np.abs(delta - anchored).max() <= 30.0 * grid.h ** 2
 
+    def test_relative_phase_of_lifts_on_other_grids_refused(self):
+        uhat9 = family(make_grid(9))[0]
+        uhat5 = family(make_grid(5))[0]
+        for pair in ((uhat9, uhat5), (uhat5, uhat9)):
+            with pytest.raises(ValueError, match="different grids"):
+                relative_phase(*pair)
+
     def test_solver_budget_raises_with_partial(self):
         grid = make_grid(17)
         _, u0, eta0 = family(grid)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopflift.errors import RadiusOutOfRange
+from hopflift.errors import InvalidResolution, RadiusOutOfRange
 from hopflift.fields import SphereMapField, VecField, make_grid
 from hopflift.pullback import (PointwiseReport, beyond_origin,
                                exactness_defect, pointwise_identities,
@@ -119,6 +119,17 @@ class TestPointwiseIdentities:
         rep = pointwise_identities(bad, exclude_radius=2.0 * grid.h)
         assert rep.norm_identity_defect <= 1e-10
         assert rep.amgm_violation <= 1e-10
+
+    def test_exclusion_radius_not_non_negative_refused(self):
+        # a NaN radius excluded no node and a negative one acted as 0;
+        # inf still leaves no interior node
+        _, u, _ = testmaps.gen_lift_family(make_grid(9), 0.8, (1, 0.5, 0),
+                                           (0, 1, 0))
+        for radius in (np.nan, -1.0, -1e-300):
+            with pytest.raises(ValueError, match="non-negative"):
+                pointwise_identities(u, exclude_radius=radius)
+        with pytest.raises(InvalidResolution):
+            pointwise_identities(u, exclude_radius=np.inf)
 
     def test_norm_error_scales_linearly(self):
         grid = make_grid(17)

@@ -319,7 +319,7 @@ def split_matvec(mat, stencil, p, edges):
     """The split operator times p, by ``block_matvec`` over the chunks
     between ``edges``."""
     chunks = list(zip(edges[:-1], edges[1:]))
-    split = solvers._Split(mat, stencil, chunks)
+    split = solvers._Split(stencil, chunks)
     out = np.full(p.size, np.nan)
     for k in range(len(chunks)):
         solvers.block_matvec(mat, p, out, k, split)
@@ -396,6 +396,24 @@ class TestConjugateGradientKernel:
         for m in (mat, wide):
             for edges in ([0, rows], list(range(rows + 1))):
                 assert split_matvec(m, stencil, p, edges).tobytes() == want
+
+    def test_chunk_product_allocates_no_row_buffer(self, gauge_system):
+        # each chunk's product works in its slice of out: no shell buffer
+        # and no index array, whose size would grow with the chunk
+        import tracemalloc
+        mat, stencil, b = gauge_system
+        chunks = [(lo, min(lo + solvers.CHUNK, b.size))
+                  for lo in range(0, b.size, solvers.CHUNK)]
+        split = solvers._Split(stencil, chunks)
+        out = np.empty_like(b)
+        for k in range(len(chunks)):
+            tracemalloc.start()
+            try:
+                solvers.block_matvec(mat, b, out, k, split)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096, (k, peak)
 
     def test_same_bits_for_any_worker_count(self, gauge_system, monkeypatch):
         mat, stencil, b = gauge_system
