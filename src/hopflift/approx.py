@@ -13,11 +13,10 @@ mollified there in place; the lift is renormalized in that array, the
 smoothed gauge takes the remainder in its own buffer, and the constraint
 residual is formed in the buffer of curl eta_eps.  Beyond the lift's own
 peak a call holds the channels, one kernel spectrum and one padded FFT
-at a time.  The sweep keeps only each width's report.
+at a time.  The sweep runs one width at a time and keeps its report.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .fileio import open_output
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
 from .pullback import pullback_area_form
-from .solvers import worker_count
 
 #: mollified lift moduli below this cannot be renormalized meaningfully
 MODULUS_FLOOR = 0.5
@@ -128,25 +126,14 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
 
 def convergence_sweep(u: SphereMapField, eta: VecField, eps_list,
                       cfg: LiftConfig = None):
-    """One approximate call per width, widths strictly decreasing.
-
-    The calls are independent, so they run on a thread pool of
-    ``worker_count`` threads; results are gathered in input order, so the
-    output does not depend on the thread count.
-    """
+    """One approximate call per width, widths strictly decreasing, run in
+    order on the calling thread; returns the reports.  One width's fields
+    are alive at a time, and the first width that fails raises.  Each
+    call's CG blocks and FFT lines take ``worker_count`` threads."""
     eps_list = [float(e) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    workers = worker_count(len(eps_list))
-
-    def report(eps):
-        # a width's fields are dropped as soon as its report is made
-        return approximate(u, eta, eps, cfg)[2]
-
-    if workers == 1:
-        return list(map(report, eps_list))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(report, eps_list))
+    return [approximate(u, eta, eps, cfg)[2] for eps in eps_list]
 
 
 def write_sweep_csv(reports, path):

@@ -25,6 +25,14 @@ DEFAULT_BALL_MARGIN = 0.05
 UNIT_TOL = 1e-12
 
 
+def _whole_number(x):
+    """int(x) when x is a number with no fractional part, else None."""
+    try:
+        return int(x) if int(x) == x else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @dataclass(frozen=True)
 class Grid3:
     """Uniform node grid on [-1,1]^3 with an inscribed-ball mask.
@@ -44,8 +52,11 @@ class Grid3:
     ball_margin: float = DEFAULT_BALL_MARGIN
 
     def __post_init__(self):
-        if self.n < 3:
-            raise InvalidResolution(f"need n >= 3 nodes per axis, got {self.n}")
+        n = _whole_number(self.n)
+        if n is None or n < 3:
+            raise InvalidResolution(
+                f"nodes per axis must be a whole number >= 3, got {self.n!r}")
+        object.__setattr__(self, "n", n)
         if not 0.0 <= self.ball_margin < 1.0:
             raise InvalidResolution(
                 f"ball_margin must lie in [0, 1), got {self.ball_margin}")
@@ -127,8 +138,8 @@ def _node_weights(n):
 
 
 def make_grid(n, ball_margin=DEFAULT_BALL_MARGIN):
-    """Build a Grid3; raises InvalidResolution for n < 3."""
-    return Grid3(int(n), float(ball_margin))
+    """Build a Grid3; InvalidResolution unless n is a whole number >= 3."""
+    return Grid3(n, float(ball_margin))
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +539,16 @@ def _convolve_same(values, spectrum):
     """``fftconvolve(values, _gaussian_kernel(eps, h), mode="same")`` for
     an (n,n,n) array, given ``spectrum = _kernel_spectrum(eps, h, n)``."""
     from scipy import fft as sp_fft
+    from .solvers import worker_count
     n = values.shape[0]
     spec, fshape, lo = spectrum
-    padded = sp_fft.rfftn(values, fshape, axes=(0, 1, 2))
+    # pocketfft gives each thread whole 1-d lines, so no bit depends on
+    # the thread count
+    workers = worker_count(n * n)
+    padded = sp_fft.rfftn(values, fshape, axes=(0, 1, 2), workers=workers)
     padded *= spec
-    conv = sp_fft.irfftn(padded, fshape, axes=(0, 1, 2), overwrite_x=True)
+    conv = sp_fft.irfftn(padded, fshape, axes=(0, 1, 2), overwrite_x=True,
+                         workers=workers)
     return conv[lo:lo + n, lo:lo + n, lo:lo + n]
 
 

@@ -32,12 +32,14 @@ def field_tag(field):
 
 
 def check_output_path(path):
-    """IoError unless ``path`` is non-empty and its directory (the
-    current one when it names none) exists and may be written in.
-    ``open_output`` runs it first; a command runs it on its outputs
-    before its work, so that a bad path costs no work."""
+    """IoError unless ``path`` is non-empty, is not a directory, and its
+    directory (the current one when it names none) exists and may be
+    written in.  ``open_output`` runs it first; a command runs it on its
+    outputs before its work, so that a bad path costs no work."""
     if not path:
         raise IoError("empty output path")
+    if os.path.isdir(path):
+        raise IoError(f"cannot write {path}: it is a directory")
     folder = os.path.dirname(path) or os.curdir
     if not os.path.isdir(folder):
         raise IoError(f"cannot write {path}: no directory {folder}")

@@ -31,14 +31,14 @@ this module costs numpy only.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SolverDiverged
-from .fields import _node_weights, _trapezoid, face_trace, stencil_partial
+from .fields import (_node_weights, _trapezoid, _whole_number, face_trace,
+                     stencil_partial)
 
 #: block operators as row blocks of (column block, sign, axis) entries,
 #: each standing for sign times the partial along axis; the row blocks of
@@ -441,15 +441,6 @@ def worker_count(tasks):
     return max(1, min(cap, tasks))
 
 
-def cg_workers(rows):
-    """Threads for one CG solve on `rows` unknowns: ``worker_count`` of
-    its chunks; one off the main thread, where the caller's own pool
-    already fills the cores."""
-    if threading.current_thread() is not threading.main_thread():
-        return 1
-    return worker_count(-(-rows // CHUNK))
-
-
 class _Split:
     """A ``Stencil`` laid out for scipy's ``dia_matvec``, with a plan for
     each row range (a, e) of ``chunks``; read-only.
@@ -524,9 +515,10 @@ def _dot(u, v, part):
 
 
 def solve_budget(n, max_iters, rel_tol):
-    """(max_iters, rel_tol) of a CG solve on n^3 nodes; None picks 20 n."""
-    max_iters = 20 * n if max_iters is None else max_iters
-    if max_iters <= 0 or not 0.0 < rel_tol < 1.0:
+    """(max_iters, rel_tol) of a CG solve on n^3 nodes; None picks 20 n.
+    ValueError unless max_iters is a whole number > 0 and 0 < rel_tol < 1."""
+    max_iters = 20 * n if max_iters is None else _whole_number(max_iters)
+    if max_iters is None or max_iters <= 0 or not 0.0 < rel_tol < 1.0:
         raise ValueError("bad solver configuration")
     return max_iters, rel_tol
 
@@ -556,8 +548,8 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
     Every dot product is the sum, in chunk order, of einsum over fixed
     chunks of CHUNK entries, so the result is bit-identical for any
     HOPFLIFT_THREADS and OPENBLAS_NUM_THREADS.  The chunks are split
-    into contiguous blocks, one per worker (``cg_workers``; one when
-    called off the main thread); the calling thread runs block 0 and a
+    into contiguous blocks, one per worker (``worker_count`` of the
+    chunks, whatever thread calls); the calling thread runs block 0 and a
     pool made for this solve runs the others.
     """
     rows = b.size
@@ -573,7 +565,7 @@ def conjugate_gradient(mat, b, rel_tol, max_iters, stencil):
     p = r.copy()
     mp = np.empty_like(b)
     split = _Split(stencil, chunks)
-    workers = cg_workers(rows)
+    workers = worker_count(len(chunks))
     edges = [w * len(chunks) // workers for w in range(workers + 1)]
     scratch = np.empty((workers, min(rows, CHUNK)))
 

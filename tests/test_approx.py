@@ -188,18 +188,32 @@ class TestSweep:
         assert solvers.worker_count(5) == 4
 
     def test_no_pool_on_one_usable_cpu(self, monkeypatch):
-        # HOPFLIFT_THREADS asks for 4 threads, but one CPU is usable
+        # HOPFLIFT_THREADS asks for 4 threads, but one CPU is usable: the
+        # widths run in order on this thread, CG starts no thread and the
+        # FFTs get one worker
+        import threading
+        import scipy.fft
         monkeypatch.setattr(solvers, "_usable_cpus", lambda: 1)
         monkeypatch.setenv("HOPFLIFT_THREADS", "4")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("the sweep built a thread pool")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the sweep started a thread")
 
-        monkeypatch.setattr(approx, "ThreadPoolExecutor", no_pool)
+        def one_worker(fft):
+            def call(*args, **kwargs):
+                assert kwargs.get("workers", 1) == 1
+                return fft(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name,
+                                one_worker(getattr(scipy.fft, name)))
         grid = make_grid(17)
         _, u0, eta0 = family(grid)
-        reports = convergence_sweep(u0, eta0, [2.5 * grid.h, 2 * grid.h])
-        assert [r.eps for r in reports] == [2.5 * grid.h, 2 * grid.h]
+        widths = [2.5 * grid.h, 2.25 * grid.h, 2 * grid.h]
+        reports = convergence_sweep(u0, eta0, widths)
+        assert [r.eps for r in reports] == widths
 
     def test_result_independent_of_workers(self, monkeypatch):
         grid = make_grid(25)

@@ -468,8 +468,12 @@ def refuse_call(*args, **kwargs):
      "--out-prefix", "{tmp}/no/such/dir/ap_"],
     ["check", "--in", "{u}", "--vtk", "{tmp}/no/such/dir/d.vtk"],
     ["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{u}/uhat.h3f"],
+    ["lift", "--u", "{u}", "--eta", "{eta}", "--out", "{tmp}"],
+    ["sweep", "--u", "{u}", "--eta", "{eta}", "--eps", "0.25",
+     "--csv", "{tmp}"],
 ], ids=["sweep-csv", "lift-out", "lift-report", "approx-prefix",
-        "check-vtk", "out-under-a-file"])
+        "check-vtk", "out-under-a-file", "out-is-a-directory",
+        "csv-is-a-directory"])
 def test_unwritable_output_fails_before_the_work(tmp_path, capsys,
                                                  monkeypatch, argv):
     # the output directories are checked before any input is read, so

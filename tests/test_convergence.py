@@ -15,8 +15,8 @@ from hopflift.lift import relative_phase
 
 RESOLUTIONS = (17, 33, 65)
 
-#: measured on the skew lift family: every error falls 4.03-4.16x per
-#: step, an order of 2.01-2.06; the floor leaves 0.1 of margin
+#: measured on the skew lift family: every error falls 3.99-4.16x per
+#: step, an order of 2.00-2.06; the floor leaves 0.1 of margin
 ORDER_FLOOR = 1.9
 
 #: the skew lift family: t0, a, b
@@ -26,19 +26,26 @@ SKEW = (0.7, (1.0, 0.5, 0.0), (0.0, 1.0, -0.3))
 @pytest.fixture(scope="module")
 def skew_lift_errors():
     """{quantity: [error at each n of RESOLUTIONS]} of the skew family's
-    lift."""
-    errors = {"gauge_error": [], "phase_std": [], "energy_defect": []}
+    lift, and the interior max of the energy identity's defect on its
+    exact lift, which takes no solver."""
+    errors = {"gauge_error": [], "phase_std": [], "energy_defect": [],
+              "energy_identity_defect": []}
     for n in RESOLUTIONS:
-        uhat0, u, eta = testmaps.gen_lift_family(hl.make_grid(n), *SKEW)
+        grid = hl.make_grid(n)
+        uhat0, u, eta = testmaps.gen_lift_family(grid, *SKEW)
         uhat, rep = hl.lift(u, eta)
         errors["gauge_error"].append(rep.gauge_error)
         errors["phase_std"].append(float(relative_phase(uhat, uhat0).std()))
         errors["energy_defect"].append(rep.energy_defect)
+        defect = hl.energy_identity_defect(uhat0, u, eta).values
+        errors["energy_identity_defect"].append(
+            float(np.abs(defect[grid.cube_interior_mask()]).max()))
     return errors
 
 
 @pytest.mark.parametrize("quantity", ["gauge_error", "phase_std",
-                                      "energy_defect"])
+                                      "energy_defect",
+                                      "energy_identity_defect"])
 def test_skew_lift_is_second_order(skew_lift_errors, quantity):
     errs = skew_lift_errors[quantity]
     orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:])]

@@ -37,6 +37,22 @@ class TestGrid:
         with pytest.raises(InvalidResolution):
             make_grid(2, 0.0)
 
+    @pytest.mark.parametrize("n", [3.7, 9.5, float("nan"), float("inf"),
+                                   "17", None])
+    def test_not_a_whole_number(self, n):
+        # make_grid(3.7) gave an n=3 grid, and Grid3(9.5) failed later in
+        # np.linspace
+        with pytest.raises(InvalidResolution, match="whole number"):
+            make_grid(n)
+        with pytest.raises(InvalidResolution, match="whole number"):
+            Grid3(n)
+
+    def test_whole_float_and_numpy_sizes_are_ints(self):
+        for n in (9.0, np.float64(9.0), np.int64(9)):
+            grid = Grid3(n)
+            assert type(grid.n) is int and grid == make_grid(9)
+            assert grid.axis().size == 9
+
     def test_endpoints_exact(self):
         x = make_grid(33).axis()
         assert x[0] == -1.0 and x[-1] == 1.0
@@ -472,6 +488,31 @@ class TestMollifyMatchesFftconvolve:
         assert mollify_components(grid, vals, eps, out=vals) is vals
         assert np.array_equal(vals, copied)
         assert np.array_equal(vals, reference)
+
+    @pytest.mark.parametrize("width", [5, 2])
+    def test_same_bits_for_any_thread_count(self, width, monkeypatch):
+        # each channel's FFTs take worker_count threads, and pocketfft
+        # hands each thread whole 1-d lines, so the thread count moves no
+        # bit; 5h is the widest width that smooths any node at n=33
+        import scipy.fft
+        from hopflift import solvers
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        seen, rfftn = [], scipy.fft.rfftn
+
+        def spy(*args, **kwargs):
+            if "workers" in kwargs:  # not the kernel's transform
+                seen.append(kwargs["workers"])
+            return rfftn(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "rfftn", spy)
+        grid = make_grid(33)
+        vals = np.random.default_rng(width).normal(size=(33,) * 3 + (7,))
+        got = []
+        for threads in (1, 2):
+            monkeypatch.setenv("HOPFLIFT_THREADS", str(threads))
+            got.append(mollify_components(grid, vals, width * grid.h))
+        assert seen == [1] * 7 + [2] * 7
+        assert np.array_equal(got[0], got[1])
 
     def test_kernel_wider_than_grid(self):
         from scipy.signal import fftconvolve

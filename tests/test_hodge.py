@@ -205,7 +205,8 @@ class TestCanonicalGauge:
     @pytest.mark.parametrize("cfg", [
         GaugeSolveConfig(rel_tol=2.0), GaugeSolveConfig(rel_tol=0.0),
         GaugeSolveConfig(rel_tol=float("nan")),
-        GaugeSolveConfig(max_iters=0), GaugeSolveConfig(max_iters=-5)])
+        GaugeSolveConfig(max_iters=0), GaugeSolveConfig(max_iters=-5),
+        GaugeSolveConfig(max_iters=2.5)])
     def test_bad_solver_configuration_rejected(self, cfg):
         grid = make_grid(9)
         _, g_form = manufactured_pair(grid)

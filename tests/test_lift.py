@@ -164,7 +164,8 @@ class TestLift:
         LiftConfig(rel_tol=float("nan")), LiftConfig(max_iters=0),
         LiftConfig(max_iters=-5), LiftConfig(closed_tol=float("nan")),
         LiftConfig(closed_tol=float("inf")), LiftConfig(closed_tol=0.0),
-        LiftConfig(closed_tol=-1.0)])
+        LiftConfig(closed_tol=-1.0), LiftConfig(max_iters=0.5),
+        LiftConfig(max_iters=2.5), LiftConfig(max_iters=float("inf"))])
     def test_bad_solver_configuration_rejected(self, cfg):
         grid = make_grid(9)
         _, u0, eta0 = family(grid)

@@ -349,10 +349,22 @@ def test_worker_count(monkeypatch):
     assert solvers.worker_count(5) == 1
 
 
+def test_solve_budget_is_a_whole_number():
+    # a whole-number float is taken as an int; a fraction is refused
+    # (max_iters=0.5 took one CG step and raised NotConverged)
+    assert solvers.solve_budget(9, None, 1e-8) == (180, 1e-8)
+    budget = solvers.solve_budget(9, np.float64(5.0), 1e-8)[0]
+    assert type(budget) is int and budget == 5
+    for bad in (0.5, 2.5, float("inf"), float("nan"), "5"):
+        with pytest.raises(ValueError, match="bad solver configuration"):
+            solvers.solve_budget(9, bad, 1e-8)
+
+
 def _solve_with_workers(monkeypatch, workers, *args):
+    # CG takes worker_count of its chunks, on any thread
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 4)
     monkeypatch.setenv("HOPFLIFT_THREADS", str(workers))
-    assert solvers.cg_workers(args[1].size) == workers
+    assert solvers.worker_count(-(-args[1].size // solvers.CHUNK)) == workers
     return conjugate_gradient(*args)
 
 
@@ -435,20 +447,18 @@ class TestConjugateGradientKernel:
         for x, *rest in results[1:]:
             assert np.array_equal(x, x0) and rest == rest0
 
-        # off the main thread the solve takes one worker and the same bits
+        # a solve off the main thread, on three workers, keeps the bits
         out = {}
 
         def solve():
-            out["workers"] = solvers.cg_workers(b.size)
-            out["result"] = conjugate_gradient(mat, b.copy(), 1e-8, 660,
-                                               stencil)
+            out["result"] = _solve_with_workers(monkeypatch, 3, mat, b.copy(),
+                                                1e-8, 660, stencil)
 
         thread = threading.Thread(target=solve)
         thread.start()
         thread.join(timeout=300)
         assert not thread.is_alive()
         x, *rest = out["result"]
-        assert out["workers"] == 1
         assert np.array_equal(x, x0) and rest == rest0
 
     def test_budget_exhaustion_on_split_system(self, gauge_system,
