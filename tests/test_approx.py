@@ -215,6 +215,25 @@ class TestSweep:
         reports = convergence_sweep(u0, eta0, widths)
         assert [r.eps for r in reports] == widths
 
+    def test_widths_run_in_order_on_the_calling_thread(self, monkeypatch):
+        # with two usable CPUs the threads go to CG and the FFTs inside
+        # each width, not to the widths: one width's state at a time
+        import threading
+        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("HOPFLIFT_THREADS", "2")
+        calls = []
+
+        def recording(u, eta, eps, cfg=None):
+            calls.append((threading.current_thread(), eps))
+            return approximate(u, eta, eps, cfg)
+
+        monkeypatch.setattr(approx, "approximate", recording)
+        grid = make_grid(17)
+        _, u0, eta0 = family(grid)
+        widths = [2.5 * grid.h, 2.25 * grid.h, 2 * grid.h]
+        convergence_sweep(u0, eta0, widths)
+        assert calls == [(threading.current_thread(), e) for e in widths]
+
     def test_result_independent_of_workers(self, monkeypatch):
         grid = make_grid(25)
         _, u0, eta0 = family(grid)

@@ -361,11 +361,21 @@ def test_solve_budget_is_a_whole_number():
 
 
 def _solve_with_workers(monkeypatch, workers, *args):
-    # CG takes worker_count of its chunks, on any thread
+    # CG takes worker_count of its chunks on any thread: the calling
+    # thread and a pool of the others
+    from concurrent.futures import ThreadPoolExecutor
     monkeypatch.setattr(solvers, "_usable_cpus", lambda: 4)
     monkeypatch.setenv("HOPFLIFT_THREADS", str(workers))
-    assert solvers.worker_count(-(-args[1].size // solvers.CHUNK)) == workers
-    return conjugate_gradient(*args)
+    pools = []
+
+    def pool(size):
+        pools.append(size)
+        return ThreadPoolExecutor(size)
+
+    monkeypatch.setattr(solvers, "ThreadPoolExecutor", pool)
+    result = conjugate_gradient(*args)
+    assert pools == ([workers - 1] if workers > 1 else [])
+    return result
 
 
 class TestConjugateGradientKernel:
