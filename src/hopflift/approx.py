@@ -12,8 +12,10 @@ The lift and the remainder are written into one 7-channel array and
 mollified there in place; the lift is renormalized in that array, the
 smoothed gauge takes the remainder in its own buffer, and the constraint
 residual is formed in the buffer of curl eta_eps.  Beyond the lift's own
-peak a call holds the channels, one kernel spectrum and one padded FFT
-at a time.  The sweep runs one width at a time and keeps its report.
+peak a call holds the channels, one kernel spectrum and one channel's
+pruned transforms at a time: its x3 lines, one slab of x3-frequencies
+and the smoothing box's spectrum.  The sweep runs one width at a time
+and keeps its report.
 """
 
 import csv
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ProjectionDegenerate
 from .fields import (LiftField, SphereMapField, VecField, box_mask,
                      check_width, curl, energy_density, integrate, l2_norm,
-                     mollify_components, mollify_region_mask)
+                     mollify_box, mollify_components)
 from .fileio import open_output
 from .hopf import gauge_of_lift, hopf
 from .lift import LiftConfig, LiftReport, lift
@@ -72,7 +74,8 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
     grid = u.grid
     check_width(grid, eps)
     uhat, lift_report = lift(u, eta, cfg)
-    if not mollify_region_mask(grid, eps).any():
+    a, b = mollify_box(grid, eps)
+    if a == b:
         raise ProjectionDegenerate(
             f"mollification window 3*eps = {3 * eps:.3f} exceeds the domain "
             "half-width; no node is smoothed")
@@ -131,7 +134,7 @@ def convergence_sweep(u: SphereMapField, eta: VecField, eps_list,
     are alive at a time, and the first width that fails raises.  Each
     call's CG blocks and FFT lines take ``worker_count`` threads."""
     eps_list = [float(e) for e in eps_list]
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+    if not all(b < a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     return [approximate(u, eta, eps, cfg)[2] for eps in eps_list]
 

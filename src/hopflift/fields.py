@@ -523,33 +523,69 @@ def _gaussian_kernel(eps, h):
     return ker
 
 
+#: x3-frequencies whose x1 and x2 transforms run together, so a channel
+#: holds one slab of its padded spectrum at a time beside the kernel's
+SLAB = 8
+
+
 def _kernel_spectrum(eps, h, n):
-    """Real FFT of the mollifier kernel, zero-padded to the shape that
-    ``scipy.signal.fftconvolve`` picks for an n^3 grid, so
-    ``_convolve_same`` reproduces it bit for bit.  Returns (spectrum,
-    padded shape, start of the ``"same"`` slice)."""
+    """Real FFT of the mollifier kernel, zero-padded to the cube of side L
+    that ``scipy.signal.fftconvolve`` picks for an n^3 grid.  The 1-d
+    transforms are ``rfftn``'s, in its order: the real one along x3 on the
+    kernel's own lines, then x1, then x2, so ``_convolve_same`` reproduces
+    fftconvolve bit for bit.  Returns (spectrum, L, start of the
+    ``"same"`` slice)."""
     from scipy import fft as sp_fft
+    from .solvers import worker_count
     ker = _gaussian_kernel(eps, h)
     k = ker.shape[0]
-    fshape = (sp_fft.next_fast_len(n + k - 1, True),) * 3
-    return sp_fft.rfftn(ker, fshape, axes=(0, 1, 2)), fshape, (k - 1) // 2
+    size = sp_fft.next_fast_len(n + k - 1, True)
+    workers = worker_count(n * n)
+    spec = sp_fft.rfft(ker, size, axis=2, workers=workers)
+    spec = sp_fft.fft(spec, size, axis=0, overwrite_x=True, workers=workers)
+    spec = sp_fft.fft(spec, size, axis=1, overwrite_x=True, workers=workers)
+    return spec, size, (k - 1) // 2
 
 
-def _convolve_same(values, spectrum):
+def _convolve_same(values, spectrum, a=0, b=None):
     """``fftconvolve(values, _gaussian_kernel(eps, h), mode="same")`` for
-    an (n,n,n) array, given ``spectrum = _kernel_spectrum(eps, h, n)``."""
+    an (n,n,n) array on the box [a, b)^3, all of it by default, given
+    ``spectrum = _kernel_spectrum(eps, h, n)``.
+
+    The 1-d transforms are the ones ``rfftn`` and ``irfftn`` run, in
+    their order, so every output keeps fftconvolve's bits; only those
+    whose input is all zeros or whose output leaves the box are skipped.
+    The real transform along x3 runs on the n^2 data lines.  x1 and x2
+    run forward, by the kernel spectrum and back one ``SLAB`` of
+    x3-frequencies at a time, each inverse keeping the rows that land in
+    the box, and the real inverse along x3 runs on the box's lines."""
     from scipy import fft as sp_fft
     from .solvers import worker_count
     n = values.shape[0]
-    spec, fshape, lo = spectrum
+    b = n if b is None else b
+    spec, size, lo = spectrum
+    keep = slice(lo + a, lo + b)
     # pocketfft gives each thread whole 1-d lines, so no bit depends on
     # the thread count
     workers = worker_count(n * n)
-    padded = sp_fft.rfftn(values, fshape, axes=(0, 1, 2), workers=workers)
-    padded *= spec
-    conv = sp_fft.irfftn(padded, fshape, axes=(0, 1, 2), overwrite_x=True,
-                         workers=workers)
-    return conv[lo:lo + n, lo:lo + n, lo:lo + n]
+    lines = sp_fft.rfft(values, size, axis=2, workers=workers)
+    box = np.empty((b - a, b - a, lines.shape[2]), dtype=lines.dtype)
+    for k in range(0, lines.shape[2], SLAB):
+        ks = slice(k, k + SLAB)
+        slab = sp_fft.fft(lines[:, :, ks], size, axis=0, workers=workers)
+        slab = sp_fft.fft(slab, size, axis=1, overwrite_x=True,
+                          workers=workers)
+        slab *= spec[:, :, ks]
+        slab = sp_fft.ifft(slab, axis=0, norm="forward", overwrite_x=True,
+                           workers=workers)[keep]
+        box[:, :, ks] = sp_fft.ifft(slab, axis=1, norm="forward",
+                                    overwrite_x=True, workers=workers)[:, keep]
+    del lines, slab
+    conv = sp_fft.irfft(box, size, axis=2, norm="forward",
+                        workers=workers)[:, :, keep]
+    # irfftn's 1/L^3, rounded as pocketfft rounds it
+    conv *= np.float64(np.longdouble(1) / np.longdouble(size ** 3))
+    return conv
 
 
 def box_mask(grid, half_width):
@@ -559,10 +595,12 @@ def box_mask(grid, half_width):
             & inside[None, None, :])
 
 
-def mollify_region_mask(grid, eps):
-    """Nodes far enough from the cube boundary for the kernel to fit:
-    max_i |x_i| <= 1 - 3*eps.  May be empty for large eps."""
-    return box_mask(grid, 1.0 - 3.0 * eps + 1e-12)
+def mollify_box(grid, eps):
+    """(a, b): nodes far enough from the cube boundary for the kernel to
+    fit, max_i |x_i| <= 1 - 3*eps, form the box [a, b)^3.  a == b when
+    that box is empty, as it is for large eps."""
+    inside = np.flatnonzero(np.abs(grid.axis()) <= 1.0 - 3.0 * eps + 1e-12)
+    return (int(inside[0]), int(inside[-1]) + 1) if inside.size else (0, 0)
 
 
 def check_width(grid, eps):
@@ -584,21 +622,22 @@ def mollify_components(grid, values, eps, out=None):
 
     The result is written to ``out``, a new array by default, and
     returned.  ``out`` may be ``values`` itself: each component is read
-    into the FFT's padded buffer before its slot is written.
+    into its x3 transform before the box [a, b)^3 of ``mollify_box`` is
+    written.
     """
     check_width(grid, eps)
-    region = mollify_region_mask(grid, eps)
+    a, b = mollify_box(grid, eps)
     if out is None:
         out = values.copy()
     elif out is not values:
         np.copyto(out, values)
     vals, res = _flat_values(values), _flat_values(out)
-    if region.any():
+    if a < b:
         spectrum = _kernel_spectrum(float(eps), grid.h, grid.n)
         for c in range(vals.shape[-1]):
             # no convolution outlives its channel's write
-            np.copyto(res[..., c], _convolve_same(vals[..., c], spectrum),
-                      where=region)
+            res[a:b, a:b, a:b, c] = _convolve_same(vals[..., c], spectrum,
+                                                   a, b)
     return out
 
 

@@ -100,8 +100,8 @@ class TestApproxMemory:
     doubles, outputs included.  The lift and the remainder are smoothed
     in place in one 7-channel array, and each convolution is freed once
     its channel is written, so beyond the lift's own peak only the
-    channels, the kernel spectrum and one padded FFT at a time stay
-    alive.  Each bound is the measured peak plus 10 %."""
+    channels, the kernel spectrum and one channel's pruned transforms
+    stay alive.  Each bound is the measured peak plus 10 %."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -110,23 +110,26 @@ class TestApproxMemory:
                                              (0, 1, 0.3))
         return grid, u, eta
 
-    @pytest.mark.parametrize("width, bound", [(4, 29.4), (2, 19.0)])
+    @pytest.mark.parametrize("width, bound", [(4, 20.7), (2, 19.0)])
     def test_approximate_peak(self, data, alloc_peak, width, bound):
-        # measured 26.6 (4h: a 60^3 padded FFT) and 17.3 (2h, where the
-        # lift's own peak is the call's); 39.6 and 30.9 before the
-        # smoothing step went in place, and 2h read 19.6 while the lift
-        # held its section through the phase solve
+        # measured 18.9 (4h: a 60^3 kernel spectrum beside one channel's
+        # x3 lines and slab) and 17.3 (2h, where the lift's own peak is
+        # the call's); 4h read 26.6 with one whole padded FFT per
+        # channel, and 39.6 and 30.9 before the smoothing step went in
+        # place; 2h read 19.6 while the lift held its section through the
+        # phase solve
         grid, u, eta = data
         assert alloc_peak(lambda: approximate(u, eta, width * grid.h)) <= bound
 
     def test_serial_sweep_peak(self, data, alloc_peak, monkeypatch):
         # a finished width keeps only its report, so the serial sweep
-        # peaks at its widest width's call: measured 26.6, 42.9 before
+        # peaks at its widest width's call: measured 18.8, 26.6 with whole
+        # padded FFTs and 42.9 before
         monkeypatch.setenv("HOPFLIFT_THREADS", "1")
         grid, u, eta = data
         h = grid.h
         assert alloc_peak(lambda: convergence_sweep(
-            u, eta, [4 * h, 3 * h, 2 * h])) <= 29.3
+            u, eta, [4 * h, 3 * h, 2 * h])) <= 20.6
 
 
 class TestSweep:
@@ -161,6 +164,20 @@ class TestSweep:
         _, u0, eta0 = family(grid)
         with pytest.raises(ValueError):
             convergence_sweep(u0, eta0, [2 * grid.h, 4 * grid.h])
+
+    @pytest.mark.parametrize("last", [np.nan, np.inf])
+    def test_non_finite_width_rejected_before_any_work(self, monkeypatch,
+                                                       last):
+        # NaN compares false both ways, so it must fail the decreasing
+        # check, not reach approximate after the first width's lift
+        calls = []
+        monkeypatch.setattr(approx, "approximate",
+                            lambda *args: calls.append(args))
+        grid = make_grid(17)
+        _, u0, eta0 = family(grid)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            convergence_sweep(u0, eta0, [2.5 * grid.h, last])
+        assert calls == []
 
     def test_width_error_propagates(self):
         grid = make_grid(17)
@@ -199,21 +216,26 @@ class TestSweep:
         def no_thread(*args, **kwargs):
             raise AssertionError("the sweep started a thread")
 
-        def one_worker(fft):
+        ffts = []
+
+        def one_worker(name, fft):
             def call(*args, **kwargs):
-                assert kwargs.get("workers", 1) == 1
+                assert kwargs["workers"] == 1
+                ffts.append(name)
                 return fft(*args, **kwargs)
             return call
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        for name in ("rfftn", "irfftn"):
+        for name in ("rfft", "fft", "ifft", "irfft"):
             monkeypatch.setattr(scipy.fft, name,
-                                one_worker(getattr(scipy.fft, name)))
+                                one_worker(name, getattr(scipy.fft, name)))
         grid = make_grid(17)
         _, u0, eta0 = family(grid)
         widths = [2.5 * grid.h, 2.25 * grid.h, 2 * grid.h]
         reports = convergence_sweep(u0, eta0, widths)
         assert [r.eps for r in reports] == widths
+        # three kernels and 21 channels, each with one real transform
+        assert ffts.count("rfft") == 24
 
     def test_widths_run_in_order_on_the_calling_thread(self, monkeypatch):
         # with two usable CPUs the threads go to CG and the FFTs inside

@@ -5,12 +5,12 @@ from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
 from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
                              VecField, _check_unit, _convolve_same,
                              _gaussian_kernel,
-                             _kernel_spectrum, component_partials, curl, div,
-                             energy_density,
+                             _kernel_spectrum, box_mask, component_partials,
+                             curl, div, energy_density,
                              grad, integrate, l1_norm, l2_inner, l2_norm,
                              lp_norm,
-                             make_grid, mollify, mollify_components,
-                             mollify_region_mask, stencil_partial)
+                             make_grid, mollify, mollify_box,
+                             mollify_components, stencil_partial)
 
 
 def scalar(grid, arr):
@@ -456,7 +456,7 @@ def fftconvolve_mollify(grid, values, eps):
     """Reference mollifier: one scipy.signal.fftconvolve per component."""
     from scipy.signal import fftconvolve
     ker = _gaussian_kernel(float(eps), grid.h)
-    region = mollify_region_mask(grid, eps)
+    region = box_mask(grid, 1.0 - 3.0 * eps + 1e-12)
     vals = values if values.ndim == 4 else values[..., None]
     out = vals.copy()
     for c in range(vals.shape[-1]):
@@ -465,23 +465,35 @@ def fftconvolve_mollify(grid, values, eps):
     return out if values.ndim == 4 else out[..., 0]
 
 
+def smoothing_grid(width):
+    """n = 33, but 65 for 8h: at n = 33, 3 * 8h = 1.5 passes the cube's
+    half-width and smooths no node, while at n = 65 it smooths a 17^3
+    box, the narrowest one the pruned inverse FFT keeps.  5h is the
+    widest width that smooths any node at n = 33."""
+    grid = make_grid(65 if width == 8 else 33)
+    a, b = mollify_box(grid, width * grid.h)
+    assert a < b
+    return grid
+
+
 class TestMollifyMatchesFftconvolve:
     @pytest.mark.parametrize("ncomp", [None, 4])
-    @pytest.mark.parametrize("width", [8, 4, 2, 1])
+    @pytest.mark.parametrize("width", [8, 5, 4, 2, 1])
     def test_bit_identical(self, width, ncomp):
-        grid = make_grid(33)
-        shape = (33,) * 3 if ncomp is None else (33,) * 3 + (ncomp,)
+        grid = smoothing_grid(width)
+        n = grid.n
+        shape = (n,) * 3 if ncomp is None else (n,) * 3 + (ncomp,)
         vals = np.random.default_rng(width).normal(size=shape)
         eps = width * grid.h
         assert np.array_equal(mollify_components(grid, vals, eps),
                               fftconvolve_mollify(grid, vals, eps))
 
     @pytest.mark.parametrize("ncomp", [4, 7])
-    @pytest.mark.parametrize("width", [8, 2])
+    @pytest.mark.parametrize("width", [8, 5, 2])
     def test_in_place(self, width, ncomp):
-        grid = make_grid(33)
+        grid = smoothing_grid(width)
         vals = np.random.default_rng(width + ncomp).normal(
-            size=(33,) * 3 + (ncomp,))
+            size=(grid.n,) * 3 + (ncomp,))
         eps = width * grid.h
         copied = mollify_components(grid, vals, eps)
         reference = fftconvolve_mollify(grid, vals, eps)
@@ -491,28 +503,49 @@ class TestMollifyMatchesFftconvolve:
 
     @pytest.mark.parametrize("width", [5, 2])
     def test_same_bits_for_any_thread_count(self, width, monkeypatch):
-        # each channel's FFTs take worker_count threads, and pocketfft
-        # hands each thread whole 1-d lines, so the thread count moves no
-        # bit; 5h is the widest width that smooths any node at n=33
+        # every 1-d FFT takes worker_count threads, and pocketfft hands
+        # each thread whole 1-d lines, so the thread count moves no bit;
+        # 5h is the widest width that smooths any node at n=33
         import scipy.fft
         from hopflift import solvers
         monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
-        seen, rfftn = [], scipy.fft.rfftn
+        seen = []
 
-        def spy(*args, **kwargs):
-            if "workers" in kwargs:  # not the kernel's transform
-                seen.append(kwargs["workers"])
-            return rfftn(*args, **kwargs)
+        def spy(name, fft):
+            def call(*args, **kwargs):
+                seen.append((name, kwargs["workers"]))
+                return fft(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(scipy.fft, "rfftn", spy)
+        for name in ("rfft", "fft", "ifft", "irfft"):
+            monkeypatch.setattr(scipy.fft, name,
+                                spy(name, getattr(scipy.fft, name)))
         grid = make_grid(33)
         vals = np.random.default_rng(width).normal(size=(33,) * 3 + (7,))
         got = []
         for threads in (1, 2):
             monkeypatch.setenv("HOPFLIFT_THREADS", str(threads))
+            seen.clear()
             got.append(mollify_components(grid, vals, width * grid.h))
-        assert seen == [1] * 7 + [2] * 7
+            assert {workers for _, workers in seen} == {threads}
+            # the kernel's real transform, then one per channel each way
+            assert [name for name, _ in seen].count("rfft") == 8
+            assert [name for name, _ in seen].count("irfft") == 7
         assert np.array_equal(got[0], got[1])
+
+    def test_region_is_a_box(self):
+        # the smoothing region max_i |x_i| <= 1 - 3 eps is the box [a, b)^3
+        # that the pruned inverse keeps; at n=65, 8h keeps 17^3 nodes
+        assert mollify_box(make_grid(65), 8 / 32) == (24, 41)
+        for n in (9, 33, 65):
+            grid = make_grid(n)
+            for width in (1, 2, 4, 5, 8, 16):
+                eps = width * grid.h
+                a, b = mollify_box(grid, eps)
+                box = np.zeros((n,) * 3, dtype=bool)
+                box[a:b, a:b, a:b] = True
+                assert np.array_equal(
+                    box, box_mask(grid, 1.0 - 3.0 * eps + 1e-12))
 
     def test_kernel_wider_than_grid(self):
         from scipy.signal import fftconvolve
