@@ -12,10 +12,11 @@ The lift and the remainder are written into one 7-channel array and
 mollified there in place; the lift is renormalized in that array, the
 smoothed gauge takes the remainder in its own buffer, and the constraint
 residual is formed in the buffer of curl eta_eps.  Beyond the lift's own
-peak a call holds the channels, one kernel spectrum and one channel's
+peak a call holds the channels, the kernel's x3 lines and one channel's
 pruned transforms at a time: its x3 lines, one slab of x3-frequencies
-and the smoothing box's spectrum.  The sweep runs one width at a time
-and keeps its report.
+beside the kernel's slab of the same frequencies, and the smoothing
+box's spectrum.  The sweep runs one width at a time and keeps its
+report.
 """
 
 import csv
@@ -80,7 +81,7 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
             f"mollification window 3*eps = {3 * eps:.3f} exceeds the domain "
             "half-width; no node is smoothed")
 
-    # one 7-channel array and one kernel spectrum: the lift in channels
+    # one 7-channel array and one kernel transform: the lift in channels
     # 0-3 and the remainder in 4-6 are mollified in place, and each stage
     # below works in the channels or in a buffer of the one before
     channels = np.empty(uhat.values.shape[:-1] + (7,))

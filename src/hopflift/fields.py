@@ -524,46 +524,44 @@ def _gaussian_kernel(eps, h):
 
 
 #: x3-frequencies whose x1 and x2 transforms run together, so a channel
-#: holds one slab of its padded spectrum at a time beside the kernel's
+#: holds one slab of its padded spectrum and one of the kernel's at a time
 SLAB = 8
 
 
-def _kernel_spectrum(eps, h, n):
-    """Real FFT of the mollifier kernel, zero-padded to the cube of side L
-    that ``scipy.signal.fftconvolve`` picks for an n^3 grid.  The 1-d
-    transforms are ``rfftn``'s, in its order: the real one along x3 on the
-    kernel's own lines, then x1, then x2, so ``_convolve_same`` reproduces
-    fftconvolve bit for bit.  Returns (spectrum, L, start of the
-    ``"same"`` slice)."""
+def _kernel_lines(eps, h, n):
+    """Real FFT along x3 of the mollifier kernel, zero-padded to the side
+    L that ``scipy.signal.fftconvolve`` picks for an n^3 grid: a
+    (k, k, L/2+1) array, where k is the kernel's side.  ``_convolve_same``
+    runs the kernel's x1 and x2 transforms one slab at a time, so the
+    whole L x L x (L/2+1) spectrum is never held.  Returns (lines, L,
+    start of the ``"same"`` slice)."""
     from scipy import fft as sp_fft
     from .solvers import worker_count
     ker = _gaussian_kernel(eps, h)
     k = ker.shape[0]
     size = sp_fft.next_fast_len(n + k - 1, True)
-    workers = worker_count(n * n)
-    spec = sp_fft.rfft(ker, size, axis=2, workers=workers)
-    spec = sp_fft.fft(spec, size, axis=0, overwrite_x=True, workers=workers)
-    spec = sp_fft.fft(spec, size, axis=1, overwrite_x=True, workers=workers)
-    return spec, size, (k - 1) // 2
+    lines = sp_fft.rfft(ker, size, axis=2, workers=worker_count(n * n))
+    return lines, size, (k - 1) // 2
 
 
-def _convolve_same(values, spectrum, a=0, b=None):
+def _convolve_same(values, kernel, a=0, b=None):
     """``fftconvolve(values, _gaussian_kernel(eps, h), mode="same")`` for
     an (n,n,n) array on the box [a, b)^3, all of it by default, given
-    ``spectrum = _kernel_spectrum(eps, h, n)``.
+    ``kernel = _kernel_lines(eps, h, n)``.
 
     The 1-d transforms are the ones ``rfftn`` and ``irfftn`` run, in
     their order, so every output keeps fftconvolve's bits; only those
     whose input is all zeros or whose output leaves the box are skipped.
-    The real transform along x3 runs on the n^2 data lines.  x1 and x2
-    run forward, by the kernel spectrum and back one ``SLAB`` of
-    x3-frequencies at a time, each inverse keeping the rows that land in
-    the box, and the real inverse along x3 runs on the box's lines."""
+    The real transform along x3 runs on the n^2 data lines.  One ``SLAB``
+    of x3-frequencies at a time, the data's lines and then the kernel's
+    run forward along x1 and x2, their product runs back, and each
+    inverse keeps the rows that land in the box; the real inverse along
+    x3 runs on the box's lines."""
     from scipy import fft as sp_fft
     from .solvers import worker_count
     n = values.shape[0]
     b = n if b is None else b
-    spec, size, lo = spectrum
+    ker, size, lo = kernel
     keep = slice(lo + a, lo + b)
     # pocketfft gives each thread whole 1-d lines, so no bit depends on
     # the thread count
@@ -575,7 +573,14 @@ def _convolve_same(values, spectrum, a=0, b=None):
         slab = sp_fft.fft(lines[:, :, ks], size, axis=0, workers=workers)
         slab = sp_fft.fft(slab, size, axis=1, overwrite_x=True,
                           workers=workers)
-        slab *= spec[:, :, ks]
+        # the kernel's slab after the data's, so the x1 intermediate held
+        # beside a whole slab is the kernel's, of k rows (no more than n
+        # when any node is smoothed); it is freed before the inverses run
+        spec = sp_fft.fft(ker[:, :, ks], size, axis=0, workers=workers)
+        spec = sp_fft.fft(spec, size, axis=1, overwrite_x=True,
+                          workers=workers)
+        slab *= spec
+        del spec
         slab = sp_fft.ifft(slab, axis=0, norm="forward", overwrite_x=True,
                            workers=workers)[keep]
         box[:, :, ks] = sp_fft.ifft(slab, axis=1, norm="forward",
@@ -633,10 +638,10 @@ def mollify_components(grid, values, eps, out=None):
         np.copyto(out, values)
     vals, res = _flat_values(values), _flat_values(out)
     if a < b:
-        spectrum = _kernel_spectrum(float(eps), grid.h, grid.n)
+        kernel = _kernel_lines(float(eps), grid.h, grid.n)
         for c in range(vals.shape[-1]):
             # no convolution outlives its channel's write
-            res[a:b, a:b, a:b, c] = _convolve_same(vals[..., c], spectrum,
+            res[a:b, a:b, a:b, c] = _convolve_same(vals[..., c], kernel,
                                                    a, b)
     return out
 

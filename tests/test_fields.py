@@ -5,7 +5,7 @@ from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
 from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
                              VecField, _check_unit, _convolve_same,
                              _gaussian_kernel,
-                             _kernel_spectrum, box_mask, component_partials,
+                             _kernel_lines, box_mask, component_partials,
                              curl, div, energy_density,
                              grad, integrate, l1_norm, l2_inner, l2_norm,
                              lp_norm,
@@ -556,8 +556,8 @@ class TestMollifyMatchesFftconvolve:
         vals = np.random.default_rng(3).normal(size=(9, 9, 9, 4))
         # the smoothing region is empty here, so compare the "same" slice
         # of the convolution itself as well
-        spectrum = _kernel_spectrum(eps, grid.h, grid.n)
-        assert np.array_equal(_convolve_same(vals[..., 0], spectrum),
+        kernel = _kernel_lines(eps, grid.h, grid.n)
+        assert np.array_equal(_convolve_same(vals[..., 0], kernel),
                               fftconvolve(vals[..., 0], ker, mode="same"))
         assert np.array_equal(mollify_components(grid, vals, eps),
                               fftconvolve_mollify(grid, vals, eps))

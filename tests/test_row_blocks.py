@@ -13,7 +13,8 @@ from hopflift import fields
 from hopflift.fields import (LiftField, ScalarField, SphereMapField,
                              VecField, component_partials, curl, div,
                              energy_density, grad, l2_norm, make_grid,
-                             node_blocks, stencil_partial)
+                             mollify_components, node_blocks,
+                             stencil_partial)
 from hopflift.hopf import gauge_of_lift, hopf, section_of_map, stereo_section
 from hopflift.lift import default_pole_candidates
 from hopflift.pullback import pointwise_identities, pullback_area_form
@@ -268,10 +269,14 @@ def test_blocked_consumers_hold_one_block(alloc_peak):
     # 2.24 (8.0), curl 1.27 with the six partials it uses (5.7; 1.63 with
     # all nine), div 0.90 with three (4.7), pullback_area_form 2.38
     # (15.0), energy_density of a lift 0.92 (1.16), section_of_map 5.57
-    # (7.0) and pointwise_identities 6.54 (22.2) n^3 doubles
+    # (7.0) and pointwise_identities 6.54 (22.2) n^3 doubles.  A 7-channel
+    # mollify_components at 4h holds one channel's pruned transforms and
+    # one x3-frequency slab of the kernel's spectrum: 7.00 (10.74 with the
+    # kernel's whole padded spectrum)
     grid = make_grid(33)
     uhat, u, eta = testmaps.gen_lift_family(grid, 0.8, (1, 0.5, 0),
                                             (0, 1, 0.3))
+    channels = np.concatenate([uhat.values, eta.values], axis=-1)
     bounds = [
         (lambda: gauge_of_lift(uhat), 2.5),
         (lambda: curl(eta), 1.4),
@@ -280,6 +285,7 @@ def test_blocked_consumers_hold_one_block(alloc_peak):
         (lambda: energy_density(uhat.values, grid.h), 1.0),
         (lambda: section_of_map(u, (0.0, 0.0, -1.0)), 6.0),
         (lambda: pointwise_identities(u), 7.2),
+        (lambda: mollify_components(grid, channels, 4 * grid.h), 7.7),
     ]
     for fn, bound in bounds:
         assert alloc_peak(fn, beyond_result=True) <= bound
