@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectionDegenerate
-from .fields import (LiftField, SphereMapField, VecField, box_mask,
-                     check_width, curl, energy_density, integrate, l2_norm,
+from .fields import (LiftField, SphereMapField, VecField, check_width, curl,
+                     energy_density, index_box, integrate, l2_norm,
                      mollify_box, mollify_components)
 from .fileio import open_output
 from .hopf import gauge_of_lift, hopf
@@ -106,9 +106,10 @@ def approximate(u: SphereMapField, eta: VecField, eps, cfg: LiftConfig = None):
     eta_eps = VecField(grid, 1, zeta)
     del channels, smoothed, zeta_tilde, uhat_eps
 
-    # constraint residual where the smoothing is exact convolution and
-    # the curl stencil stays inside that region
-    deep = box_mask(grid, 1.0 - 3.0 * eps - 2.0 * grid.h)
+    # constraint residual on the box [a+2, b-2)^3: the smoothing is exact
+    # convolution on [a, b)^3, and eta_eps holds partials of the smoothed
+    # lift, whose curl reads them one node further; NaN when it is empty
+    deep = index_box(grid.n, a + 2, b - 2)
     resid = curl(eta_eps).values
     resid -= pullback_area_form(u_eps).values
     resid = VecField(grid, 2, resid)

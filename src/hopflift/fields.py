@@ -12,6 +12,7 @@ as the inscribed-ball node mask of the cube grid, used only to restrict
 norms.  The cube carries the stencils and boundary conditions.
 """
 
+import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -77,10 +78,10 @@ class Grid3:
         return np.meshgrid(x, x, x, indexing="ij", copy=False)
 
     def radii(self):
-        """(n,n,n) Euclidean node distances from the origin: the squares of
-        the axis summed in the order of the dense coordinates, same bits."""
-        sq = self.axis() * self.axis()
-        r = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+        """(n,n,n) Euclidean node distances from the origin: the square
+        roots of the axis' ``lattice_sum``, the bits of the dense
+        coordinates' x1*x1 + x2*x2 + x3*x3."""
+        r = lattice_sum(self.axis() * self.axis())
         return np.sqrt(r, out=r)
 
     def ball_mask(self):
@@ -89,7 +90,7 @@ class Grid3:
 
     def cube_interior_mask(self):
         """Nodes not on the cube boundary (central stencils only)."""
-        return box_mask(self, 1.0 - 0.5 * self.h)
+        return index_box(self.n, 1, self.n - 1)
 
     def node_weights(self):
         """Trapezoidal quadrature weights, (n,n,n): h^3 times 1/2 per
@@ -119,6 +120,21 @@ def _axis(n):
     x = np.linspace(-1.0, 1.0, n)
     x.setflags(write=False)
     return x
+
+
+def lattice_sum(sq):
+    """(m,m,m) array of sq[i] + sq[j] + sq[k] for a 1-d sq, added left to
+    right, as the sum of three dense 'ij' meshgrid copies of sq is."""
+    return sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
+
+
+def index_box(n, lo, hi):
+    """(n,n,n) mask of the nodes whose three indices all lie in [lo, hi);
+    empty when hi <= lo."""
+    box = np.zeros((n, n, n), dtype=bool)
+    s = slice(max(lo, 0), max(hi, 0))
+    box[s, s, s] = True
+    return box
 
 
 def _trapezoid(n):
@@ -249,6 +265,25 @@ def node_blocks(count):
     blocks = -(-count // NODE_BLOCK)
     return [(count * b // blocks, count * (b + 1) // blocks)
             for b in range(blocks)]
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def worker_count(tasks):
+    """Threads for `tasks` independent tasks: one per task at most, capped
+    by the usable CPUs and by HOPFLIFT_THREADS when it is an integer; at
+    least one.  CG's chunk blocks and the mollifier's FFTs take it."""
+    cap = _usable_cpus()
+    try:
+        cap = min(cap, int(os.environ.get("HOPFLIFT_THREADS", "")))
+    except ValueError:
+        pass
+    return max(1, min(cap, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +547,16 @@ def l1_norm(a, region="cube"):
 
 def _gaussian_kernel(eps, h):
     """Truncated Gaussian (std eps, support radius 3*eps) sampled on node
-    offsets, weights normalized to sum to 1."""
+    offsets, weights normalized to sum to 1.  The exponent is formed in
+    the squared radii's own buffer."""
     m = int(np.floor(3.0 * eps / h))
     off = np.arange(-m, m + 1) * h
-    dx, dy, dz = np.meshgrid(off, off, off, indexing="ij")
-    r2 = dx * dx + dy * dy + dz * dz
-    ker = np.exp(-0.5 * r2 / (eps * eps))
-    ker[r2 > (3.0 * eps) ** 2] = 0.0
+    ker = lattice_sum(off * off)
+    outside = ker > (3.0 * eps) ** 2
+    ker *= -0.5
+    ker /= eps * eps
+    np.exp(ker, out=ker)
+    ker[outside] = 0.0
     ker /= ker.sum()
     return ker
 
@@ -536,11 +574,10 @@ def _kernel_lines(eps, h, n):
     whole L x L x (L/2+1) spectrum is never held.  Returns (lines, L,
     start of the ``"same"`` slice)."""
     from scipy import fft as sp_fft
-    from .solvers import worker_count
     ker = _gaussian_kernel(eps, h)
     k = ker.shape[0]
     size = sp_fft.next_fast_len(n + k - 1, True)
-    lines = sp_fft.rfft(ker, size, axis=2, workers=worker_count(n * n))
+    lines = sp_fft.rfft(ker, size, axis=2)
     return lines, size, (k - 1) // 2
 
 
@@ -558,46 +595,32 @@ def _convolve_same(values, kernel, a=0, b=None):
     inverse keeps the rows that land in the box; the real inverse along
     x3 runs on the box's lines."""
     from scipy import fft as sp_fft
-    from .solvers import worker_count
     n = values.shape[0]
     b = n if b is None else b
     ker, size, lo = kernel
     keep = slice(lo + a, lo + b)
-    # pocketfft gives each thread whole 1-d lines, so no bit depends on
-    # the thread count
-    workers = worker_count(n * n)
-    lines = sp_fft.rfft(values, size, axis=2, workers=workers)
+    lines = sp_fft.rfft(values, size, axis=2)
     box = np.empty((b - a, b - a, lines.shape[2]), dtype=lines.dtype)
     for k in range(0, lines.shape[2], SLAB):
         ks = slice(k, k + SLAB)
-        slab = sp_fft.fft(lines[:, :, ks], size, axis=0, workers=workers)
-        slab = sp_fft.fft(slab, size, axis=1, overwrite_x=True,
-                          workers=workers)
+        slab = sp_fft.fft(lines[:, :, ks], size, axis=0)
+        slab = sp_fft.fft(slab, size, axis=1, overwrite_x=True)
         # the kernel's slab after the data's, so the x1 intermediate held
         # beside a whole slab is the kernel's, of k rows (no more than n
         # when any node is smoothed); it is freed before the inverses run
-        spec = sp_fft.fft(ker[:, :, ks], size, axis=0, workers=workers)
-        spec = sp_fft.fft(spec, size, axis=1, overwrite_x=True,
-                          workers=workers)
+        spec = sp_fft.fft(ker[:, :, ks], size, axis=0)
+        spec = sp_fft.fft(spec, size, axis=1, overwrite_x=True)
         slab *= spec
         del spec
-        slab = sp_fft.ifft(slab, axis=0, norm="forward", overwrite_x=True,
-                           workers=workers)[keep]
+        slab = sp_fft.ifft(slab, axis=0, norm="forward",
+                           overwrite_x=True)[keep]
         box[:, :, ks] = sp_fft.ifft(slab, axis=1, norm="forward",
-                                    overwrite_x=True, workers=workers)[:, keep]
+                                    overwrite_x=True)[:, keep]
     del lines, slab
-    conv = sp_fft.irfft(box, size, axis=2, norm="forward",
-                        workers=workers)[:, :, keep]
+    conv = sp_fft.irfft(box, size, axis=2, norm="forward")[:, :, keep]
     # irfftn's 1/L^3, rounded as pocketfft rounds it
     conv *= np.float64(np.longdouble(1) / np.longdouble(size ** 3))
     return conv
-
-
-def box_mask(grid, half_width):
-    """Nodes of the centred box max_i |x_i| <= half_width."""
-    inside = np.abs(grid.axis()) <= half_width
-    return (inside[:, None, None] & inside[None, :, None]
-            & inside[None, None, :])
 
 
 def mollify_box(grid, eps):
@@ -638,11 +661,15 @@ def mollify_components(grid, values, eps, out=None):
         np.copyto(out, values)
     vals, res = _flat_values(values), _flat_values(out)
     if a < b:
-        kernel = _kernel_lines(float(eps), grid.h, grid.n)
-        for c in range(vals.shape[-1]):
-            # no convolution outlives its channel's write
-            res[a:b, a:b, a:b, c] = _convolve_same(vals[..., c], kernel,
-                                                   a, b)
+        from scipy import fft as sp_fft
+        # every FFT of the call takes worker_count threads; pocketfft gives
+        # each thread whole 1-d lines, so no bit depends on the count
+        with sp_fft.set_workers(worker_count(grid.n ** 2)):
+            kernel = _kernel_lines(float(eps), grid.h, grid.n)
+            for c in range(vals.shape[-1]):
+                # no convolution outlives its channel's write
+                res[a:b, a:b, a:b, c] = _convolve_same(vals[..., c], kernel,
+                                                       a, b)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidResolution, RadiusOutOfRange
 from .fields import (BLOCK_ROWS, ScalarField, SphereMapField, VecField, div,
-                     row_partials, stacked_squares)
+                     lattice_sum, row_partials, stacked_squares)
 
 #: point count of the Fibonacci sphere quadrature used for fluxes
 FLUX_POINTS = 801
@@ -37,9 +37,7 @@ def beyond_origin(n, spacings):
     along its axis, so |x| > k h exactly when the squared half-spacing
     offsets sum to more than (2k)^2.  Float radii would let nodes at
     exactly k h through on some grids.  Fractional k work the same way."""
-    m = (2 * np.arange(n) - (n - 1)) ** 2
-    return (m[:, None, None] + m[None, :, None] + m[None, None, :]
-            > (2 * spacings) ** 2)
+    return lattice_sum((2 * np.arange(n) - (n - 1)) ** 2) > (2 * spacings) ** 2
 
 
 def _triple_products(uv, d):

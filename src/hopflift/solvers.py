@@ -30,7 +30,6 @@ curl@grad and div@curl vanish identically as sparse matrices.
 this module costs numpy only.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import SolverDiverged
 from .fields import (_node_weights, _trapezoid, _whole_number, face_trace,
-                     stencil_partial)
+                     index_box, stencil_partial, worker_count)
 
 #: block operators as row blocks of (column block, sign, axis) entries,
 #: each standing for sign times the partial along axis; the row blocks of
@@ -276,14 +275,6 @@ class Stencil(NamedTuple):
     values: np.ndarray
 
 
-def _shell_mask(n):
-    """(n,n,n) bool: True at the nodes outside the stencil's box."""
-    shell = np.ones((n, n, n), dtype=bool)
-    box = slice(_SHELL, n - _SHELL)
-    shell[box, box, box] = False
-    return shell
-
-
 def _at_nodes(t, at, c, flat):
     """The entries of table t at the nodes whose indices on the three axes
     are the arrays ``at``, gathered by one ``take`` at their flat index
@@ -344,7 +335,7 @@ def _csr_from_tables(tables, n, blocks):
     import scipy.sparse as sp
     n3 = n ** 3
     c = _trapezoid(n)
-    shell = _shell_mask(n)
+    shell = ~index_box(n, _SHELL, n - _SHELL)
     counts = np.zeros((blocks, n, n, n), dtype=np.int32)
     for (b, _, _), t in tables.items():
         counts[b] += t != 0.0
@@ -422,25 +413,6 @@ def gauge_normal_matrix(n):
 CHUNK = 1 << 15
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def worker_count(tasks):
-    """Threads for `tasks` independent tasks: one per task at most, capped
-    by the usable CPUs and by HOPFLIFT_THREADS when it is an integer; at
-    least one."""
-    cap = _usable_cpus()
-    try:
-        cap = min(cap, int(os.environ.get("HOPFLIFT_THREADS", "")))
-    except ValueError:
-        pass
-    return max(1, min(cap, tasks))
-
-
 class _Split:
     """A ``Stencil`` laid out for scipy's ``dia_matvec``, with a plan for
     each row range (a, e) of ``chunks``; read-only.
@@ -459,12 +431,12 @@ class _Split:
         n, n2 = stencil.n, stencil.n ** 2
         m = self.margin = int(np.abs(stencil.offsets).max(initial=0))
         self.offsets = stencil.offsets + m
-        box = slice(_SHELL, n - _SHELL)
-        inner = np.zeros((n, n), dtype=bool)
-        inner[box, box] = True
+        # which rows of a box plane are box rows, read off the middle
+        # x1-plane (none when n <= 6)
+        inner = index_box(n, _SHELL, n - _SHELL)[n // 2].ravel()
         self.table = np.zeros((stencil.offsets.size, n2 + 2 * m))
         for row, o, value in zip(self.table, self.offsets, stencil.values):
-            row[o:o + n2][inner.ravel()] = value
+            row[o:o + n2][inner] = value
         planes = [b * n ** 3 + i * n2 for b in range(stencil.blocks)
                   for i in range(_SHELL, n - _SHELL)]
         self.chunks = tuple(chunks)

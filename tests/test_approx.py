@@ -5,8 +5,10 @@ import pytest
 
 from hopflift.approx import approximate, convergence_sweep, write_sweep_csv
 from hopflift.errors import ProjectionDegenerate, WidthTooSmall
-from hopflift.fields import VecField, make_grid
-from hopflift import approx, fields, solvers, testmaps
+from hopflift.fields import (VecField, curl, index_box, l2_norm, make_grid,
+                             mollify_box)
+from hopflift.pullback import pullback_area_form
+from hopflift import approx, fields, testmaps
 
 
 def family(grid, a=(1, 0, 0), b=(0, 2, 0)):
@@ -72,6 +74,29 @@ class TestApproximate:
         monkeypatch.setattr(approx, "lift", no_lift)
         with pytest.raises(WidthTooSmall, match=re.escape(message)):
             approximate(u0, eta0, eps)
+
+    def test_residual_region_is_the_index_box(self):
+        # the residual is taken on [a+2, b-2)^3 of mollify_box's (a, b);
+        # a float rule |x_i| <= 1 - 3 eps - 2h misses node a+2 here
+        grid = make_grid(26)
+        _, u0, eta0 = testmaps.gen_lift_family(grid, np.pi / 4, (1, 0, 0),
+                                               (0, 1, 0))
+        eps = 2 * grid.h
+        u_eps, eta_eps, rep = approximate(u0, eta0, eps)
+        a, b = mollify_box(grid, eps)
+        resid = curl(eta_eps).values - pullback_area_form(u_eps).values
+        assert rep.constraint_residual == l2_norm(
+            VecField(grid, 2, resid), index_box(grid.n, a + 2, b - 2))
+
+    @pytest.mark.parametrize("width, empty", [(1.0, False), (1.2, True)])
+    def test_residual_is_nan_only_on_an_empty_box(self, width, empty):
+        # at n=11, h keeps the one node [5, 6)^3 and 1.2h leaves the
+        # empty [6, 5)^3
+        grid = make_grid(11)
+        _, u0, eta0 = testmaps.gen_lift_family(grid, np.pi / 4, (1, 0, 0),
+                                               (0, 1, 0))
+        rep = approximate(u0, eta0, width * grid.h)[2]
+        assert np.isnan(rep.constraint_residual) == empty
 
     def test_outputs_share_no_memory(self, monkeypatch):
         # the lift and remainder are smoothed in place in one channel
@@ -191,7 +216,7 @@ class TestSweep:
     def test_first_failing_width_raises(self, monkeypatch, threads):
         # the widest width fails after its lift, the narrowest before
         # any work; the error of the first in input order is raised
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("HOPFLIFT_THREADS", threads)
         grid = make_grid(17)
         _, u0, eta0 = family(grid)
@@ -199,12 +224,12 @@ class TestSweep:
             convergence_sweep(u0, eta0, [0.5, 2 * grid.h, grid.h / 2.0])
 
     def test_thread_cap_respects_env(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(fields, "_usable_cpus", lambda: 4)
         monkeypatch.setenv("HOPFLIFT_THREADS", "2")
-        assert solvers.worker_count(5) == 2
+        assert fields.worker_count(5) == 2
         # a cap that is not an integer is ignored
         monkeypatch.setenv("HOPFLIFT_THREADS", "not-a-number")
-        assert solvers.worker_count(5) == 4
+        assert fields.worker_count(5) == 4
 
     def test_no_pool_on_one_usable_cpu(self, monkeypatch):
         # HOPFLIFT_THREADS asks for 4 threads, but one CPU is usable: the
@@ -212,7 +237,7 @@ class TestSweep:
         # FFTs get one worker
         import threading
         import scipy.fft
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
         monkeypatch.setenv("HOPFLIFT_THREADS", "4")
 
         def no_thread(*args, **kwargs):
@@ -222,7 +247,7 @@ class TestSweep:
 
         def one_worker(name, fft):
             def call(*args, **kwargs):
-                assert kwargs["workers"] == 1
+                assert scipy.fft.get_workers() == 1
                 ffts.append(name)
                 return fft(*args, **kwargs)
             return call
@@ -243,7 +268,7 @@ class TestSweep:
         # with two usable CPUs the threads go to CG and the FFTs inside
         # each width, not to the widths: one width's state at a time
         import threading
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("HOPFLIFT_THREADS", "2")
         calls = []
 

@@ -5,7 +5,7 @@ from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
 from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
                              VecField, _check_unit, _convolve_same,
                              _gaussian_kernel,
-                             _kernel_lines, box_mask, component_partials,
+                             _kernel_lines, component_partials,
                              curl, div, energy_density,
                              grad, integrate, l1_norm, l2_inner, l2_norm,
                              lp_norm,
@@ -84,6 +84,33 @@ class TestGrid:
         dense = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
         assert np.array_equal(grid.radii(), dense)
         assert grid.origin_index() == int(np.argmin(dense))
+
+    def test_cube_interior_matches_coordinate_rule(self):
+        # indices [1, n-1) are the nodes with max_i |x_i| <= 1 - h/2
+        for n in range(3, 130):
+            grid = make_grid(n)
+            assert np.array_equal(grid.cube_interior_mask(),
+                                  box_mask(grid, 1.0 - 0.5 * grid.h)), n
+
+
+def test_fields_imports_only_errors_from_the_package():
+    # fields is the base of the package: every module but errors imports
+    # it, so an import of any of those here would be a cycle
+    import ast
+    import hopflift.fields
+    with open(hopflift.fields.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    own = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                own.append(node.module)
+            elif (node.module or "").split(".")[0] == "hopflift":
+                own.append(node.module)
+        elif isinstance(node, ast.Import):
+            own += [a.name for a in node.names
+                    if a.name.split(".")[0] == "hopflift"]
+    assert own == ["errors"]
 
 
 class TestOperators:
@@ -452,6 +479,13 @@ class TestMollify:
         assert np.array_equal(mollify(f, 3.0 * self.grid.h).values, direct)
 
 
+def box_mask(grid, half_width):
+    """Float reference of a centred node box: max_i |x_i| <= half_width."""
+    inside = np.abs(grid.axis()) <= half_width
+    return (inside[:, None, None] & inside[None, :, None]
+            & inside[None, None, :])
+
+
 def fftconvolve_mollify(grid, values, eps):
     """Reference mollifier: one scipy.signal.fftconvolve per component."""
     from scipy.signal import fftconvolve
@@ -463,6 +497,30 @@ def fftconvolve_mollify(grid, values, eps):
         conv = fftconvolve(vals[..., c], ker, mode="same")
         out[..., c] = np.where(region, conv, vals[..., c])
     return out if values.ndim == 4 else out[..., 0]
+
+
+@pytest.mark.parametrize("width", [1, 2.5, 8])
+def test_gaussian_kernel_matches_meshgrid_form(width):
+    # the kernel from the lattice sum keeps the bits of the form on
+    # three dense meshgrid copies of the offsets
+    h = 2.0 / 64
+    eps = width * h
+    m = int(np.floor(3.0 * eps / h))
+    off = np.arange(-m, m + 1) * h
+    dx, dy, dz = np.meshgrid(off, off, off, indexing="ij")
+    r2 = dx * dx + dy * dy + dz * dz
+    ker = np.exp(-0.5 * r2 / (eps * eps))
+    ker[r2 > (3.0 * eps) ** 2] = 0.0
+    ker /= ker.sum()
+    assert np.array_equal(_gaussian_kernel(eps, h), ker)
+
+
+def test_gaussian_kernel_peak(alloc_peak):
+    # the squared radii become the kernel in their own buffer, beside an
+    # eighth of it in booleans: 1.16 times the kernel at n=65 and 8h
+    h = 2.0 / 64
+    k = _gaussian_kernel(8 * h, h).shape[0]
+    assert alloc_peak(lambda: _gaussian_kernel(8 * h, h), k) <= 1.3
 
 
 def smoothing_grid(width):
@@ -507,13 +565,13 @@ class TestMollifyMatchesFftconvolve:
         # each thread whole 1-d lines, so the thread count moves no bit;
         # 5h is the widest width that smooths any node at n=33
         import scipy.fft
-        from hopflift import solvers
-        monkeypatch.setattr(solvers, "_usable_cpus", lambda: 2)
+        from hopflift import fields
+        monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
         seen = []
 
         def spy(name, fft):
             def call(*args, **kwargs):
-                seen.append((name, kwargs["workers"]))
+                seen.append((name, scipy.fft.get_workers()))
                 return fft(*args, **kwargs)
             return call
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hopflift import solvers
+from hopflift import fields, solvers
 from hopflift.errors import SolverDiverged
 from hopflift.fields import (ScalarField, VecField, _node_weights, curl, div,
                              face_trace, grad, make_grid, stencil_partial)
@@ -339,13 +339,13 @@ def gauge_system():
 
 def test_worker_count(monkeypatch):
     # min(HOPFLIFT_THREADS, usable CPUs, tasks), at least one
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 3)
     monkeypatch.setenv("HOPFLIFT_THREADS", "4")
     assert [solvers.worker_count(t) for t in (0, 1, 2, 3, 5)] == \
         [1, 1, 2, 3, 3]
     monkeypatch.setenv("HOPFLIFT_THREADS", "2")
     assert solvers.worker_count(5) == 2
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 1)
     assert solvers.worker_count(5) == 1
 
 
@@ -364,7 +364,7 @@ def _solve_with_workers(monkeypatch, workers, *args):
     # CG takes worker_count of its chunks on any thread: the calling
     # thread and a pool of the others
     from concurrent.futures import ThreadPoolExecutor
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 4)
     monkeypatch.setenv("HOPFLIFT_THREADS", str(workers))
     pools = []
 
