@@ -36,6 +36,9 @@ from .pullback import pullback_area_form
 #: mollified lift moduli below this cannot be renormalized meaningfully
 MODULUS_FLOOR = 0.5
 
+#: the sweep CSV's columns, each an ApproxReport field
+SWEEP_COLUMNS = ("eps", "dist_u_w12", "dist_eta_l2", "constraint_residual")
+
 
 @dataclass
 class ApproxReport:
@@ -53,8 +56,7 @@ class ApproxReport:
         return d
 
     def row(self):
-        return (self.eps, self.dist_u_w12, self.dist_eta_l2,
-                self.constraint_residual)
+        return tuple(getattr(self, name) for name in SWEEP_COLUMNS)
 
 
 def _w12_distance(grid, diff, region):
@@ -144,7 +146,6 @@ def convergence_sweep(u: SphereMapField, eta: VecField, eps_list,
 def write_sweep_csv(reports, path):
     with open_output(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["eps", "dist_u_w12", "dist_eta_l2",
-                         "constraint_residual"])
+        writer.writerow(SWEEP_COLUMNS)
         for rep in reports:
             writer.writerow([repr(v) for v in rep.row()])

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 precondition violations (chart exhausted,
-non-closed data, bad radii, grids too coarse for a check, singular
+non-closed data, bad radii, grids too coarse for a check, fields whose
+values or derived values are not finite, singular or inconclusive
 verdicts from ``check``) and requests larger than memory, 3 solver
 failures, 64 malformed flags.
 """

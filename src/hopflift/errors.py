@@ -27,6 +27,11 @@ class InvalidResolution(PreconditionError):
     """Grid needs at least 3 nodes per axis."""
 
 
+class NotFinite(PreconditionError, ValueError):
+    """A field value is NaN or infinite, as the squares of finite but huge
+    data can be; a ValueError too, for callers that catch that."""
+
+
 class WidthTooSmall(PreconditionError):
     """Mollification width below grid spacing."""
 

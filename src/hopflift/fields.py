@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidResolution, NotUnit, WidthTooSmall
+from .errors import InvalidResolution, NotFinite, NotUnit, WidthTooSmall
 
 DEFAULT_BALL_MARGIN = 0.05
 
@@ -65,7 +65,7 @@ class Grid3:
     @property
     def h(self):
         """Node spacing 2/(n-1)."""
-        return 2.0 / (self.n - 1)
+        return spacing(self.n)
 
     def axis(self):
         """Node coordinates along one axis; endpoints are exactly +-1."""
@@ -115,6 +115,11 @@ class Grid3:
         return mask
 
 
+def spacing(n):
+    """Node spacing 2/(n-1) of an n-node axis of [-1, 1]."""
+    return 2.0 / (n - 1)
+
+
 @lru_cache(maxsize=32)
 def _axis(n):
     x = np.linspace(-1.0, 1.0, n)
@@ -146,7 +151,7 @@ def _trapezoid(n):
 
 @lru_cache(maxsize=8)
 def _node_weights(n):
-    h = 2.0 / (n - 1)
+    h = spacing(n)
     c = _trapezoid(n)
     w = h ** 3 * c[:, None, None] * c[None, :, None] * c[None, None, :]
     w.setflags(write=False)
@@ -167,7 +172,7 @@ def _check_values(values, shape, what):
     if values.shape != shape:
         raise ValueError(f"{what}: expected shape {shape}, got {values.shape}")
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what}: values must be finite")
+        raise NotFinite(f"{what}: values must be finite")
     return values
 
 
@@ -207,7 +212,7 @@ def _check_unit(values, what, tol):
     np.sqrt(drift, out=drift)
     drift -= 1.0
     drift = np.abs(drift, out=drift).max()
-    if drift > tol:
+    if not drift <= tol:
         raise NotUnit(f"{what}: |value| off the unit sphere by {drift:.3e}")
 
 
@@ -481,7 +486,7 @@ def face_trace(values):
     faces in the order x1 = -1, +1, x2 = -1, +1, x3 = -1, +1, with the
     faces' 2-d trapezoid weights."""
     n = values.shape[0]
-    h = 2.0 / (n - 1)
+    h = spacing(n)
     c = _trapezoid(n)
     area = (h * h * c[:, None] * c[None, :]).ravel()
     faces = [np.moveaxis(values[..., axis], axis, 0)[side].ravel()

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NotConverged
 from .fields import (VecField, _trapezoid, curl, div, face_trace, l1_norm,
-                     l2_norm, lp_norm, stencil_partial)
+                     l2_norm, lp_norm, spacing, stencil_partial)
 from . import solvers
 
 #: weighted L^2 norm of a G that ``canonical_gauge`` takes for noise: an
@@ -42,7 +42,7 @@ class GaugeSolveConfig:
     """Stopping parameters; max_iters None picks 20n."""
 
     max_iters: int = None
-    rel_tol: float = 1e-8
+    rel_tol: float = solvers.DEFAULT_REL_TOL
 
     def resolved(self, grid):
         return solvers.solve_budget(grid.n, self.max_iters, self.rel_tol)
@@ -147,7 +147,7 @@ def _gradient_norms(x, draws):
     lin, k, phase, amp = draws
     trials, waves = amp.shape
     n = x.size
-    h = 2.0 / (n - 1)
+    h = spacing(n)
     # f[t, d, s]: factor along axis d of term s (ramp x1, x2, x3, waves)
     f = np.ones((trials, 3, 3 + waves, n), complex)
     f[:, range(3), range(3)] = lin[..., None] * x

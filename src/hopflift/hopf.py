@@ -21,7 +21,7 @@ modules are measured.  The only finite differencing here is in
 fields.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def theta_at(q, v):
     q = np.asarray(q, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     _check_unit(q, "theta_at base point", RAW_TOL)
-    if abs(float(q @ v)) > RAW_TOL * max(1.0, float(np.linalg.norm(v))):
+    if not abs(float(q @ v)) <= RAW_TOL * max(1.0, float(np.linalg.norm(v))):
         raise NotTangent("theta_at argument is not tangent at q")
     return float(-q[1] * v[0] + q[0] * v[1] - q[3] * v[2] + q[2] * v[3])
 
@@ -235,10 +235,7 @@ class FrameReport:
     theta_tau23: float
 
     def max_defect(self):
-        return max(
-            self.frame_orthonormality, self.frame_tangency, self.dh_tau1,
-            self.dh_tau2_norm, self.dh_tau3_norm, self.dh_image_orthogonality,
-            self.pullback_two_form, self.theta_tau1, self.theta_tau23)
+        return max(astuple(self))
 
 
 def _torus_point(t, phi1, phi2):

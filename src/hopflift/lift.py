@@ -73,7 +73,7 @@ class LiftConfig:
     max_iters 20 n."""
 
     closed_tol: float = None
-    rel_tol: float = 1e-8
+    rel_tol: float = solvers.DEFAULT_REL_TOL
     max_iters: int = None
 
     def resolved(self, grid):
@@ -102,22 +102,10 @@ class LiftReport:
         return d
 
 
-def _solve_phase(grid, rhs, rel_tol, max_iters):
-    """Least-squares solution of grad phi = alpha, anchored to zero at
-    the node nearest the origin; ``rhs`` is G^T W alpha, the flat
-    right-hand side of the normal equations, which the solve overwrites."""
-    n = grid.n
-    mat, stencil = solvers.phase_normal_matrix(n)
-    phi, iters, achieved, converged = solvers.conjugate_gradient(
-        mat, rhs, rel_tol, max_iters, stencil)
-    phi = phi - phi[grid.origin_index()]
-    return phi.reshape(n, n, n), iters, converged, achieved
-
-
 def _report(u, eta, uhat, **solve_fields):
     """The LiftReport of uhat against (u, eta).  ``solve_fields`` give
     the entries only a solve knows: the pole, its distance, the
-    closedness and the iterations."""
+    closedness, the phase anchor and the iterations."""
     grid = u.grid
     # each difference is formed in the buffer of its first operand
     diff = hopf(uhat.values)
@@ -135,7 +123,6 @@ def _report(u, eta, uhat, **solve_fields):
         projection_error=projection,
         gauge_error=err / denom if denom > _TINY else err,
         energy_defect=float(np.abs(defect[grid.cube_interior_mask()]).max()),
-        phase_anchor=grid.origin_index(),
         **solve_fields)
 
 
@@ -171,26 +158,33 @@ def lift(u: SphereMapField, eta: VecField, cfg: LiftConfig = None):
     # difference stencils' worth of noise) and going quiet when alpha is
     # dominated by a large legitimate gradient part.  The scale combines
     # the gauge size per domain length and the pullback size carried by
-    # the section's gauge.
-    scale = max(l2_norm(alpha), 0.25 * (l2_norm(eta) + gauge_norm),
-                gauge_curl, _TINY)
-    closedness = l2_norm(curl(alpha)) / scale
-    if closedness > closed_tol:
+    # the section's gauge.  eta's norms may overflow to inf (silently), and
+    # the test refuses the NaN closedness that inf / inf gives.
+    with np.errstate(over="ignore"):
+        scale = max(l2_norm(alpha), 0.25 * (l2_norm(eta) + gauge_norm),
+                    gauge_curl, _TINY)
+        closedness = l2_norm(curl(alpha)) / scale
+    if not closedness <= closed_tol:
         raise NotClosed(
             f"curl of the phase form is {closedness:.3e} relative, above "
             f"the closedness tolerance {closed_tol:.3e}; eta does not "
             f"match the pullback of u")
 
+    # CG on grad phi = alpha overwrites rhs; freeing it and the operator
+    # first lowers the peak, and an in-place anchor would spread it
     del alpha
-    phi, iters, converged, achieved = _solve_phase(
-        grid, rhs, rel_tol, max_iters)
-    del rhs
-    uhat = section_of_map(u, pole, phi)
+    mat, stencil = solvers.phase_normal_matrix(grid.n)
+    phi, iters, achieved, converged = solvers.conjugate_gradient(
+        mat, rhs, rel_tol, max_iters, stencil)
+    del mat, stencil, rhs
+    anchor = grid.origin_index()
+    phi = phi - phi[anchor]
+    uhat = section_of_map(u, pole, phi.reshape((grid.n,) * 3))
     del phi
     # not verify_lift: the public name is the one tracers wrap
     report = _report(u, eta, uhat, pole_used=tuple(float(c) for c in pole),
                      min_pole_distance=min_dist, alpha_closedness=closedness,
-                     iterations=iters)
+                     phase_anchor=anchor, iterations=iters)
     if not converged:
         raise NotConverged(
             f"phase solve stopped at {iters} iterations with relative "
@@ -204,7 +198,8 @@ def verify_lift(u: SphereMapField, eta: VecField, uhat: LiftField) -> LiftReport
     _same_grid(u, eta, uhat)
     return _report(u, eta, uhat, pole_used=None,
                    min_pole_distance=float("nan"),
-                   alpha_closedness=float("nan"))
+                   alpha_closedness=float("nan"),
+                   phase_anchor=u.grid.origin_index())
 
 
 def relative_phase(uhat: LiftField, reference: LiftField):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import SolverDiverged
 from .fields import (_node_weights, _trapezoid, _whole_number, face_trace,
-                     index_box, stencil_partial, worker_count)
+                     index_box, spacing, stencil_partial, worker_count)
 
 #: block operators as row blocks of (column block, sign, axis) entries,
 #: each standing for sign times the partial along axis; the row blocks of
@@ -51,7 +51,7 @@ DIV = (((0, 1.0, 0), (1, 1.0, 1), (2, 1.0, 2)),)
 
 def _d1(n):
     """The dense 1-d differentiation matrix, the field stencil's own."""
-    return stencil_partial(np.eye(n), 2.0 / (n - 1), 0)
+    return stencil_partial(np.eye(n), spacing(n), 0)
 
 
 def _column_runs(n):
@@ -186,7 +186,7 @@ def _stencil_terms(n):
     (d[i+oa,i] h^3 c_(i+oa)) d[k,k+ob] c_k at (i_a, k_b) = (i, k); only
     offsets with some term are kept.
     """
-    h3 = (2.0 / (n - 1)) ** 3
+    h3 = spacing(n) ** 3
     c = _trapezoid(n)
     d = _d1(n)
     terms = {}
@@ -393,7 +393,7 @@ def gauge_normal_matrix(n):
     N^T wb N is diagonal: the face area weight at every face node of the
     face-normal component.
     """
-    h = 2.0 / (n - 1)
+    h = spacing(n)
     c = _trapezoid(n)
     curl_t = _normal_tables(CURL, n)
     div_t = _normal_tables(DIV, n)
@@ -484,6 +484,10 @@ def _dot(u, v, part):
     for k, lo in enumerate(range(0, u.size, CHUNK)):
         part[k] = np.einsum("i,i->", u[lo:lo + CHUNK], v[lo:lo + CHUNK])
     return float(np.sum(part))
+
+
+#: the default CG stop: the residual at most this times the right-hand side
+DEFAULT_REL_TOL = 1e-8
 
 
 def solve_budget(n, max_iters, rel_tol):

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopflift.cli import run
+from hopflift.fields import VecField, make_grid
+from hopflift.fileio import write_h3f
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
                 database=None)
@@ -54,7 +56,8 @@ def files(tmp_path_factory):
     assert run_cli(["gen", "--map", "liftfam", "--n", "9",
                     "--out-prefix", prefix])[0] == 0
     paths = {"u": prefix + "u.h3f", "eta": prefix + "eta.h3f",
-             "D": str(root / "D.h3f"), "in": str(root / "in.h3f"),
+             "uhat": prefix + "uhat.h3f", "D": str(root / "D.h3f"),
+             "in": str(root / "in.h3f"),
              "out": str(root / "out")}
     assert run_cli(["pullback", "--in", paths["u"],
                     "--out", paths["D"]])[0] == 0
@@ -179,3 +182,30 @@ def test_flag_values(files, data, command, strict):
         assert code == 64, err
     if margin is not None and not _margin(margin):
         assert code == 64, err
+
+
+@FUZZ
+@given(command=st.sampled_from(["gauge", "lift", "verify", "approx",
+                                "sweep"]),
+       k=st.integers(0, 300), noise=st.booleans(), seed=st.integers(0, 1000))
+def test_pair_payload_magnitudes(files, command, k, noise, seed):
+    # eta, or D for gauge, at magnitude 10^k on the family's n=9 grid: the
+    # values stay finite, but from k = 154 their squares overflow; a
+    # constant eta is closed, so the lift runs, and at small k the widths
+    # smooth it
+    f, shape = files, (9, 9, 9, 3)
+    values = (np.random.default_rng(seed).normal(size=shape) if noise
+              else np.ones(shape))
+    write_h3f(f["in"], VecField(make_grid(9), 2 if command == "gauge" else 1,
+                                10.0 ** k * values))
+    argv = {
+        "gauge": ["gauge", "--in", f["in"], "--out", f["out"]],
+        "lift": ["lift", "--u", f["u"], "--eta", f["in"], "--out", f["out"]],
+        "verify": ["verify", "--u", f["u"], "--eta", f["in"],
+                   "--uhat", f["uhat"]],
+        "approx": ["approx", "--u", f["u"], "--eta", f["in"],
+                   "--eps", "0.25", "--out-prefix", f["out"]],
+        "sweep": ["sweep", "--u", f["u"], "--eta", f["in"],
+                  "--eps", "0.3,0.25", "--csv", f["out"]],
+    }[command]
+    assert_contract(*run_cli(argv))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hopflift.errors import InvalidResolution, NotUnit, WidthTooSmall
+from hopflift.errors import (InvalidResolution, NotFinite, NotUnit,
+                             PreconditionError, WidthTooSmall)
 from hopflift.fields import (Grid3, LiftField, ScalarField, SphereMapField,
                              VecField, _check_unit, _convolve_same,
                              _gaussian_kernel,
@@ -678,3 +679,12 @@ class TestContainers:
         vals[2, 2, 2] = np.nan
         with pytest.raises(ValueError):
             ScalarField(grid, vals)
+
+    def test_nonfinite_is_a_precondition_and_a_value_error(self):
+        # the CLI exits 2 on a PreconditionError, and library callers
+        # that catch ValueError still catch it
+        grid = make_grid(5)
+        with pytest.raises(NotFinite) as info:
+            ScalarField(grid, np.full((5, 5, 5), np.inf))
+        assert isinstance(info.value, PreconditionError)
+        assert isinstance(info.value, ValueError)

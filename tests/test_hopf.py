@@ -90,6 +90,11 @@ class TestTheta:
         with pytest.raises(NotTangent):
             theta_at((1, 0, 0, 0), (1, 0, 0, 0))
 
+    def test_rejects_nan_vector(self):
+        # a NaN q . v fails the tangency test instead of passing it
+        with pytest.raises(NotTangent):
+            theta_at((1, 0, 0, 0), (0, np.nan, 0, 0))
+
 
 #: a call of each raw-array unit check, on a point whose norm is ``s``
 UNIT_CHECKS = {
@@ -105,6 +110,13 @@ def test_raw_unit_tolerance(name):
     UNIT_CHECKS[name](1.0 - 0.9e-9)
     with pytest.raises(NotUnit, match=f"^{name} .*off the unit sphere by 1.1"):
         UNIT_CHECKS[name](1.0 + 1.1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_CHECKS))
+def test_raw_unit_check_refuses_nan(name):
+    # a NaN drift fails the tolerance test instead of passing it
+    with pytest.raises(NotUnit, match="off the unit sphere by nan"):
+        UNIT_CHECKS[name](np.nan)
 
 
 class TestSection:

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from hopflift.errors import ChartExhausted, NotClosed, NotConverged
+from hopflift.errors import ChartExhausted, NotClosed, NotConverged, NotFinite
 from hopflift.fields import VecField, l2_norm, make_grid
 from hopflift.hopf import gauge_of_lift, hopf
 from hopflift.lift import (LiftConfig, default_pole_candidates, lift,
@@ -118,6 +118,26 @@ class TestLift:
                        + np.stack([0.5 * x2, zero, zero], axis=-1))
         with pytest.raises(NotClosed):
             lift(u0, bad)
+
+    def test_nan_closedness_rejected(self):
+        # 1e154 N(0, 1) is finite, but its norms overflow to inf, and the
+        # closedness inf / inf is NaN, which must fail the closedness test
+        grid = make_grid(9)
+        _, u0, _ = family(grid)
+        rng = np.random.default_rng(0)
+        eta = VecField(grid, 1, 1e154 * rng.normal(size=(9, 9, 9, 3)))
+        with pytest.raises(NotClosed, match="is nan relative"):
+            lift(u0, eta)
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["lift", "verify"])
+    def test_overflowing_report_raises_not_finite(self, verify):
+        # eta = 1e154 is finite and closed, but |eta|^2 overflows in the
+        # report's energy identity
+        grid = make_grid(9)
+        uhat0, u0, _ = family(grid)
+        eta = VecField(grid, 1, np.full((9, 9, 9, 3), 1e154))
+        with pytest.raises(NotFinite):
+            verify_lift(u0, eta, uhat0) if verify else lift(u0, eta)
 
     def test_sphere_covering_map_rejected(self):
         grid = make_grid(33)
